@@ -21,6 +21,8 @@ Two layers:
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from repro.ann.graph import ProximityGraph
@@ -128,17 +130,36 @@ class _CompiledTrace:
     ``rounds[r]`` is ``(had_computed, pairs, hits, n_cached, groups,
     spec_count, spec_keys, spec_loads, spec_merged)`` where ``groups``
     is a tuple of ``(lun, raw_count, unique_keys, loads, merged)`` in
-    ascending LUN order.
+    ascending LUN order.  ``serial`` is unique per model and never
+    reused, so a tuple of serials names a batch composition.
     """
 
-    __slots__ = ("trace", "spec", "rounds", "n_rounds", "trace_length")
+    __slots__ = ("trace", "spec", "rounds", "n_rounds", "trace_length",
+                 "serial")
 
-    def __init__(self, trace, spec, rounds) -> None:
+    def __init__(self, trace, spec, rounds, serial) -> None:
         self.trace = trace
         self.spec = spec
         self.rounds = rounds
         self.n_rounds = trace.num_iterations
         self.trace_length = trace.trace_length
+        self.serial = serial
+
+
+#: FIFO bound on a model's priced-batch memo (the sibling caches' size).
+_BATCH_MEMO_LIMIT = 4096
+
+#: One ``[lo, hi)`` range covering every page key.
+_ALL_KEYS = (np.zeros(1, dtype=np.int64),
+             np.full(1, np.iinfo(np.int64).max, dtype=np.int64))
+
+#: Timeline ``(stage, resource)`` labels, shared by every memo entry.
+_HOST_IN = ("host_in", "host_in")
+_SCHEDULE = ("schedule", "engine")
+_SEARCH = ("search", "engine")
+_GATHER = ("gather", "engine")
+_SORT = ("sort", "sorter")
+_HOST_OUT = ("host_out", "host_out")
 
 
 class SearSSDModel:
@@ -176,27 +197,41 @@ class SearSSDModel:
         # recycled onto a different object while the entry lives; the
         # `is` checks on lookup make a stale hit impossible either way.
         self._compiled: dict[int, _CompiledTrace] = {}
+        self._next_serial = 0
+        # Priced batches keyed by (spec_enabled, *compiled serials).
+        # Config, placement and the hot-vertex set are fixed at
+        # construction and the LDPC stream restarts every batch, so a
+        # batch's price depends on nothing else.
+        self._batches: dict[tuple, tuple] = {}
 
     # ---- helpers ---------------------------------------------------------------
     def _page_keys(self, vertices: np.ndarray) -> np.ndarray:
         return self.placement.page_keys(vertices)
 
-    def _lun_of_keys(self, keys: np.ndarray) -> np.ndarray:
-        return keys // self._lun_span
-
     def _loads_and_merges(self, keys: np.ndarray) -> tuple[int, int]:
-        """Distinct page senses and multi-plane merge count for keys.
+        """Distinct page senses and multi-plane merge count for keys."""
+        _, starts, stops, merged = self._tagged_loads(keys, *_ALL_KEYS)
+        return int(stops[0] - starts[0]), int(merged[0])
 
-        ``merged`` counts pages folded into another plane's sense of
-        the same (block, page): distinct pages minus distinct
+    def _tagged_loads(self, tagged: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+        """Distinct pages and multi-plane merges per ``[lo, hi)`` range.
+
+        ``tagged`` holds page keys offset by a multiple of the LUN span,
+        which leaves each key's plane field intact.  Returns the sorted
+        distinct keys, each range's start/stop into them, and each
+        range's merge count: pages folded into another plane's sense of
+        the same (block, page), i.e. distinct pages minus distinct
         plane-stripped pages.
         """
-        unique = np.unique(keys)
-        loads = int(unique.size)
-        plane = (unique // self._plane_span) % self.config.geometry.planes_per_lun
-        without_plane = unique - plane * self._plane_span
-        merged = loads - int(np.unique(without_plane).size)
-        return loads, merged
+        uniq = np.unique(tagged)
+        plane = (uniq // self._plane_span) % self.config.geometry.planes_per_lun
+        stripped = np.unique(uniq - plane * self._plane_span)
+        starts = np.searchsorted(uniq, lo)
+        stops = np.searchsorted(uniq, hi)
+        merged = (stops - starts) - (
+            np.searchsorted(stripped, hi) - np.searchsorted(stripped, lo)
+        )
+        return uniq, starts, stops, merged
 
     # ---- main entry ----------------------------------------------------------------
     def run_batch(
@@ -206,45 +241,70 @@ class SearSSDModel:
         algorithm: str = "hnsw",
         dataset: str = "synthetic",
     ) -> SimResult:
-        """Simulate a full batch, splitting into sub-batches if needed."""
-        batch = len(traces)
+        """Simulate a full batch, splitting into sub-batches if needed.
+
+        A batch whose compiled traces were priced before is answered
+        from the memo; every call returns a freshly built result, so
+        callers may mutate it (``EnergyModel.attach`` does).
+        """
+        compiled = self._compiled_batch(traces, speculative_sets)
+        spec_enabled = speculative_sets is not None
+        key = (spec_enabled, *(c.serial for c in compiled))
+        priced = self._batches.get(key)
+        if priced is None:
+            priced = self._price_batch(compiled, spec_enabled)
+            if len(self._batches) >= _BATCH_MEMO_LIMIT:
+                self._batches.pop(next(iter(self._batches)))
+            self._batches[key] = priced
+        makespan, counters, busy, labels, bounds = priced
+        return SimResult(
+            platform="ndsearch",
+            algorithm=algorithm,
+            dataset=dataset,
+            batch_size=len(traces),
+            sim_time_s=makespan,
+            counters=Counters(counters),
+            component_busy_s=dict(busy),
+            timeline=[
+                PhaseSegment(stage, start, end, resource)
+                for (stage, resource), (start, end) in zip(
+                    labels, bounds.tolist()
+                )
+            ],
+        )
+
+    def _price_batch(self, compiled: list[_CompiledTrace], spec_enabled: bool):
+        """Price one batch: ``(makespan, counters, busy, labels, bounds)``.
+
+        The timeline is stored compactly: ``labels`` holds each
+        segment's ``(stage, resource)`` and ``bounds`` its start/end on
+        the batch clock as a float64 ``(n, 2)`` array.
+        """
         # Deterministic fault injection: the same batch always sees the
         # same hard-decode failure stream.
         self.ldpc.reset()
         capacity = self.config.max_batch_capacity
         counters = Counters()
         busy: dict[str, float] = {}
-        timeline: list[PhaseSegment] = []
+        labels: list[tuple[str, str]] = []
+        spans: list[np.ndarray] = []
         makespan = 0.0
-        compiled = self._compiled_batch(traces, speculative_sets)
-        spec_enabled = speculative_sets is not None
-        for start in range(0, batch, capacity):
+        for start in range(0, len(compiled), capacity):
             sub = compiled[start : start + capacity]
-            t, c, b, segments = self._run_sub_batch(sub, spec_enabled)
+            t, c, b, sub_labels, sub_bounds = self._run_sub_batch(
+                sub, spec_enabled
+            )
             # Sub-batch segments are relative to the sub-batch's own
             # start; shift them onto the batch clock.
-            timeline.extend(
-                PhaseSegment(
-                    s.stage, s.start + makespan, s.end + makespan,
-                    resource=s.resource,
-                )
-                for s in segments
-            )
+            labels.extend(sub_labels)
+            if sub_bounds:
+                spans.append(np.asarray(sub_bounds) + makespan)
             makespan += t
             counters.update(c)
             for key, val in b.items():
                 busy[key] = busy.get(key, 0.0) + val
-        result = SimResult(
-            platform="ndsearch",
-            algorithm=algorithm,
-            dataset=dataset,
-            batch_size=batch,
-            sim_time_s=makespan,
-            counters=counters,
-            component_busy_s=busy,
-            timeline=timeline,
-        )
-        return result
+        bounds = np.concatenate(spans) if spans else np.empty((0, 2))
+        return makespan, counters, busy, tuple(labels), bounds
 
     # ---- trace compilation -----------------------------------------------------------
     def _compiled_batch(
@@ -269,68 +329,105 @@ class SearSSDModel:
     def _compile_trace(
         self, trace: SearchTrace, spec: list[np.ndarray] | None
     ) -> _CompiledTrace:
-        """Pre-resolve one trace's rounds to per-LUN demand work."""
+        """Pre-resolve one trace's rounds to per-LUN demand work.
+
+        All rounds are resolved together: every vertex is tagged with
+        its round (``r * V + v`` for membership tests, ``r * K + key``
+        for page keys, ``K`` the device's page-key space), so one
+        ``isin``/``unique`` over the whole trace replaces one per
+        round, and each ``(round, LUN)`` slice is found by bisecting
+        the sorted tagged keys.
+        """
         flags = self.config.flags
-        n_iter = trace.num_iterations
-        rounds = []
-        for r in range(n_iter):
-            computed = np.asarray(trace.iterations[r].computed, dtype=np.int64)
-            had_computed = computed.size > 0
-            hits = 0
-            n_cached = 0
-            if had_computed:
-                # Speculative hits: vertices the previous round's
-                # overlap window already computed.
-                if flags.speculative and spec is not None and r >= 1:
-                    if r - 1 < len(spec) and spec[r - 1].size:
-                        mask = np.isin(computed, spec[r - 1])
-                        hits = int(np.count_nonzero(mask))
-                        if hits:
-                            computed = computed[~mask]
-                # Internal-DRAM cache (DiskANN hot vertices).
-                if self._cached_arr is not None and computed.size:
-                    mask = np.isin(computed, self._cached_arr)
-                    n_cached = int(np.count_nonzero(mask))
-                    if n_cached:
-                        computed = computed[~mask]
-            pairs = int(computed.size)
-            groups: tuple = ()
-            if computed.size:
-                keys = self._page_keys(computed)
-                luns = self._lun_of_keys(keys)
-                group_list = []
-                for lun in np.unique(luns):
-                    lun_keys = keys[luns == lun]
-                    uniq = np.unique(lun_keys)
-                    loads, merged = self._loads_and_merges(uniq)
-                    group_list.append(
-                        (int(lun), int(lun_keys.size), uniq, loads, merged)
-                    )
-                groups = tuple(group_list)
-            # This round's prefetch contribution (overlaps the next
-            # round's scheduling window; nothing on the last round).
-            # spec_loads/spec_merged pre-resolve the common case of a
-            # single query prefetching in a round; multi-query rounds
-            # must still pool the keys at batch time.
-            spec_count = 0
-            spec_keys = None
-            spec_loads = 0
-            spec_merged = 0
-            if (
-                flags.speculative
-                and spec is not None
-                and r < n_iter - 1
-                and r < len(spec)
-                and spec[r].size
-            ):
-                spec_count = int(spec[r].size)
-                spec_keys = self._page_keys(spec[r])
-                spec_loads, spec_merged = self._loads_and_merges(spec_keys)
-            rounds.append(
-                (had_computed, pairs, hits, n_cached, groups,
-                 spec_count, spec_keys, spec_loads, spec_merged)
+        iters = trace.iterations
+        n_iter = len(iters)
+        sizes = np.fromiter(
+            (len(it.computed) for it in iters), dtype=np.int64, count=n_iter
+        )
+        flat = np.fromiter(
+            chain.from_iterable(it.computed for it in iters),
+            dtype=np.int64, count=int(sizes.sum()),
+        )
+        rid = np.repeat(np.arange(n_iter, dtype=np.int64), sizes)
+        hits = n_cached = np.zeros(n_iter, dtype=np.int64)
+        # spec[j] is prefetched in round j (never on the last round) and
+        # can hit in round j + 1.
+        spec_rounds = 0
+        if flags.speculative and spec is not None:
+            spec_rounds = max(min(len(spec), n_iter - 1), 0)
+        if spec_rounds:
+            spec_sizes = np.fromiter(
+                (spec[j].size for j in range(spec_rounds)),
+                dtype=np.int64, count=spec_rounds,
             )
-        return _CompiledTrace(trace, spec, tuple(rounds))
+            spec_flat = np.concatenate(
+                [np.asarray(spec[j], dtype=np.int64) for j in range(spec_rounds)]
+            )
+            spec_rid = np.repeat(np.arange(spec_rounds, dtype=np.int64), spec_sizes)
+            # Speculative hits: vertices the previous round's overlap
+            # window already computed.
+            span = int(max(flat.max(initial=0), spec_flat.max(initial=0))) + 1
+            mask = np.isin(rid * span + flat, (spec_rid + 1) * span + spec_flat)
+            hits = np.bincount(rid[mask], minlength=n_iter)
+            flat, rid = flat[~mask], rid[~mask]
+        # Internal-DRAM cache (DiskANN hot vertices).
+        if self._cached_arr is not None:
+            mask = np.isin(flat, self._cached_arr)
+            n_cached = np.bincount(rid[mask], minlength=n_iter)
+            flat, rid = flat[~mask], rid[~mask]
+        pairs = np.bincount(rid, minlength=n_iter)
+
+        # Demand pages per (round, LUN): tagged keys sort round-major,
+        # then LUN, so each group is one contiguous range.
+        n_luns = self.config.geometry.total_luns
+        key_space = n_luns * self._lun_span
+        tagged = rid * key_space + self._page_keys(flat)
+        group_ids, raw = np.unique(tagged // self._lun_span, return_counts=True)
+        lo = group_ids * self._lun_span
+        uniq, starts, stops, merged = self._tagged_loads(
+            tagged, lo, lo + self._lun_span
+        )
+        uniq %= key_space
+        groups: list[list] = [[] for _ in range(n_iter)]
+        for gid, count, a, b, m in zip(
+            group_ids.tolist(), raw.tolist(), starts.tolist(), stops.tolist(),
+            merged.tolist(),
+        ):
+            r, lun = divmod(gid, n_luns)
+            groups[r].append((lun, count, uniq[a:b], b - a, m))
+
+        # Each round's prefetch contribution (overlaps the next round's
+        # scheduling window).  spec_loads/spec_merged pre-resolve the
+        # common case of a single query prefetching in a round;
+        # multi-query rounds must still pool the keys at batch time.
+        spec_count = [0] * n_iter
+        spec_keys: list = [None] * n_iter
+        spec_loads = [0] * n_iter
+        spec_merged = [0] * n_iter
+        if spec_rounds:
+            keys = self._page_keys(spec_flat)
+            edges = np.arange(spec_rounds + 1, dtype=np.int64) * key_space
+            _, starts, stops, merged = self._tagged_loads(
+                spec_rid * key_space + keys, edges[:-1], edges[1:]
+            )
+            offsets = np.concatenate(([0], np.cumsum(spec_sizes))).tolist()
+            for j, size in enumerate(spec_sizes.tolist()):
+                if size:
+                    spec_count[j] = size
+                    spec_keys[j] = keys[offsets[j] : offsets[j + 1]]
+                    spec_loads[j] = int(stops[j] - starts[j])
+                    spec_merged[j] = int(merged[j])
+
+        had = (sizes > 0).tolist()
+        pairs, hits, n_cached = pairs.tolist(), hits.tolist(), n_cached.tolist()
+        rounds = tuple(
+            (had[r], pairs[r], hits[r], n_cached[r], tuple(groups[r]),
+             spec_count[r], spec_keys[r], spec_loads[r], spec_merged[r])
+            for r in range(n_iter)
+        )
+        serial = self._next_serial
+        self._next_serial += 1
+        return _CompiledTrace(trace, spec, rounds, serial)
 
     # ---- one sub-batch ---------------------------------------------------------------
     def _run_sub_batch(
@@ -358,26 +455,27 @@ class SearSSDModel:
         }
         batch = len(compiled)
         if batch == 0:
-            return 0.0, counters, busy, []
+            return 0.0, counters, busy, [], []
 
-        # Phase timeline of this sub-batch, relative to its own start.
-        # Host-in/out are distinct resources (full-duplex PCIe), so the
-        # serving layer can drain batch N's results while batch N+1's
-        # queries stream in.
-        segments: list[PhaseSegment] = []
+        # Phase timeline of this sub-batch, relative to its own start:
+        # each booked segment's (stage, resource) label and its
+        # (start, end).  Host-in/out are distinct resources (full-duplex
+        # PCIe), so the serving layer can drain batch N's results while
+        # batch N+1's queries stream in.
+        labels: list[tuple[str, str]] = []
+        bounds: list[tuple[float, float]] = []
 
-        def book(stage: str, resource: str, start: float, duration: float) -> None:
+        def book(label: tuple[str, str], start: float, duration: float) -> None:
             if duration > 0:
-                segments.append(
-                    PhaseSegment(stage, start, start + duration, resource=resource)
-                )
+                labels.append(label)
+                bounds.append((start, start + duration))
 
         # 1. Host sends the query batch over PCIe (Fig. 5 step 1).
         query_bytes = batch * (self.dim * 4 + 16)
         t_in = timing.host_transfer_s(query_bytes)
         counters["pcie_bytes"] += query_bytes
         busy["pcie_host"] += t_in
-        book("host_in", "host_in", 0.0, t_in)
+        book(_HOST_IN, 0.0, t_in)
         makespan = t_in
 
         max_rounds = max(c.n_rounds for c in compiled)
@@ -454,9 +552,9 @@ class SearSSDModel:
             if flags.speculative and spec_enabled:
                 self._speculative_stage(compiled, round_idx, counters, busy)
 
-            book("schedule", "engine", makespan, t_sched)
-            book("search", "engine", makespan + t_sched, t_search)
-            book("gather", "engine", makespan + t_sched + t_search, t_gather)
+            book(_SCHEDULE, makespan, t_sched)
+            book(_SEARCH, makespan + t_sched, t_search)
+            book(_GATHER, makespan + t_sched + t_search, t_gather)
             makespan += t_sched + t_search + t_gather
 
         # Sorting stage: result lists to the FPGA, top-k back to host.
@@ -469,10 +567,10 @@ class SearSSDModel:
         t_out = timing.host_transfer_s(out_bytes)
         counters["pcie_bytes"] += out_bytes
         busy["pcie_host"] += t_out
-        book("sort", "sorter", makespan, t_sort)
-        book("host_out", "host_out", makespan + t_sort, t_out)
+        book(_SORT, makespan, t_sort)
+        book(_HOST_OUT, makespan + t_sort, t_out)
         makespan += t_sort + t_out
-        return makespan, counters, busy, segments
+        return makespan, counters, busy, labels, bounds
 
     # ---- searching stage -------------------------------------------------------------
     def _search_stage(self, lun_acc: dict[int, list], counters: Counters):
@@ -509,26 +607,17 @@ class SearSSDModel:
                     multi.extend(acc[3])
                     multi_luns.append(lun)
             if multi:
-                uniq = np.unique(np.concatenate(multi))
-                plane = (
-                    uniq // self._plane_span
-                ) % self.config.geometry.planes_per_lun
-                wp = np.unique(uniq - plane * self._plane_span)
-                # Both arrays are sorted with the LUN as the top key
-                # field, so each LUN's slice is found by bisecting its
-                # key range — no per-LUN unique needed.
                 multi_luns.sort()
-                edges = np.empty(len(multi_luns) * 2, dtype=np.int64)
-                edges[0::2] = np.asarray(multi_luns) * self._lun_span
-                edges[1::2] = edges[0::2] + self._lun_span
-                bounds = np.searchsorted(uniq, edges)
-                wp_bounds = np.searchsorted(wp, edges)
-                for i, lid in enumerate(multi_luns):
-                    loads_i = int(bounds[2 * i + 1] - bounds[2 * i])
-                    da_loads[lid] = loads_i
-                    da_merged[lid] = loads_i - int(
-                        wp_bounds[2 * i + 1] - wp_bounds[2 * i]
-                    )
+                lo = np.asarray(multi_luns, dtype=np.int64) * self._lun_span
+                _, starts, stops, merged = self._tagged_loads(
+                    np.concatenate(multi), lo, lo + self._lun_span
+                )
+                for lid, a, b, m in zip(
+                    multi_luns, starts.tolist(), stops.tolist(),
+                    merged.tolist(),
+                ):
+                    da_loads[lid] = b - a
+                    da_merged[lid] = m
         for lun, (n_vectors, loads, merged, uniqs) in lun_acc.items():
             if flags.dynamic_alloc and len(uniqs) > 1:
                 loads = da_loads[lun]

@@ -339,11 +339,6 @@ _build_cache: dict[tuple, tuple] = {}  # repro-lint: disable=DET005
 _BUILD_CACHE_LIMIT = 32
 
 
-def clear_router_cache() -> None:
-    """Drop all cached router build artifacts (frees their indexes)."""
-    _build_cache.clear()
-
-
 def _corpus_digest(vectors: np.ndarray) -> tuple:
     import hashlib
 

@@ -43,7 +43,7 @@ class Counters(Counter):
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhaseSegment:
     """One occupancy interval on one pipeline resource.
 
