@@ -16,6 +16,7 @@ model.  We formalise that record here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -74,7 +75,10 @@ class TraceRecorder:
 
     def record_iteration(self, entry: int, computed: list[int] | np.ndarray) -> None:
         self.trace.iterations.append(
-            IterationRecord(entry=int(entry), computed=tuple(int(c) for c in computed))
+            IterationRecord(
+                entry=int(entry),
+                computed=tuple(np.asarray(computed, dtype=np.int64).tolist()),
+            )
         )
 
     def record_result(self, ids: np.ndarray, distances: np.ndarray) -> None:
@@ -93,14 +97,23 @@ def remap_trace(trace: SearchTrace, new_id: np.ndarray) -> SearchTrace:
     the simulator sees the post-reordering physical placement.
     ``new_id[old] = new``.
     """
+    iterations = trace.iterations
+    n = len(iterations)
+    computed = [it.computed for it in iterations]
+    sizes = [len(c) for c in computed]
+    # One gather over every entry, then every computed id, in order.
+    old = np.fromiter(
+        chain((it.entry for it in iterations), chain.from_iterable(computed)),
+        dtype=np.int64, count=n + sum(sizes),
+    )
+    new = new_id[old].tolist()
     remapped = SearchTrace(query_id=trace.query_id)
-    for it in trace.iterations:
+    start = n
+    for entry, size in zip(new[:n], sizes):
         remapped.iterations.append(
-            IterationRecord(
-                entry=int(new_id[it.entry]),
-                computed=tuple(int(new_id[c]) for c in it.computed),
-            )
+            IterationRecord(entry=entry, computed=tuple(new[start:start + size]))
         )
+        start += size
     if trace.result_ids is not None:
         remapped.result_ids = new_id[trace.result_ids]
         remapped.result_distances = trace.result_distances

@@ -22,6 +22,7 @@ offers two execution paths:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from repro.core.config import NDSearchConfig
 from repro.core.placement import map_vertices
 from repro.core.processing_model import NDPProcessingModel
 from repro.core.searssd import SearSSDDevice, SearSSDModel
-from repro.core.speculative import select_speculative_candidates
+from repro.core.speculative import rank_by_round
 from repro.core.static_scheduling import degree_ascending_bfs, random_bfs
 from repro.flash.ecc import LDPCModel
 from repro.sim.energy import EnergyModel
@@ -46,21 +47,22 @@ def precompute_speculative_sets(
     ``sets[q][i]`` is what the Pref Unit would prefetch during query
     ``q``'s iteration ``i`` (second-order neighbors of that iteration's
     computed vertices, ranked by connectivity back into the set).
-    Depends only on the graph and traces, so experiments compute it
-    once and reuse it across scheduling-flag configurations.
+    Depends only on the graph and the trace: :meth:`NDSearch._resolve_trace`
+    computes it once per trace and caches it with the remapped trace.
+    Each trace resolves in one :func:`rank_by_round` pass, and its sets
+    are slices of one compact array holding only the kept vertices.
     """
     out: list[list[np.ndarray]] = []
     for trace in traces:
-        per_iter: list[np.ndarray] = []
-        for record in trace.iterations:
-            first_order = np.asarray(record.computed, dtype=np.int64)
-            if first_order.size == 0:
-                per_iter.append(np.empty(0, dtype=np.int64))
-                continue
-            per_iter.append(
-                select_speculative_candidates(graph, first_order, width)
-            )
-        out.append(per_iter)
+        computed = [record.computed for record in trace.iterations]
+        sizes = [len(c) for c in computed]
+        vertices = np.fromiter(
+            chain.from_iterable(computed), dtype=np.int64, count=sum(sizes)
+        )
+        rounds = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+        ids, bounds = rank_by_round(graph, vertices, rounds, len(sizes), width)
+        b = bounds.tolist()
+        out.append([ids[b[r]:b[r + 1]] for r in range(len(sizes))])
     return out
 
 

@@ -35,43 +35,80 @@ def select_speculative_candidates(
     first-order set, ranked by how many first-order vertices link to
     them (the Pref Unit's "more connections with the first-order
     neighbors" heuristic), ties broken by vertex ID for determinism.
-
-    Implemented as a CSR gather: one slice of the graph's ``indices``
-    per first-order vertex, then a single ``np.unique`` with counts —
-    no per-edge Python work, which matters because the serving path
-    calls this for every iteration of every trace.
+    This is the one-round case of :func:`rank_by_round`.
     """
-    if width <= 0:
-        return np.empty(0, dtype=np.int64)
-    first = np.unique(np.asarray(first_order, dtype=np.int64))
-    if first.size == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = graph.indptr[first]
-    stops = graph.indptr[first + 1]
-    lengths = stops - starts
+    vertices = np.asarray(first_order, dtype=np.int64)
+    ids, _ = rank_by_round(
+        graph, vertices, np.zeros(vertices.size, dtype=np.int64), 1, width
+    )
+    return ids
+
+
+def rank_by_round(
+    graph: ProximityGraph,
+    vertices: np.ndarray,
+    rounds: np.ndarray,
+    n_rounds: int,
+    width: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The Pref Unit's choice for many iterations in one vectorized pass.
+
+    ``vertices[j]`` was computed in iteration ``rounds[j]`` (both int64;
+    duplicates allowed, ``0 <= rounds[j] < n_rounds``).  Returns
+    ``(ids, bounds)``: iteration ``r``'s speculative set is
+    ``ids[bounds[r]:bounds[r + 1]]``, ranked as
+    :func:`select_speculative_candidates` describes.  ``ids``
+    holds only the kept vertices, so slices of it pin nothing else.
+
+    Every vertex is tagged with its iteration (``r * V + v``), so one
+    ``np.unique`` yields all first-order sets, one CSR gather all their
+    adjacency lists, one ``searchsorted`` drops candidates inside their
+    own iteration's first-order set, and one sort ranks every iteration
+    at once.
+    """
+    bounds = np.zeros(n_rounds + 1, dtype=np.int64)
+    if width <= 0 or vertices.size == 0:
+        return np.empty(0, dtype=np.int64), bounds
+    n = np.int64(graph.num_vertices)
+    first = np.unique(rounds * n + vertices)
+    first_round = first // n
+    first_v = first - first_round * n
+    starts = graph.indptr[first_v]
+    lengths = graph.indptr[first_v + 1] - starts
     total = int(lengths.sum())
     if total == 0:
-        return np.empty(0, dtype=np.int64)
-    # Gather all first-order adjacency lists in one shot: offsets[j]
-    # enumerates 0..total-1, mapped into each vertex's CSR range.
-    offsets = np.arange(total, dtype=np.int64)
-    row_ends = np.cumsum(lengths)
-    rows = np.searchsorted(row_ends, offsets, side="right")
+        return np.empty(0, dtype=np.int64), bounds
+    # Gather all adjacency lists in one shot: row j's neighbours sit at
+    # starts[j] .. starts[j] + lengths[j] - 1 of the CSR ``indices``.
+    rows = np.repeat(np.arange(first.size), lengths)
+    row_base = np.cumsum(lengths) - lengths
     gathered = graph.indices[
-        starts[rows] + offsets - (row_ends[rows] - lengths[rows])
-    ].astype(np.int64)
-    # Drop second-order candidates already in the first-order set
+        starts[rows] + np.arange(total, dtype=np.int64) - row_base[rows]
+    ]
+    tagged = np.sort(first_round[rows] * n + gathered)
+    # Drop candidates already in their own round's first-order set
     # (``first`` is sorted, so membership is a searchsorted probe).
-    pos = np.searchsorted(first, gathered)
+    pos = np.searchsorted(first, tagged)
     pos[pos == first.size] = first.size - 1
-    outside = first[pos] != gathered
-    candidates = gathered[outside]
+    candidates = tagged[first[pos] != tagged]
     if candidates.size == 0:
-        return np.empty(0, dtype=np.int64)
-    ids, counts = np.unique(candidates, return_counts=True)
-    # Rank by (-count, id): lexsort keys run least-significant first.
-    order = np.lexsort((ids, -counts))
-    return ids[order[:width]]
+        return np.empty(0, dtype=np.int64), bounds
+    tags, counts = np.unique(candidates, return_counts=True)
+    cand_round = tags // n
+    # Rank by (round, -count, id), packed into one int64 key per
+    # candidate (rounds x (max count + 1) x V stays far below 2**63):
+    # one integer sort costs about half a three-key lexsort.  Round is
+    # the primary key, so each round keeps its block of ``tags`` and a
+    # position's rank within its round is its offset from the block
+    # start.
+    k = counts.max() + 1
+    ranked = np.sort(
+        (cand_round * k + (k - 1 - counts)) * n + (tags - cand_round * n)
+    )
+    block = np.searchsorted(cand_round, np.arange(n_rounds + 1))
+    keep = np.arange(ranked.size) - block[ranked // (k * n)] < width
+    np.cumsum(np.minimum(np.diff(block), width), out=bounds[1:])
+    return ranked[keep] % n, bounds
 
 
 def speculative_hits(
