@@ -127,20 +127,36 @@ class _CompiledTrace:
     dynamic allocation, the ECC fault stream, stage timing) remains
     batch-coupled and is redone per sub-batch.
 
-    ``rounds[r]`` is ``(had_computed, pairs, hits, n_cached, groups,
-    spec_count, spec_keys, spec_loads, spec_merged)`` where ``groups``
-    is a tuple of ``(lun, raw_count, unique_keys, loads, merged)`` in
-    ascending LUN order.  ``serial`` is unique per model and never
-    reused, so a tuple of serials names a batch composition.
+    The replay is columnar, so a sub-batch stacks its traces with one
+    ``concatenate`` per field:
+
+    * ``rounds`` — int64 ``(len(ROUND_FIELDS), n_rounds)``, one row per
+      :data:`ROUND_FIELDS` entry and one column per round;
+    * ``groups`` — int64 ``(len(GROUP_FIELDS), n_groups)``, one column
+      per ``(round, LUN)`` group of demand pages, in that order;
+    * ``keys`` — the sorted distinct demand page keys, round-tagged as
+      ``round * K + key`` (``K`` the device's page-key space);
+    * ``spec_keys`` — every prefetched vertex's page key, tagged alike.
+
+    ``serial`` is unique per model and never reused, so a tuple of
+    serials names a batch composition.
     """
 
-    __slots__ = ("trace", "spec", "rounds", "n_rounds", "trace_length",
-                 "serial")
+    ROUND_FIELDS = ("round", "had", "pairs", "hits", "n_cached",
+                    "spec_count", "spec_loads", "spec_merged")
+    GROUP_FIELDS = ("round", "lun", "raw", "loads", "merged")
 
-    def __init__(self, trace, spec, rounds, serial) -> None:
+    __slots__ = ("trace", "spec", "rounds", "groups", "keys", "spec_keys",
+                 "n_rounds", "trace_length", "serial")
+
+    def __init__(self, trace, spec, rounds, groups, keys, spec_keys,
+                 serial) -> None:
         self.trace = trace
         self.spec = spec
         self.rounds = rounds
+        self.groups = groups
+        self.keys = keys
+        self.spec_keys = spec_keys
         self.n_rounds = trace.num_iterations
         self.trace_length = trace.trace_length
         self.serial = serial
@@ -149,10 +165,6 @@ class _CompiledTrace:
 #: FIFO bound on a model's priced-batch memo (the sibling caches' size).
 _BATCH_MEMO_LIMIT = 4096
 
-#: One ``[lo, hi)`` range covering every page key.
-_ALL_KEYS = (np.zeros(1, dtype=np.int64),
-             np.full(1, np.iinfo(np.int64).max, dtype=np.int64))
-
 #: Timeline ``(stage, resource)`` labels, shared by every memo entry.
 _HOST_IN = ("host_in", "host_in")
 _SCHEDULE = ("schedule", "engine")
@@ -160,6 +172,54 @@ _SEARCH = ("search", "engine")
 _GATHER = ("gather", "engine")
 _SORT = ("sort", "sorter")
 _HOST_OUT = ("host_out", "host_out")
+#: Every label by stage index: host-in, then schedule/search/gather
+#: per round, then sort and host-out.
+_STAGE_LABELS = np.fromiter(
+    (_HOST_IN, _SCHEDULE, _SEARCH, _GATHER, _SORT, _HOST_OUT),
+    dtype=object, count=6,
+)
+
+#: Row of each field in a compiled trace's ``rounds`` array.
+_ROW = {name: i for i, name in enumerate(_CompiledTrace.ROUND_FIELDS)}
+
+#: Counters each query touches in a round, in the order it touches
+#: them; ``_QUERY_PRESENT`` holds the row whose non-zero entries touch
+#: each one and ``_QUERY_VALUE`` the row it sums.
+_QUERY_COUNTERS = ("speculative_hits", "cache_hits", "distance_computations")
+_QUERY_PRESENT = [_ROW["hits"], _ROW["n_cached"], _ROW["had"]]
+_QUERY_VALUE = [_ROW["hits"], _ROW["n_cached"], _ROW["pairs"]]
+
+
+def _run_heads(values: np.ndarray) -> np.ndarray:
+    """Mask of the first element of every run of equal ``values``.
+
+    On sorted values this yields what ``np.unique`` does — the heads
+    are the distinct values — at a fraction of its cost on the small
+    arrays a trace or sub-batch holds.
+    """
+    return np.concatenate(([True], values[1:] != values[:-1]))[: values.size]
+
+
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct ``values``."""
+    ordered = np.sort(values)
+    return ordered[_run_heads(ordered)]
+
+
+def _ordered_sums(values: np.ndarray, seg: np.ndarray, n_seg: int) -> np.ndarray:
+    """Per-segment sums of ``values`` rows, added strictly left to right.
+
+    ``seg`` is each column's segment id, non-decreasing.  Columns land
+    in a zero-padded ``(segment, position)`` matrix whose sequential
+    ``cumsum`` reproduces a Python ``+=`` loop bit for bit; ``np.sum``
+    and ``add.reduceat`` sum pairwise and may round differently.
+    """
+    starts = np.searchsorted(seg, np.arange(n_seg))
+    pos = np.arange(seg.size) - starts[seg]
+    width = int(pos.max()) + 1 if pos.size else 1
+    mat = np.zeros((values.shape[0], n_seg, width))
+    mat[:, seg, pos] = values
+    return np.cumsum(mat, axis=2)[..., -1]
 
 
 class SearSSDModel:
@@ -187,6 +247,7 @@ class SearSSDModel:
         g = config.geometry
         self._plane_span = g.blocks_per_plane * g.pages_per_block
         self._lun_span = self._plane_span * g.planes_per_lun
+        self._key_space = g.total_luns * self._lun_span
         self._cached_arr = (
             np.fromiter(sorted(self.cached), dtype=np.int64, count=len(self.cached))
             if self.cached
@@ -208,11 +269,6 @@ class SearSSDModel:
     def _page_keys(self, vertices: np.ndarray) -> np.ndarray:
         return self.placement.page_keys(vertices)
 
-    def _loads_and_merges(self, keys: np.ndarray) -> tuple[int, int]:
-        """Distinct page senses and multi-plane merge count for keys."""
-        _, starts, stops, merged = self._tagged_loads(keys, *_ALL_KEYS)
-        return int(stops[0] - starts[0]), int(merged[0])
-
     def _tagged_loads(self, tagged: np.ndarray, lo: np.ndarray, hi: np.ndarray):
         """Distinct pages and multi-plane merges per ``[lo, hi)`` range.
 
@@ -223,9 +279,9 @@ class SearSSDModel:
         the same (block, page), i.e. distinct pages minus distinct
         plane-stripped pages.
         """
-        uniq = np.unique(tagged)
+        uniq = _distinct(tagged)
         plane = (uniq // self._plane_span) % self.config.geometry.planes_per_lun
-        stripped = np.unique(uniq - plane * self._plane_span)
+        stripped = _distinct(uniq - plane * self._plane_span)
         starts = np.searchsorted(uniq, lo)
         stops = np.searchsorted(uniq, hi)
         merged = (stops - starts) - (
@@ -252,7 +308,7 @@ class SearSSDModel:
         key = (spec_enabled, *(c.serial for c in compiled))
         priced = self._batches.get(key)
         if priced is None:
-            priced = self._price_batch(compiled, spec_enabled)
+            priced = self._price_batch(compiled)
             if len(self._batches) >= _BATCH_MEMO_LIMIT:
                 self._batches.pop(next(iter(self._batches)))
             self._batches[key] = priced
@@ -273,7 +329,7 @@ class SearSSDModel:
             ],
         )
 
-    def _price_batch(self, compiled: list[_CompiledTrace], spec_enabled: bool):
+    def _price_batch(self, compiled: list[_CompiledTrace]):
         """Price one batch: ``(makespan, counters, busy, labels, bounds)``.
 
         The timeline is stored compactly: ``labels`` holds each
@@ -291,14 +347,11 @@ class SearSSDModel:
         makespan = 0.0
         for start in range(0, len(compiled), capacity):
             sub = compiled[start : start + capacity]
-            t, c, b, sub_labels, sub_bounds = self._run_sub_batch(
-                sub, spec_enabled
-            )
+            t, c, b, sub_labels, sub_bounds = self._run_sub_batch(sub)
             # Sub-batch segments are relative to the sub-batch's own
             # start; shift them onto the batch clock.
             labels.extend(sub_labels)
-            if sub_bounds:
-                spans.append(np.asarray(sub_bounds) + makespan)
+            spans.append(sub_bounds + makespan)
             makespan += t
             counters.update(c)
             for key, val in b.items():
@@ -380,323 +433,284 @@ class SearSSDModel:
         # Demand pages per (round, LUN): tagged keys sort round-major,
         # then LUN, so each group is one contiguous range.
         n_luns = self.config.geometry.total_luns
-        key_space = n_luns * self._lun_span
+        key_space = self._key_space
         tagged = rid * key_space + self._page_keys(flat)
-        group_ids, raw = np.unique(tagged // self._lun_span, return_counts=True)
+        lun_tags = np.sort(tagged // self._lun_span)
+        heads = np.flatnonzero(_run_heads(lun_tags))
+        group_ids = lun_tags[heads]
+        raw = np.append(heads[1:], lun_tags.size) - heads
         lo = group_ids * self._lun_span
-        uniq, starts, stops, merged = self._tagged_loads(
+        keys, starts, stops, merged = self._tagged_loads(
             tagged, lo, lo + self._lun_span
         )
-        uniq %= key_space
-        groups: list[list] = [[] for _ in range(n_iter)]
-        for gid, count, a, b, m in zip(
-            group_ids.tolist(), raw.tolist(), starts.tolist(), stops.tolist(),
-            merged.tolist(),
-        ):
-            r, lun = divmod(gid, n_luns)
-            groups[r].append((lun, count, uniq[a:b], b - a, m))
+        groups = np.stack((group_ids // n_luns, group_ids % n_luns, raw,
+                           stops - starts, merged))
 
         # Each round's prefetch contribution (overlaps the next round's
         # scheduling window).  spec_loads/spec_merged pre-resolve the
         # common case of a single query prefetching in a round;
         # multi-query rounds must still pool the keys at batch time.
-        spec_count = [0] * n_iter
-        spec_keys: list = [None] * n_iter
-        spec_loads = [0] * n_iter
-        spec_merged = [0] * n_iter
+        spec_count = spec_loads = spec_merged = np.zeros(n_iter, dtype=np.int64)
+        spec_keys = tagged[:0]
         if spec_rounds:
-            keys = self._page_keys(spec_flat)
-            edges = np.arange(spec_rounds + 1, dtype=np.int64) * key_space
-            _, starts, stops, merged = self._tagged_loads(
-                spec_rid * key_space + keys, edges[:-1], edges[1:]
+            spec_keys = spec_rid * key_space + self._page_keys(spec_flat)
+            edges = np.arange(n_iter + 1, dtype=np.int64) * key_space
+            _, starts, stops, spec_merged = self._tagged_loads(
+                spec_keys, edges[:-1], edges[1:]
             )
-            offsets = np.concatenate(([0], np.cumsum(spec_sizes))).tolist()
-            for j, size in enumerate(spec_sizes.tolist()):
-                if size:
-                    spec_count[j] = size
-                    spec_keys[j] = keys[offsets[j] : offsets[j + 1]]
-                    spec_loads[j] = int(stops[j] - starts[j])
-                    spec_merged[j] = int(merged[j])
+            spec_count = np.bincount(spec_rid, minlength=n_iter)
+            spec_loads = stops - starts
 
-        had = (sizes > 0).tolist()
-        pairs, hits, n_cached = pairs.tolist(), hits.tolist(), n_cached.tolist()
-        rounds = tuple(
-            (had[r], pairs[r], hits[r], n_cached[r], tuple(groups[r]),
-             spec_count[r], spec_keys[r], spec_loads[r], spec_merged[r])
-            for r in range(n_iter)
-        )
+        rounds = np.stack((np.arange(n_iter), sizes > 0, pairs, hits, n_cached,
+                           spec_count, spec_loads, spec_merged))
         serial = self._next_serial
         self._next_serial += 1
-        return _CompiledTrace(trace, spec, rounds, serial)
+        return _CompiledTrace(trace, spec, rounds, groups, keys, spec_keys,
+                              serial)
 
     # ---- one sub-batch ---------------------------------------------------------------
-    def _run_sub_batch(
-        self,
-        compiled: list[_CompiledTrace],
-        spec_enabled: bool,
-    ):
+    def _run_sub_batch(self, compiled: list[_CompiledTrace]):
+        """Price one sub-batch: ``(makespan, counters, busy, labels, bounds)``.
+
+        Each round advances every active query by one search iteration
+        through the scheduling, searching and gathering stages (Fig. 5),
+        with speculative prefetch overlapping the next round.  All rounds
+        and all ``(round, LUN)`` groups are priced in one pass over the
+        stacked compiled traces.  Every float is accumulated in the order
+        a per-round replay would add it (:func:`_ordered_sums`,
+        sequential ``cumsum``), so the result is bit-exact with it.
+        """
         timing = self.config.timing
         flags = self.config.flags
         geometry = self.config.geometry
-        counters = Counters()
-        busy: dict[str, float] = {
-            "pcie_host": 0.0,
-            "vgenerator": 0.0,
-            "allocator": 0.0,
-            "nand_read": 0.0,
-            "channel_bus": 0.0,
-            "dram": 0.0,
-            "embedded_cores": 0.0,
-            "fpga_sort": 0.0,
-            "sin_macs_busy": 0.0,
-            "nand_busy": 0.0,
-            "lun_queues_busy": 0.0,
-            "ecc_busy": 0.0,
-        }
+        n_luns = geometry.total_luns
         batch = len(compiled)
-        if batch == 0:
-            return 0.0, counters, busy, [], []
+        n_rounds = max(c.n_rounds for c in compiled)
+        mac_s = timing.distance_mac_s(self.dim)
 
-        # Phase timeline of this sub-batch, relative to its own start:
-        # each booked segment's (stage, resource) label and its
-        # (start, end).  Host-in/out are distinct resources (full-duplex
-        # PCIe), so the serving layer can drain batch N's results while
-        # batch N+1's queries stream in.
-        labels: list[tuple[str, str]] = []
-        bounds: list[tuple[float, float]] = []
-
-        def book(label: tuple[str, str], start: float, duration: float) -> None:
-            if duration > 0:
-                labels.append(label)
-                bounds.append((start, start + duration))
-
-        # 1. Host sends the query batch over PCIe (Fig. 5 step 1).
-        query_bytes = batch * (self.dim * 4 + 16)
-        t_in = timing.host_transfer_s(query_bytes)
-        counters["pcie_bytes"] += query_bytes
-        busy["pcie_host"] += t_in
-        book(_HOST_IN, 0.0, t_in)
-        makespan = t_in
-
-        max_rounds = max(c.n_rounds for c in compiled)
-
-        for round_idx in range(max_rounds):
-            # Aggregate the batch's compiled per-trace round work.  LUN
-            # accumulators keep first-touch order (query id ascending,
-            # LUN ascending per query) — the ECC fault stream consumes
-            # its draws in exactly this order.
-            n_active = 0
-            n_pairs = 0
-            cached_accesses = 0
-            # lun -> [n_vectors, loads, merged, unique-key arrays]
-            lun_acc: dict[int, list] = {}
-            for comp in compiled:
-                if round_idx >= comp.n_rounds:
-                    continue
-                had, pairs, hits, n_cached, groups = comp.rounds[round_idx][:5]
-                n_active += 1
-                if hits:
-                    counters["speculative_hits"] += hits
-                if n_cached:
-                    counters["cache_hits"] += n_cached
-                    cached_accesses += n_cached
-                if had:
-                    n_pairs += pairs
-                    counters["distance_computations"] += pairs
-                for lun, raw, uniq, loads, merged in groups:
-                    acc = lun_acc.get(lun)
-                    if acc is None:
-                        acc = lun_acc[lun] = [0, 0, 0, []]
-                    acc[0] += raw
-                    acc[1] += loads
-                    if flags.multiplane:
-                        acc[2] += merged
-                    acc[3].append(uniq)
-            if n_active == 0:
-                continue
-
-            # Scheduling stage: Vgenerator pipeline + Allocator dispatch.
-            t_vgen = (n_active + 2) * timing.vgen_stage_s
-            t_alloc = n_pairs * timing.alloc_dispatch_s
-            dram_ops = 3 * n_active + 2 * n_pairs + cached_accesses
-            t_dram_sched = dram_ops * timing.dram_access_s
-            counters["dram_accesses"] += dram_ops
-            t_sched = max(t_vgen + t_alloc, t_dram_sched)
-            # Speculative searching launches the next iteration's
-            # Allocating stage during the current Searching stage
-            # (Fig. 12), hiding the scheduling latency of every round
-            # after the first behind the previous round's search.
-            if flags.speculative and round_idx > 0:
-                t_sched = 0.0
-            busy["vgenerator"] += t_vgen
-            busy["allocator"] += t_alloc
-            busy["dram"] += t_dram_sched
-
-            # Searching stage: every LUN works in parallel (multi-LUN).
-            t_search, search_busy = self._search_stage(lun_acc, counters)
-            for key, val in search_busy.items():
-                busy[key] = busy.get(key, 0.0) + val
-
-            # Gathering stage: Reduce/Apply on the QPT.
-            gather_ops = n_pairs + n_active
-            t_gather = (
-                n_pairs * timing.dram_access_s
-                + n_active * timing.embedded_core_op_s
-            )
-            counters["dram_accesses"] += gather_ops
-            busy["embedded_cores"] += n_active * timing.embedded_core_op_s
-            busy["dram"] += n_pairs * timing.dram_access_s
-
-            # Speculative searching overlaps the next round's
-            # scheduling window; it only adds NAND activity + counters.
-            if flags.speculative and spec_enabled:
-                self._speculative_stage(compiled, round_idx, counters, busy)
-
-            book(_SCHEDULE, makespan, t_sched)
-            book(_SEARCH, makespan + t_sched, t_search)
-            book(_GATHER, makespan + t_sched + t_search, t_gather)
-            makespan += t_sched + t_search + t_gather
-
-        # Sorting stage: result lists to the FPGA, top-k back to host.
-        list_len = int(np.mean([max(c.trace_length, 1) for c in compiled]))
-        list_len = min(list_len, 256)
-        t_sort = FPGASorter(timing=timing).sort_latency_s(batch, list_len)
-        counters["sorted_elements"] += batch * list_len
-        busy["fpga_sort"] += t_sort
-        out_bytes = batch * 10 * 8
-        t_out = timing.host_transfer_s(out_bytes)
-        counters["pcie_bytes"] += out_bytes
-        busy["pcie_host"] += t_out
-        book(_SORT, makespan, t_sort)
-        book(_HOST_OUT, makespan + t_sort, t_out)
-        makespan += t_sort + t_out
-        return makespan, counters, busy, labels, bounds
-
-    # ---- searching stage -------------------------------------------------------------
-    def _search_stage(self, lun_acc: dict[int, list], counters: Counters):
-        timing = self.config.timing
-        geometry = self.config.geometry
-        flags = self.config.flags
-        busy = {
-            "nand_read": 0.0,
-            "channel_bus": 0.0,
-            "embedded_cores": 0.0,
-            "sin_macs_busy": 0.0,
-            "nand_busy": 0.0,
-            "lun_queues_busy": 0.0,
-            "ecc_busy": 0.0,
-        }
-        channel_compute: dict[int, float] = {}
-        channel_readout: dict[int, float] = {}
-        soft_stall = 0.0
-        # Dynamic allocation pools each LUN's round demand: one sense
-        # covers every query that needs the page, so loads/merges come
-        # from the *union* of the per-query page sets, not their sum.
-        # A LUN with a single contributing query needs no pooling (its
-        # union is the per-query set, resolved at compile time); the
-        # multi-query LUNs pool in ONE pass — page keys embed the LUN
-        # as their most-significant field, so one global unique yields
-        # every LUN's union size at once.
-        da_loads: dict[int, int] = {}
-        da_merged: dict[int, int] = {}
-        if flags.dynamic_alloc:
-            multi: list[np.ndarray] = []
-            multi_luns: list[int] = []
-            for lun, acc in lun_acc.items():
-                if len(acc[3]) > 1:
-                    multi.extend(acc[3])
-                    multi_luns.append(lun)
-            if multi:
-                multi_luns.sort()
-                lo = np.asarray(multi_luns, dtype=np.int64) * self._lun_span
-                _, starts, stops, merged = self._tagged_loads(
-                    np.concatenate(multi), lo, lo + self._lun_span
-                )
-                for lid, a, b, m in zip(
-                    multi_luns, starts.tolist(), stops.tolist(),
-                    merged.tolist(),
-                ):
-                    da_loads[lid] = b - a
-                    da_merged[lid] = m
-        for lun, (n_vectors, loads, merged, uniqs) in lun_acc.items():
-            if flags.dynamic_alloc and len(uniqs) > 1:
-                loads = da_loads[lun]
-                merged = da_merged[lun] if flags.multiplane else 0
-            effective_ops = loads - merged
-            counters["page_reads"] += loads
-            counters["multiplane_reads"] += merged
-            counters["ecc_hard_decodes"] += loads
-            t_mac = n_vectors * timing.distance_mac_s(self.dim)
-            t_nand = effective_ops * (timing.read_page_s + timing.ecc_hard_decode_s)
-            # ECC fault injection: failed hard decodes fall back to the
-            # soft decoder on the embedded cores and stall this LUN.
-            failures = self.ldpc.decode_pages(loads)
-            if failures:
-                counters["ecc_soft_decodes"] += failures
-                t_soft = failures * timing.ecc_soft_decode_s
-                t_nand += t_soft
-                soft_stall += t_soft
-            lun_time = t_nand + t_mac
-            busy["nand_busy"] += t_nand
-            busy["sin_macs_busy"] += t_mac
-            busy["ecc_busy"] += loads * timing.ecc_hard_decode_s
-            busy["lun_queues_busy"] += lun_time
-            channel = lun // geometry.luns_per_channel
-            channel_compute[channel] = max(channel_compute.get(channel, 0.0), lun_time)
-            # Output-buffer readout over the shared channel bus.
-            readout_bytes = n_vectors * 8 + 16
-            counters["internal_bytes"] += readout_bytes
-            channel_readout[channel] = channel_readout.get(channel, 0.0) + (
-                readout_bytes / timing.channel_bus_bw + 0.5e-6
-            )
-        if not channel_compute:
-            return 0.0, busy
-        t_search = max(
-            channel_compute[ch] + channel_readout.get(ch, 0.0)
-            for ch in channel_compute
+        # Per-round batch totals.  Sorting the stacked round columns by
+        # round (stably, so queries stay in batch order) walks them in
+        # the order a per-round replay visits them.
+        cols = np.concatenate([c.rounds for c in compiled], axis=1)
+        cols = cols[:, np.argsort(cols[0], kind="stable")]
+        per_round = np.add.reduceat(
+            cols, np.searchsorted(cols[0], np.arange(n_rounds)), axis=1
         )
+        (_, _, n_pairs, _, cached, spec_vertices, spec_loads,
+         spec_merged) = per_round
+        n_active = np.bincount(cols[0], minlength=n_rounds)
+
+        # Scheduling stage: Vgenerator pipeline + Allocator dispatch.
+        # Speculative searching launches the next iteration's Allocating
+        # stage during the current Searching stage (Fig. 12), hiding the
+        # scheduling latency of every round after the first.
+        t_vgen = (n_active + 2) * timing.vgen_stage_s
+        t_alloc = n_pairs * timing.alloc_dispatch_s
+        dram_ops = 3 * n_active + 2 * n_pairs + cached
+        t_dram_sched = dram_ops * timing.dram_access_s
+        t_sched = np.maximum(t_vgen + t_alloc, t_dram_sched)
+        if flags.speculative:
+            t_sched[1:] = 0.0
+
+        # Searching stage: pool the queries' (round, LUN) groups, then
+        # walk them in the order a per-round replay first touches them
+        # — by round, then by the first query needing the LUN, then by
+        # LUN.  The ECC fault stream consumes its draws in this order.
+        groups = np.concatenate([c.groups for c in compiled], axis=1)
+        owner = np.repeat(np.arange(batch), [c.groups.shape[1] for c in compiled])
+        key = groups[0] * n_luns + groups[1]
+        by_key = np.argsort(key, kind="stable")
+        key = key[by_key]
+        heads = np.flatnonzero(_run_heads(key))
+        g_round, g_lun = np.divmod(key[heads], n_luns)
+        n_queries = np.append(heads[1:], key.size) - heads
+        first_query = owner[by_key[heads]]
+        order = np.argsort((g_round * batch + first_query) * n_luns + g_lun)
+        g_round, g_lun, n_queries = g_round[order], g_lun[order], n_queries[order]
+        n_vectors, loads, merged = np.add.reduceat(
+            groups[2:, by_key], heads, axis=1
+        )[:, order]
+        # Dynamic allocation pools each LUN's round demand: one sense
+        # covers every query that needs the page, so a group's loads
+        # and merges come from the *union* of its queries' page sets.
+        # A single query's union is its own compiled set, so one pass
+        # over every group's round-tagged keys is exact for all.
+        if flags.dynamic_alloc and (n_queries > 1).any():
+            lo = (g_round * n_luns + g_lun) * self._lun_span
+            _, starts, stops, merged = self._tagged_loads(
+                np.concatenate([c.keys for c in compiled]), lo,
+                lo + self._lun_span,
+            )
+            loads = stops - starts
+        if not flags.multiplane:
+            merged = np.zeros_like(merged)
+        # ECC fault injection: failed hard decodes fall back to the soft
+        # decoder on the embedded cores and stall their LUN.
+        failures = self.ldpc.decode_runs(loads)
+        t_soft = failures * timing.ecc_soft_decode_s
+        t_nand = (loads - merged) * (
+            timing.read_page_s + timing.ecc_hard_decode_s
+        ) + t_soft
+        t_mac = n_vectors * mac_s
+        lun_time = t_nand + t_mac
+        nand_r, mac_r, queue_r, ecc_r, soft_r = _ordered_sums(
+            np.array((t_nand, t_mac, lun_time,
+                      loads * timing.ecc_hard_decode_s, t_soft)),
+            g_round, n_rounds,
+        )
+        # Every LUN works in parallel; a channel's LUNs then read their
+        # output buffers out over the shared channel bus in turn.
+        n_channels = -(-n_luns // geometry.luns_per_channel)
+        rc = g_round * n_channels + g_lun // geometry.luns_per_channel
+        by_channel = np.argsort(rc, kind="stable")
+        rc = rc[by_channel]
+        rc_heads = _run_heads(rc)
+        rc_first = np.flatnonzero(rc_heads)
+        readout_bytes = n_vectors * 8 + 16
+        (readout,) = _ordered_sums(
+            (readout_bytes[by_channel] / timing.channel_bus_bw + 0.5e-6)[None],
+            np.cumsum(rc_heads) - 1, rc_first.size,
+        )
+        compute = np.maximum.reduceat(lun_time[by_channel], rc_first)
         # Critical-path attribution: the slowest channel's compute time
         # counts as NAND read, the remainder as channel-bus readout.
-        t_compute_crit = max(channel_compute.values())
-        busy["nand_read"] += t_compute_crit
-        busy["channel_bus"] += t_search - t_compute_crit
-        busy["embedded_cores"] += soft_stall
-        return t_search, busy
+        rc_round = rc[rc_first] // n_channels
+        round_first = np.flatnonzero(_run_heads(rc_round))
+        t_search = np.zeros(n_rounds)
+        t_crit = np.zeros(n_rounds)
+        t_search[rc_round[round_first]] = np.maximum.reduceat(
+            compute + readout, round_first
+        )
+        t_crit[rc_round[round_first]] = np.maximum.reduceat(compute, round_first)
 
-    # ---- speculative stage ------------------------------------------------------------
-    def _speculative_stage(
-        self,
-        compiled: list[_CompiledTrace],
-        round_idx: int,
-        counters: Counters,
-        busy: dict[str, float],
-    ) -> None:
-        timing = self.config.timing
-        total_vertices = 0
-        keys_list: list[np.ndarray] = []
-        loads = merged = 0
-        for comp in compiled:
-            if round_idx >= comp.n_rounds:
-                continue
-            spec_count, spec_keys, spec_loads, spec_merged = (
-                comp.rounds[round_idx][5:9]
+        # Gathering stage: Reduce/Apply on the QPT.
+        gather_dram = n_pairs * timing.dram_access_s
+        gather_cores = n_active * timing.embedded_core_op_s
+        t_gather = gather_dram + gather_cores
+
+        # Speculative searching overlaps the next round's scheduling
+        # window; it only adds NAND activity + counters.  A page two
+        # queries prefetch in one round is sensed once.
+        spec_queries = np.bincount(
+            cols[0][cols[_ROW["spec_count"]] > 0], minlength=n_rounds
+        )
+        if (spec_queries > 1).any():
+            edges = np.arange(n_rounds + 1) * self._key_space
+            _, starts, stops, spec_merged = self._tagged_loads(
+                np.concatenate([c.spec_keys for c in compiled]),
+                edges[:-1], edges[1:],
             )
-            if spec_count:
-                total_vertices += spec_count
-                keys_list.append(spec_keys)
-                loads, merged = spec_loads, spec_merged
-        if not keys_list:
-            return
-        if len(keys_list) > 1:
-            # Cross-query pooling: a page two queries prefetch is
-            # sensed once, so the batch's loads come from the pooled
-            # key set, not the per-query sums.
-            loads, merged = self._loads_and_merges(np.concatenate(keys_list))
-        effective = loads - (merged if self.config.flags.multiplane else 0)
-        counters["speculative_page_reads"] += loads
-        counters["page_reads"] += loads
-        counters["ecc_hard_decodes"] += loads
-        # Overlapped with the next round's scheduling window: adds NAND
-        # busy time (and energy) but not critical-path latency.
-        busy["nand_busy"] += effective * timing.read_page_s
-        busy["sin_macs_busy"] += total_vertices * timing.distance_mac_s(self.dim)
+            spec_loads = stops - starts
+        if not flags.multiplane:
+            spec_merged = np.zeros_like(spec_merged)
+        spec_nand = (spec_loads - spec_merged) * timing.read_page_s
+        spec_mac = spec_vertices * mac_s
+
+        # Host transfers (Fig. 5 steps 1 and 5) and the sorting stage:
+        # result lists to the FPGA, top-k back to host.
+        query_bytes = batch * (self.dim * 4 + 16)
+        t_in = timing.host_transfer_s(query_bytes)
+        list_len = sum(max(c.trace_length, 1) for c in compiled) / batch
+        list_len = min(int(list_len), 256)
+        t_sort = FPGASorter(timing=timing).sort_latency_s(batch, list_len)
+        out_bytes = batch * 10 * 8
+        t_out = timing.host_transfer_s(out_bytes)
+
+        # Busy time per key, added in replay order: the host-in booking,
+        # then each round's two contributions (scheduling before
+        # gathering, search before the prefetch), then sort/host-out.
+        zero = np.zeros(n_rounds)
+        steps = {
+            "pcie_host": (t_in, zero, zero, t_out),
+            "vgenerator": (0.0, t_vgen, zero, 0.0),
+            "allocator": (0.0, t_alloc, zero, 0.0),
+            "nand_read": (0.0, t_crit, zero, 0.0),
+            "channel_bus": (0.0, t_search - t_crit, zero, 0.0),
+            "dram": (0.0, t_dram_sched, gather_dram, 0.0),
+            "embedded_cores": (0.0, soft_r, gather_cores, 0.0),
+            "fpga_sort": (0.0, zero, zero, t_sort),
+            "sin_macs_busy": (0.0, mac_r, spec_mac, 0.0),
+            "nand_busy": (0.0, nand_r, spec_nand, 0.0),
+            "lun_queues_busy": (0.0, queue_r, zero, 0.0),
+            "ecc_busy": (0.0, ecc_r, zero, 0.0),
+        }
+        opening, firsts, seconds, closing = zip(*steps.values())
+        sequence = np.empty((len(steps), 2 * n_rounds + 2))
+        sequence[:, 0] = opening
+        sequence[:, 1:-1:2] = np.array(firsts)
+        sequence[:, 2:-1:2] = np.array(seconds)
+        sequence[:, -1] = closing
+        busy = dict(zip(steps, np.cumsum(sequence, axis=1)[:, -1].tolist()))
+
+        # The batch clock and its phase timeline, relative to the
+        # sub-batch's start: host-in, each round's schedule, search and
+        # gather, then sort and host-out.  Host-in/out are distinct
+        # resources (full-duplex PCIe), so the serving layer can drain
+        # batch N's results while batch N+1's queries stream in.
+        clock = np.cumsum(np.concatenate(([t_in], t_sched + t_search + t_gather)))
+        t_end = float(clock[-1])
+        starts = np.empty(3 * n_rounds + 3)
+        durations = np.empty(3 * n_rounds + 3)
+        starts[0], durations[0] = 0.0, t_in
+        starts[1:-2:3], durations[1:-2:3] = clock[:-1], t_sched
+        starts[2:-2:3], durations[2:-2:3] = clock[:-1] + t_sched, t_search
+        starts[3:-2:3] = starts[2:-2:3] + t_search
+        durations[3:-2:3] = t_gather
+        starts[-2:] = t_end, t_end + t_sort
+        durations[-2:] = t_sort, t_out
+        booked = np.flatnonzero(durations > 0)
+        stage = np.concatenate(([0], np.arange(3 * n_rounds) % 3 + 1, [4, 5]))
+        labels = _STAGE_LABELS[stage[booked]].tolist()
+        bounds = np.empty((booked.size, 2))
+        bounds[:, 0] = starts[booked]
+        bounds[:, 1] = bounds[:, 0] + durations[booked]
+        makespan = t_end + (t_sort + t_out)
+
+        # Counter keys appear in the order a per-round replay first
+        # touches them, and only if it touches them (reports serialize
+        # zero-valued counters).  A touch's position is (round, stage,
+        # index, key rank).
+        touched: dict[str, list] = {}
+
+        def count(name: str, position: tuple, value) -> None:
+            entry = touched.setdefault(name, [position, 0])
+            entry[0] = min(entry[0], position)
+            entry[1] += int(value)
+
+        count("pcie_bytes", (-1, 0, 0, 0), query_bytes + out_bytes)
+        if n_rounds:
+            present = cols[_QUERY_PRESENT] > 0
+            for rank, (name, touches, i, total) in enumerate(zip(
+                _QUERY_COUNTERS, present.any(axis=1).tolist(),
+                present.argmax(axis=1).tolist(),
+                per_round[_QUERY_VALUE].sum(axis=1).tolist(),
+            )):
+                if touches:
+                    count(name, (int(cols[0, i]), 0, i, rank), total)
+            count("dram_accesses", (0, 1, 0, 0),
+                  dram_ops.sum() + n_pairs.sum() + n_active.sum())
+        if g_round.size:
+            first = (int(g_round[0]), 2, 0)
+            page_reads = int(loads.sum())
+            count("page_reads", (*first, 0), page_reads)
+            count("multiplane_reads", (*first, 1), merged.sum())
+            count("ecc_hard_decodes", (*first, 2), page_reads)
+            count("internal_bytes", (*first, 4), readout_bytes.sum())
+            if failures.any():
+                i = int((failures > 0).argmax())
+                count("ecc_soft_decodes", (int(g_round[i]), 2, i, 3),
+                      failures.sum())
+        if spec_queries.any():
+            first = (int(np.flatnonzero(spec_queries)[0]), 4, 0)
+            spec_reads = int(spec_loads.sum())
+            count("speculative_page_reads", (*first, 0), spec_reads)
+            count("page_reads", (*first, 1), spec_reads)
+            count("ecc_hard_decodes", (*first, 2), spec_reads)
+        count("sorted_elements", (n_rounds, 0, 0, 0), batch * list_len)
+        counters = Counters({
+            name: value
+            for name, (_, value) in sorted(
+                touched.items(), key=lambda item: item[1][0]
+            )
+        })
+        return makespan, counters, busy, labels, bounds

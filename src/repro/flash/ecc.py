@@ -112,6 +112,27 @@ class LDPCModel:
             np.count_nonzero(self._rng.random(n) < self.hard_failure_prob)
         )
 
+    def decode_runs(self, runs: np.ndarray) -> np.ndarray:
+        """Decode consecutive runs of pages; returns each run's failures.
+
+        ``runs`` holds non-negative page counts.  One ``rng.random`` call
+        draws every run's variates, and each run's failures are counted
+        from a cumulative sum, so the stream, the failure counts and
+        ``reads`` match one :meth:`decode_pages` call per run.
+        """
+        runs = np.asarray(runs, dtype=np.int64)
+        total = int(runs.sum())
+        self._reads += total
+        if total <= 0 or self.hard_failure_prob == 0.0:
+            return np.zeros_like(runs)
+        if self.hard_failure_prob == 1.0:
+            return runs.copy()
+        failed = np.zeros(total + 1, dtype=np.int64)
+        np.cumsum(self._rng.random(total) < self.hard_failure_prob,
+                  out=failed[1:])
+        ends = np.cumsum(runs)
+        return failed[ends] - failed[ends - runs]
+
     def expected_failures(self, n_reads: int) -> float:
         return n_reads * self.hard_failure_prob
 

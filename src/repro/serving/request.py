@@ -19,6 +19,7 @@ service time.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +83,16 @@ class Request:
         if self.batched_s is None:
             return 0.0
         return self.batched_s - self.arrival_s
+
+    def __deepcopy__(self, memo: dict) -> "Request":
+        # Every field but the two result arrays holds an immutable
+        # scalar or string, so a shallow copy with copied arrays is a
+        # deep copy.  Generic deepcopy walks every field and dominates a
+        # twin restore, which clones every request of the run.
+        clone = copy.copy(self)
+        clone.result_ids = copy.deepcopy(self.result_ids, memo)
+        clone.result_dists = copy.deepcopy(self.result_dists, memo)
+        return clone
 
     @property
     def done(self) -> bool:

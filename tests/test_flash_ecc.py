@@ -65,6 +65,37 @@ class TestLDPCModel:
         model.reset()
         assert [model.decode_page() for _ in range(20)] == first
 
+    @pytest.mark.parametrize("prob", (0.0, 0.01, 0.5, 1.0))
+    @pytest.mark.parametrize(
+        "runs",
+        ([], [0], [0, 0, 0], [3], [5, 0, 2, 0, 0, 7], [0, 400, 1, 0, 250]),
+    )
+    def test_decode_runs_equals_successive_decode_pages(self, prob, runs):
+        batched = LDPCModel(hard_failure_prob=prob, seed=5)
+        serial = LDPCModel(hard_failure_prob=prob, seed=5)
+        failures = batched.decode_runs(np.asarray(runs, dtype=np.int64))
+        assert failures.dtype == np.int64
+        assert failures.tolist() == [serial.decode_pages(n) for n in runs]
+        assert batched.reads == serial.reads == sum(runs)
+        assert (batched._rng.bit_generator.state
+                == serial._rng.bit_generator.state)
+
+    @pytest.mark.parametrize("prob", (0.0, 0.01, 0.5, 1.0))
+    def test_decode_runs_interleaves_with_decode_page(self, prob):
+        batched = LDPCModel(hard_failure_prob=prob, seed=11)
+        serial = LDPCModel(hard_failure_prob=prob, seed=11)
+        for runs in ([2, 0, 3], [], [0], [60, 1]):
+            assert batched.decode_page() == serial.decode_page()
+            got = batched.decode_runs(np.asarray(runs, dtype=np.int64))
+            want = [
+                sum(not serial.decode_page() for _ in range(n)) for n in runs
+            ]
+            assert got.tolist() == want
+        assert batched.decode_page() == serial.decode_page()
+        assert batched.reads == serial.reads
+        assert (batched._rng.bit_generator.state
+                == serial._rng.bit_generator.state)
+
     def test_expected_failures(self):
         assert LDPCModel(hard_failure_prob=0.1).expected_failures(100) == 10.0
 

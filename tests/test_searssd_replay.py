@@ -1,7 +1,11 @@
-"""SearSSD batch replay: the priced-batch memo and round-vectorized
-trace compilation must reproduce the straightforward replay exactly."""
+"""SearSSD batch replay: the priced-batch memo, round-vectorized trace
+compilation and one-pass sub-batch pricing must reproduce the
+straightforward per-round replay exactly."""
 
 from __future__ import annotations
+
+import dataclasses
+from itertools import product
 
 import numpy as np
 import pytest
@@ -12,8 +16,11 @@ from repro.ann.trace import IterationRecord, SearchTrace
 from repro.core import NDSearch
 from repro.core.config import HostConfig, NDSearchConfig, SchedulingFlags
 from repro.core.placement import map_vertices
-from repro.core.searssd import SearSSDModel
+from repro.core.searssd import SearSSDModel, _CompiledTrace
+from repro.flash.ecc import LDPCModel
 from repro.flash.timing import FlashTiming
+from repro.sim.stats import Counters
+from repro.sorting.fpga import FPGASorter
 
 #: Systems priced by the memo tests: speculation on, speculation off,
 #: and a DiskANN index whose hot vertices sit in the internal DRAM.
@@ -230,17 +237,38 @@ def _compile_oracle(model: SearSSDModel, trace, spec):
     return tuple(rounds)
 
 
-def _assert_same(got, want) -> None:
-    assert type(got) is type(want)
-    if isinstance(want, np.ndarray):
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
-    elif isinstance(want, tuple):
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            _assert_same(g, w)
-    else:
-        assert got == want
+def _columns_oracle(model: SearSSDModel, rounds):
+    """The columnar compiled trace, built from per-round oracle tuples."""
+    key_space = model._key_space
+    cols, groups, keys, spec_keys = [], [], [], []
+    for r, (had, pairs, hits, n_cached, round_groups, spec_count,
+            round_spec_keys, spec_loads, spec_merged) in enumerate(rounds):
+        cols.append((r, int(had), pairs, hits, n_cached, spec_count,
+                     spec_loads, spec_merged))
+        for lun, raw, uniq, loads, merged in round_groups:
+            groups.append((r, lun, raw, loads, merged))
+            keys.append(r * key_space + uniq)
+        if round_spec_keys is not None:
+            spec_keys.append(r * key_space + round_spec_keys)
+
+    def matrix(rows, n_fields):
+        return np.asarray(rows, dtype=np.int64).reshape(-1, n_fields).T
+
+    def flat(parts):
+        return np.concatenate([np.empty(0, dtype=np.int64), *parts])
+
+    return (
+        matrix(cols, len(_CompiledTrace.ROUND_FIELDS)),
+        matrix(groups, len(_CompiledTrace.GROUP_FIELDS)),
+        flat(keys), flat(spec_keys),
+    )
+
+
+def _assert_columns(compiled, rounds, model) -> None:
+    got = (compiled.rounds, compiled.groups, compiled.keys, compiled.spec_keys)
+    for g, w in zip(got, _columns_oracle(model, rounds), strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w)
 
 
 N_VERTICES = 600
@@ -248,7 +276,8 @@ vertex_sets = st.lists(st.integers(0, N_VERTICES - 1), max_size=12)
 
 
 @st.composite
-def compile_cases(draw):
+def trace_cases(draw):
+    """One trace's rounds plus its speculative sets (or None)."""
     rounds = draw(st.lists(vertex_sets, max_size=8))
     spec = None
     if draw(st.booleans()):
@@ -264,6 +293,12 @@ def compile_cases(draw):
             else:
                 vertices = draw(vertex_sets)
             spec.append(np.asarray(vertices, dtype=np.int64))
+    return rounds, spec
+
+
+@st.composite
+def compile_cases(draw):
+    rounds, spec = draw(trace_cases())
     flags = SchedulingFlags(
         True, draw(st.booleans()), True, draw(st.booleans())
     )
@@ -286,17 +321,19 @@ class TestVectorizedCompile:
         )
         trace = _trace(rounds)
         compiled = model._compile_trace(trace, spec)
-        _assert_same(compiled.rounds, _compile_oracle(model, trace, spec))
+        _assert_columns(compiled, _compile_oracle(model, trace, spec), model)
 
     def test_empty_and_fully_hit_rounds(self, tiny_config):
         placement = map_vertices(N_VERTICES, tiny_config.geometry, 64)
         model = SearSSDModel(config=tiny_config, placement=placement, dim=16)
         trace = _trace([(1, 2, 3), (), (4, 5), (6,)])
         spec = [np.array([9]), np.array([4, 5, 7]), np.array([], dtype=np.int64)]
-        rounds = model._compile_trace(trace, spec).rounds
-        _assert_same(rounds, _compile_oracle(model, trace, spec))
-        assert rounds[1][:5] == (False, 0, 0, 0, ())
-        assert rounds[2][:5] == (True, 0, 2, 0, ())
+        compiled = model._compile_trace(trace, spec)
+        _assert_columns(compiled, _compile_oracle(model, trace, spec), model)
+        # Round 1 computed nothing; round 2's demand was all prefetched.
+        assert compiled.rounds[1:5, 1].tolist() == [0, 0, 0, 0]
+        assert compiled.rounds[1:5, 2].tolist() == [1, 0, 2, 0]
+        assert not np.isin(compiled.groups[0], [1, 2]).any()
 
     @settings(max_examples=50, deadline=None)
     @given(vertices=st.lists(st.integers(0, N_VERTICES - 1), max_size=40),
@@ -307,7 +344,12 @@ class TestVectorizedCompile:
             config=_config(tiny_geometry), placement=placement, dim=16
         )
         keys = model._page_keys(np.asarray(vertices, dtype=np.int64))
-        assert model._loads_and_merges(keys) == _loads_and_merges(model, keys)
+        _, starts, stops, merged = model._tagged_loads(
+            keys, np.zeros(1, dtype=np.int64),
+            np.full(1, model._key_space, dtype=np.int64),
+        )
+        pooled = (int(stops[0] - starts[0]), int(merged[0]))
+        assert pooled == _loads_and_merges(model, keys)
 
     def test_serials_are_unique(self, tiny_config):
         placement = map_vertices(N_VERTICES, tiny_config.geometry, 64)
@@ -315,3 +357,348 @@ class TestVectorizedCompile:
         trace = _trace([(1, 2)])
         serials = {model._compile_trace(trace, None).serial for _ in range(4)}
         assert len(serials) == 4
+
+
+# ---- one-pass sub-batch pricing ----------------------------------------------
+class _OracleTrace:
+    """The per-round replay's view of one compiled trace."""
+
+    def __init__(self, model: SearSSDModel, trace, spec) -> None:
+        self.rounds = _compile_oracle(model, trace, spec)
+        self.n_rounds = trace.num_iterations
+        self.trace_length = trace.trace_length
+
+
+def _price_oracle(model: SearSSDModel, traces, specs):
+    """The per-round replay loop: a batch's price, one round at a time."""
+    spec_enabled = specs is not None
+    compiled = [
+        _OracleTrace(model, t, specs[i] if spec_enabled else None)
+        for i, t in enumerate(traces)
+    ]
+    model.ldpc.reset()
+    capacity = model.config.max_batch_capacity
+    counters = Counters()
+    busy: dict[str, float] = {}
+    labels: list = []
+    spans: list = []
+    makespan = 0.0
+    for start in range(0, len(compiled), capacity):
+        t, c, b, sub_labels, sub_bounds = _run_sub_batch_oracle(
+            model, compiled[start : start + capacity], spec_enabled
+        )
+        labels.extend(sub_labels)
+        if sub_bounds:
+            spans.append(np.asarray(sub_bounds) + makespan)
+        makespan += t
+        counters.update(c)
+        for key, val in b.items():
+            busy[key] = busy.get(key, 0.0) + val
+    bounds = np.concatenate(spans) if spans else np.empty((0, 2))
+    return makespan, counters, busy, tuple(labels), bounds
+
+
+def _run_sub_batch_oracle(model: SearSSDModel, compiled, spec_enabled):
+    timing = model.config.timing
+    flags = model.config.flags
+    counters = Counters()
+    busy: dict[str, float] = {
+        "pcie_host": 0.0,
+        "vgenerator": 0.0,
+        "allocator": 0.0,
+        "nand_read": 0.0,
+        "channel_bus": 0.0,
+        "dram": 0.0,
+        "embedded_cores": 0.0,
+        "fpga_sort": 0.0,
+        "sin_macs_busy": 0.0,
+        "nand_busy": 0.0,
+        "lun_queues_busy": 0.0,
+        "ecc_busy": 0.0,
+    }
+    batch = len(compiled)
+    labels: list[tuple[str, str]] = []
+    bounds: list[tuple[float, float]] = []
+
+    def book(label, start: float, duration: float) -> None:
+        if duration > 0:
+            labels.append(label)
+            bounds.append((start, start + duration))
+
+    query_bytes = batch * (model.dim * 4 + 16)
+    t_in = timing.host_transfer_s(query_bytes)
+    counters["pcie_bytes"] += query_bytes
+    busy["pcie_host"] += t_in
+    book(("host_in", "host_in"), 0.0, t_in)
+    makespan = t_in
+
+    max_rounds = max(c.n_rounds for c in compiled)
+    for round_idx in range(max_rounds):
+        n_active = 0
+        n_pairs = 0
+        cached_accesses = 0
+        # lun -> [n_vectors, loads, merged, unique-key arrays], in
+        # first-touch order (query, then LUN).
+        lun_acc: dict[int, list] = {}
+        for comp in compiled:
+            if round_idx >= comp.n_rounds:
+                continue
+            had, pairs, hits, n_cached, groups = comp.rounds[round_idx][:5]
+            n_active += 1
+            if hits:
+                counters["speculative_hits"] += hits
+            if n_cached:
+                counters["cache_hits"] += n_cached
+                cached_accesses += n_cached
+            if had:
+                n_pairs += pairs
+                counters["distance_computations"] += pairs
+            for lun, raw, uniq, loads, merged in groups:
+                acc = lun_acc.get(lun)
+                if acc is None:
+                    acc = lun_acc[lun] = [0, 0, 0, []]
+                acc[0] += raw
+                acc[1] += loads
+                if flags.multiplane:
+                    acc[2] += merged
+                acc[3].append(uniq)
+        if n_active == 0:
+            continue
+
+        t_vgen = (n_active + 2) * timing.vgen_stage_s
+        t_alloc = n_pairs * timing.alloc_dispatch_s
+        dram_ops = 3 * n_active + 2 * n_pairs + cached_accesses
+        t_dram_sched = dram_ops * timing.dram_access_s
+        counters["dram_accesses"] += dram_ops
+        t_sched = max(t_vgen + t_alloc, t_dram_sched)
+        if flags.speculative and round_idx > 0:
+            t_sched = 0.0
+        busy["vgenerator"] += t_vgen
+        busy["allocator"] += t_alloc
+        busy["dram"] += t_dram_sched
+
+        t_search, search_busy = _search_stage_oracle(model, lun_acc, counters)
+        for key, val in search_busy.items():
+            busy[key] = busy.get(key, 0.0) + val
+
+        gather_ops = n_pairs + n_active
+        t_gather = (
+            n_pairs * timing.dram_access_s
+            + n_active * timing.embedded_core_op_s
+        )
+        counters["dram_accesses"] += gather_ops
+        busy["embedded_cores"] += n_active * timing.embedded_core_op_s
+        busy["dram"] += n_pairs * timing.dram_access_s
+
+        if flags.speculative and spec_enabled:
+            _speculative_stage_oracle(model, compiled, round_idx, counters, busy)
+
+        book(("schedule", "engine"), makespan, t_sched)
+        book(("search", "engine"), makespan + t_sched, t_search)
+        book(("gather", "engine"), makespan + t_sched + t_search, t_gather)
+        makespan += t_sched + t_search + t_gather
+
+    list_len = int(np.mean([max(c.trace_length, 1) for c in compiled]))
+    list_len = min(list_len, 256)
+    t_sort = FPGASorter(timing=timing).sort_latency_s(batch, list_len)
+    counters["sorted_elements"] += batch * list_len
+    busy["fpga_sort"] += t_sort
+    out_bytes = batch * 10 * 8
+    t_out = timing.host_transfer_s(out_bytes)
+    counters["pcie_bytes"] += out_bytes
+    busy["pcie_host"] += t_out
+    book(("sort", "sorter"), makespan, t_sort)
+    book(("host_out", "host_out"), makespan + t_sort, t_out)
+    makespan += t_sort + t_out
+    return makespan, counters, busy, labels, bounds
+
+
+def _search_stage_oracle(model: SearSSDModel, lun_acc, counters):
+    timing = model.config.timing
+    flags = model.config.flags
+    busy = {
+        "nand_read": 0.0,
+        "channel_bus": 0.0,
+        "embedded_cores": 0.0,
+        "sin_macs_busy": 0.0,
+        "nand_busy": 0.0,
+        "lun_queues_busy": 0.0,
+        "ecc_busy": 0.0,
+    }
+    channel_compute: dict[int, float] = {}
+    channel_readout: dict[int, float] = {}
+    soft_stall = 0.0
+    for lun, (n_vectors, loads, merged, uniqs) in lun_acc.items():
+        if flags.dynamic_alloc and len(uniqs) > 1:
+            # Dynamic allocation senses each page once for every query
+            # of the round that needs it: the union of their page sets.
+            loads, merged = _loads_and_merges(model, np.concatenate(uniqs))
+            if not flags.multiplane:
+                merged = 0
+        effective_ops = loads - merged
+        counters["page_reads"] += loads
+        counters["multiplane_reads"] += merged
+        counters["ecc_hard_decodes"] += loads
+        t_mac = n_vectors * timing.distance_mac_s(model.dim)
+        t_nand = effective_ops * (timing.read_page_s + timing.ecc_hard_decode_s)
+        failures = model.ldpc.decode_pages(loads)
+        if failures:
+            counters["ecc_soft_decodes"] += failures
+            t_soft = failures * timing.ecc_soft_decode_s
+            t_nand += t_soft
+            soft_stall += t_soft
+        lun_time = t_nand + t_mac
+        busy["nand_busy"] += t_nand
+        busy["sin_macs_busy"] += t_mac
+        busy["ecc_busy"] += loads * timing.ecc_hard_decode_s
+        busy["lun_queues_busy"] += lun_time
+        channel = lun // model.config.geometry.luns_per_channel
+        channel_compute[channel] = max(channel_compute.get(channel, 0.0), lun_time)
+        readout_bytes = n_vectors * 8 + 16
+        counters["internal_bytes"] += readout_bytes
+        channel_readout[channel] = channel_readout.get(channel, 0.0) + (
+            readout_bytes / timing.channel_bus_bw + 0.5e-6
+        )
+    if not channel_compute:
+        return 0.0, busy
+    t_search = max(
+        channel_compute[ch] + channel_readout.get(ch, 0.0)
+        for ch in channel_compute
+    )
+    t_compute_crit = max(channel_compute.values())
+    busy["nand_read"] += t_compute_crit
+    busy["channel_bus"] += t_search - t_compute_crit
+    busy["embedded_cores"] += soft_stall
+    return t_search, busy
+
+
+def _speculative_stage_oracle(model, compiled, round_idx, counters, busy):
+    timing = model.config.timing
+    total_vertices = 0
+    keys_list: list[np.ndarray] = []
+    loads = merged = 0
+    for comp in compiled:
+        if round_idx >= comp.n_rounds:
+            continue
+        spec_count, spec_keys, spec_loads, spec_merged = (
+            comp.rounds[round_idx][5:9]
+        )
+        if spec_count:
+            total_vertices += spec_count
+            keys_list.append(spec_keys)
+            loads, merged = spec_loads, spec_merged
+    if not keys_list:
+        return
+    if len(keys_list) > 1:
+        loads, merged = _loads_and_merges(model, np.concatenate(keys_list))
+    effective = loads - (merged if model.config.flags.multiplane else 0)
+    counters["speculative_page_reads"] += loads
+    counters["page_reads"] += loads
+    counters["ecc_hard_decodes"] += loads
+    busy["nand_busy"] += effective * timing.read_page_s
+    busy["sin_macs_busy"] += total_vertices * timing.distance_mac_s(model.dim)
+
+
+def _exact(priced, ldpc):
+    """A priced batch and the fault stream's end state, compared bit for
+    bit: floats by ``repr``, counters and busy keys in order and by type."""
+    makespan, counters, busy, labels, bounds = priced
+    return (
+        repr(makespan),
+        [(k, type(v), v) for k, v in counters.items()],
+        [(k, type(v), repr(v)) for k, v in busy.items()],
+        tuple(labels),
+        bounds.dtype, bounds.shape, bounds.tobytes(),
+        repr(ldpc._rng.bit_generator.state), ldpc.reads,
+    )
+
+
+def _assert_prices_like_oracle(model: SearSSDModel, traces, specs) -> None:
+    want = _exact(_price_oracle(model, traces, specs), model.ldpc)
+    compiled = model._compiled_batch(traces, specs)
+    got = _exact(model._price_batch(compiled), model.ldpc)
+    assert got == want
+
+
+ALL_FLAGS = [SchedulingFlags(*bits) for bits in product((False, True), repeat=4)]
+
+
+@st.composite
+def batch_cases(draw):
+    """A batch over a small pool of traces, so duplicates are common."""
+    pool = draw(st.lists(trace_cases(), min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                          max_size=12))
+    with_spec = draw(st.booleans())
+    traces = [_trace(pool[i][0]) for i in range(len(pool))]
+    specs = [pool[i][1] for i in picks] if with_spec else None
+    return (
+        [traces[i] for i in picks], specs,
+        draw(st.sampled_from(ALL_FLAGS)),
+        draw(st.sampled_from((0.0, 0.2, 1.0))),
+        draw(st.sampled_from((1, 4))),
+        draw(st.sampled_from(("multiplane", "interleaved"))),
+        draw(st.none() | st.lists(st.integers(0, N_VERTICES - 1),
+                                  min_size=1, max_size=60)),
+    )
+
+
+def _oracle_model(geometry, flags, failure_prob, per_lun, scheme, cached):
+    config = dataclasses.replace(
+        _config(geometry, flags), max_queries_per_lun=per_lun
+    )
+    return SearSSDModel(
+        config=config,
+        placement=map_vertices(N_VERTICES, geometry, 64, scheme=scheme),
+        dim=16,
+        ldpc=LDPCModel(hard_failure_prob=failure_prob),
+        cached_vertices=None if cached is None else np.asarray(cached),
+    )
+
+
+class TestSubBatchPricing:
+    @settings(max_examples=200, deadline=None)
+    @given(case=batch_cases())
+    def test_matches_per_round_loop(self, tiny_geometry, case):
+        traces, specs, flags, failure_prob, per_lun, scheme, cached = case
+        model = _oracle_model(tiny_geometry, flags, failure_prob, per_lun,
+                              scheme, cached)
+        _assert_prices_like_oracle(model, traces, specs)
+
+    @pytest.mark.parametrize("flags", ALL_FLAGS, ids=lambda f: f.label())
+    @pytest.mark.parametrize("failure_prob", (0.0, 0.2, 1.0))
+    def test_every_flag_combination(self, tiny_geometry, flags, failure_prob):
+        # Unequal lengths, an empty round, a fully prefetched round, a
+        # cached vertex, and a duplicate trace, over several sub-batches.
+        a = _trace([(1, 2, 3, 40), (), (4, 5), (6, 300, 301)])
+        b = _trace([(7, 8, 1), (4, 5, 9, 41)])
+        c = _trace([(2,)])
+        empty = _trace([])
+        spec_a = [np.array([9, 1]), np.array([4, 5, 7]), np.array([300])]
+        spec_b = [np.array([4, 5, 9, 41])]
+        traces = [a, b, c, a, b, a, b, c, a, empty]
+        specs = [spec_a, spec_b, [], spec_a, spec_b] * 2
+        for per_lun in (1, 4):
+            for with_spec in (specs, None):
+                model = _oracle_model(tiny_geometry, flags, failure_prob,
+                                      per_lun, "multiplane", [3, 8])
+                _assert_prices_like_oracle(model, traces, with_spec)
+                for i in (0, -1):
+                    _assert_prices_like_oracle(
+                        model, traces[i:][:1],
+                        None if with_spec is None else with_spec[i:][:1],
+                    )
+
+    @pytest.mark.parametrize("name", SYSTEMS)
+    def test_search_traces(self, warm, trace_pool, name):
+        # Real HNSW and DiskANN (hot vertices in DRAM) search traces
+        # with their speculative sets, across several sub-batches.
+        system = warm[name]
+        resolved = [system._resolve_trace(t) for t in trace_pool[name] * 2]
+        traces = [entry[1] for entry in resolved]
+        specs = [entry[2] for entry in resolved]
+        for n in (1, 5, len(traces)):
+            _assert_prices_like_oracle(
+                system._model, traces[:n],
+                specs[:n] if system.config.flags.speculative else None,
+            )

@@ -31,6 +31,7 @@ import dataclasses
 import json
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.core.config import NDSearchConfig
@@ -47,6 +48,7 @@ from repro.serving import (
     build_router,
 )
 from repro.serving.metrics import ServingReport
+from repro.serving.request import Request
 from repro.serving.sharding import PARTITIONED
 from repro.serving.twin import ServingTwin, TwinCache, config_digest
 from repro.sim.events import DataMovement, FlashMaintenance
@@ -210,6 +212,37 @@ class TestSnapshotRestoreParity:
                 _digest(report, fork.stream_requests)
                 == GOLDEN["partitioned-nprobe2"]
             )
+
+    def test_request_deepcopy_is_deep(self):
+        # Request.__deepcopy__ copies only the result arrays and keeps
+        # the other fields by reference, which is a deep copy only while
+        # those fields hold immutable values.  A new field must be added
+        # here, and copied there too if it can hold a mutable value.
+        scalar_fields = {
+            "request_id", "query_id", "arrival_s", "k", "priority",
+            "deadline_s", "batched_s", "start_s", "completion_s", "outcome",
+        }
+        array_fields = {"result_ids", "result_dists"}
+        names = {f.name for f in dataclasses.fields(Request)}
+        assert names == scalar_fields | array_fields
+        ids = np.arange(4, dtype=np.int64)
+        leader = Request(1, 7, 0.5, deadline_s=1.0, result_ids=ids,
+                         result_dists=np.ones(4, dtype=np.float32))
+        follower = Request(2, 7, 0.6, result_ids=ids)
+        leader_copy, follower_copy = copy.deepcopy([leader, follower])
+        for original, clone in ((leader, leader_copy), (follower, follower_copy)):
+            for name in scalar_fields:
+                assert getattr(clone, name) == getattr(original, name)
+        for name in array_fields:
+            assert getattr(leader_copy, name) is not getattr(leader, name)
+            assert np.array_equal(getattr(leader_copy, name),
+                                  getattr(leader, name))
+        # Identity sharing inside one copy survives, as deepcopy's memo
+        # promises: both copies point at one copied array.
+        assert follower_copy.result_ids is leader_copy.result_ids
+        leader_copy.result_ids[0] = 99
+        leader_copy.completion_s = 2.0
+        assert leader.result_ids[0] == 0 and leader.completion_s is None
 
     def test_restore_rejects_version_and_mode_mismatch(
         self, corpus_and_pool
