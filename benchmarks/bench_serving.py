@@ -553,26 +553,16 @@ def _twin_base():
         window_s=TWIN_WINDOW_S,
         calibrate_k=K,
     )
-    arrivals = QueryStream(
-        PoissonArrivals(PARTITION_RATE),
-        pool_size=POOL,
-        n_requests=REQUESTS,
-        k=K,
-        zipf_exponent=0.0,
-        seed=33,
-    ).generate()
-    last_arrival = arrivals[-1].arrival_s
-    fed, window = 0, 1
-    while window * TWIN_WINDOW_S <= last_arrival:
-        boundary = window * TWIN_WINDOW_S
-        cut = fed
-        while cut < len(arrivals) and arrivals[cut].arrival_s <= boundary:
-            cut += 1
-        twin.feed(arrivals[fed:cut])
-        fed = cut
-        twin.advance(boundary)
-        window += 1
-    twin.feed(arrivals[fed:])
+    twin.ingest(
+        QueryStream(
+            PoissonArrivals(PARTITION_RATE),
+            pool_size=POOL,
+            n_requests=REQUESTS,
+            k=K,
+            zipf_exponent=0.0,
+            seed=33,
+        ).generate()
+    )
     return twin, twin.finish()
 
 

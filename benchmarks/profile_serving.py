@@ -290,19 +290,7 @@ def _ingested_twin() -> ServingTwin:
         window_s=TWIN_WINDOW_S,
         calibrate_k=K,
     )
-    arrivals = _twin_stream()
-    last_arrival = arrivals[-1].arrival_s
-    fed, window = 0, 1
-    while window * TWIN_WINDOW_S <= last_arrival:
-        boundary = window * TWIN_WINDOW_S
-        cut = fed
-        while cut < len(arrivals) and arrivals[cut].arrival_s <= boundary:
-            cut += 1
-        twin.feed(arrivals[fed:cut])
-        fed = cut
-        twin.advance(boundary)
-        window += 1
-    twin.feed(arrivals[fed:])
+    twin.ingest(_twin_stream())
     twin.finish()
     return twin
 

@@ -129,19 +129,3 @@ class SSD:
         moved = plane_obj.move_block(event.old_block, event.new_block)
         self.counters["refresh_pages_moved"] += moved
         self.counters["refreshes"] += 1
-
-    # ---- capacity ----------------------------------------------------------------
-    @property
-    def usable_bytes(self) -> int:
-        """Capacity excluding over-provisioned refresh blocks."""
-        return (
-            self.geometry.total_planes
-            * self.ftl.usable_blocks
-            * self.geometry.pages_per_block
-            * self.geometry.page_size
-        )
-
-    def page_loads_total(self) -> int:
-        return sum(
-            p.page_loads for chip in self.chips for lun in chip.luns for p in lun.planes
-        )

@@ -206,23 +206,7 @@ def _run_follow(args, parser, serving_config, router_factory, pool, tracer):
         tracer=tracer,
         calibrate_k=max(r.k for r in arrivals),
     )
-    # Feed window by window, as a live follower would; never advance
-    # past the newest observed arrival (run() flushes the final
-    # straggler batch via StreamEnd, and byte-parity with it requires
-    # the clock not to overtake the stream).
-    last_arrival = arrivals[-1].arrival_s
-    fed = 0
-    window = 1
-    while window * window_s <= last_arrival:
-        boundary = window * window_s
-        cut = fed
-        while cut < len(arrivals) and arrivals[cut].arrival_s <= boundary:
-            cut += 1
-        twin.feed(arrivals[fed:cut])
-        fed = cut
-        twin.advance(boundary)
-        window += 1
-    twin.feed(arrivals[fed:])
+    twin.ingest(arrivals)
     report = twin.finish()
     if tracer is not None:
         tracer.write(args.trace)

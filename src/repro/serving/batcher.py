@@ -89,21 +89,13 @@ class BatchPolicy:
 class DynamicBatcher:
     """Accumulates requests into batches under a :class:`BatchPolicy`.
 
-    ``predictor`` (required by ``slo`` mode, ignored otherwise) maps
-    ``(batch_size, close_time)`` to the predicted completion time of a
-    batch closed then — the frontend supplies drain-time prediction
-    over its shard devices.
+    The batcher holds plain data only (policy, queue, counters), so a
+    snapshot can copy it wholesale; ``slo`` mode's completion predictor
+    is passed to :meth:`deadline` at each call instead of stored.
     """
 
-    def __init__(
-        self,
-        policy: BatchPolicy,
-        predictor: CompletionPredictor | None = None,
-    ) -> None:
-        if policy.mode == SLO and predictor is None:
-            raise ValueError("slo mode needs a completion predictor")
+    def __init__(self, policy: BatchPolicy) -> None:
         self.policy = policy
-        self.predictor = predictor
         self.pending: list[Request] = []
         self.batches_closed = 0
         self.timeout_closes = 0
@@ -113,7 +105,9 @@ class DynamicBatcher:
     def __len__(self) -> int:
         return len(self.pending)
 
-    def deadline(self) -> float | None:
+    def deadline(
+        self, predictor: CompletionPredictor | None = None
+    ) -> float | None:
         """Simulated time at which the queued batch must close.
 
         ``None`` when nothing is queued or the policy has no time
@@ -123,6 +117,11 @@ class DynamicBatcher:
         still meets its deadline, capped by ``max_wait_s`` and floored
         at the newest member's arrival (a batch cannot close before a
         member it contains arrived).
+
+        ``predictor`` (required by ``slo`` mode, ignored otherwise)
+        maps ``(batch_size, close_time)`` to the predicted completion
+        time of a batch closed then — the frontend supplies drain-time
+        prediction over its shard devices.
         """
         if not self.pending or self.policy.mode == FIXED:
             return None
@@ -131,12 +130,16 @@ class DynamicBatcher:
         fallback = self.pending[0].arrival_s + self.policy.max_wait_s
         if self.policy.mode != SLO:
             return fallback
+        if predictor is None:
+            raise ValueError("slo mode needs a completion predictor")
         return max(
-            min(fallback, self._slo_close_by(fallback)),
+            min(fallback, self._slo_close_by(fallback, predictor)),
             self.pending[-1].arrival_s,
         )
 
-    def _slo_close_by(self, fallback: float) -> float:
+    def _slo_close_by(
+        self, fallback: float, predictor: CompletionPredictor
+    ) -> float:
         """Latest close time meeting the most urgent member's deadline."""
         deadlines = [
             r.deadline_s for r in self.pending if r.deadline_s is not None
@@ -151,11 +154,11 @@ class DynamicBatcher:
         # even this close is predicted to breach, the devices are
         # drain-limited — every close time predicts the same (or a
         # later) completion, so close immediately to minimise lateness.
-        predicted = self.predictor(n, target)
+        predicted = predictor(n, target)
         if predicted is None:
             return fallback
         close_by = target - (predicted - target)
-        if close_by < target and self.predictor(n, close_by) > target:
+        if close_by < target and predictor(n, close_by) > target:
             return float("-inf")  # infeasible: the floor clamps to "now"
         return close_by
 
@@ -169,7 +172,8 @@ class DynamicBatcher:
         before that arrival is offered).  Pass ``deadline`` when a
         :meth:`deadline` value is already in hand — in ``slo`` mode
         each computation runs the completion predictor over the device
-        chains, so the event loop computes it once per event.
+        chains, so the event loop computes it once per event.  Without
+        ``deadline``, ``slo`` mode raises: no predictor is at hand here.
         """
         if deadline is None:
             deadline = self.deadline()

@@ -29,9 +29,8 @@ batches on the same entry-stage FIFO instead of being free.
 
 from __future__ import annotations
 
-from typing import Callable
-
-from repro.obs.trace import NullTracer, Tracer
+from repro.obs.trace import Tracer
+from repro.obs.windows import WindowedMetrics
 from repro.sim.engine import Resource
 from repro.sim.stats import SimResult
 
@@ -41,22 +40,26 @@ MIGRATION_STAGE = "migration"
 
 
 class ShardDevice:
-    """Occupancy state of one shard device across a serving run."""
+    """Occupancy state of one shard device across a serving run.
 
-    def __init__(self, pipelined: bool = True) -> None:
+    The device holds plain data only, so a snapshot copies it
+    wholesale.  ``index`` is its position in the pool: its trace lanes
+    render under process ``index + 1`` (pid 0 is the frontend) of the
+    span tracer that :meth:`serve` and :meth:`book` receive per call.
+    ``windows``, when set, receives each *clipped* busy increment (the
+    disjoint intervals whose union is ``busy_s``) as the
+    ``shard<index>`` utilization series.
+    """
+
+    def __init__(
+        self,
+        pipelined: bool = True,
+        index: int = 0,
+        windows: WindowedMetrics | None = None,
+    ) -> None:
         self.pipelined = pipelined
-        self.tracer: Tracer = NullTracer()
-        """Span sink for stage occupancy (observe-only; the default
-        no-op tracer records nothing and perturbs nothing)."""
-
-        self.trace_pid: int = 0
-        """Trace process id this device's lanes render under."""
-
-        self.busy_observer: Callable[[float, float], None] | None = None
-        """Called with each *clipped* busy increment (the disjoint
-        intervals whose union is ``busy_s``) — the windowed-metrics tap
-        for per-device utilization time series."""
-
+        self.index = index
+        self.windows = windows
         self._stages: dict[str, Resource] = {}
         self._serial = Resource("device")
         """The whole-device timeline used in blocking mode."""
@@ -119,20 +122,23 @@ class ShardDevice:
         stage = self._stages.get(entry_resource)
         return at if stage is None else stage.peek(at)
 
-    def serve(self, result: SimResult, at: float) -> tuple[float, float]:
+    def serve(
+        self, result: SimResult, at: float, tracer: Tracer | None = None
+    ) -> tuple[float, float]:
         """Book one batch onto the device; returns ``(start, completion)``.
 
         ``start`` is when the first stage begins executing, ``completion``
         when the last stage ends.  An unloaded device reproduces the
-        batch's ``sim_time_s`` exactly in either mode.
+        batch's ``sim_time_s`` exactly in either mode.  ``tracer``
+        (observe-only) records each stage's occupancy span.
         """
         if not self.pipelined:
             start, completion = self._serial.acquire(at, result.sim_time_s)
-            if self.tracer.enabled:
-                tid = self.tracer.thread(self.trace_pid, self._serial.name)
-                self.tracer.complete(
+            if tracer is not None and tracer.enabled:
+                pid = self.index + 1
+                tracer.complete(
                     "batch", "stage", start, completion,
-                    pid=self.trace_pid, tid=tid,
+                    pid=pid, tid=tracer.thread(pid, self._serial.name),
                 )
             self._drain_at = completion
             self._book_busy(start, completion)
@@ -145,7 +151,7 @@ class ShardDevice:
         # chain: earliest_start must read the FIFO a new batch would
         # actually queue on, not the first-ever batch's front stage.
         self._entry_resource = chain[0][0]
-        start, t = self._acquire_chain(chain, at)
+        start, t = self._acquire_chain(chain, at, tracer)
         self._drain_at = max(self._drain_at, t)
         self._book_busy(start, t)
         self.batches_served += 1
@@ -158,6 +164,7 @@ class ShardDevice:
         resource: str | None = None,
         label: str = "data movement",
         category: str = "movement",
+        tracer: Tracer | None = None,
     ) -> tuple[float, float]:
         """Occupy one stage FIFO with non-query work (data movement,
         flash maintenance).
@@ -167,9 +174,9 @@ class ShardDevice:
         on the named stage; blocking devices serialize it with whole
         batches.  ``resource`` defaults to the device's current entry
         stage (falling back to :data:`MIGRATION_STAGE` on a device that
-        has never served).  ``label``/``category`` name the booked span
-        in the trace, so migrations and GC refreshes render as distinct
-        lanes.  Returns the booked ``(start, end)``.
+        has never served).  ``label``/``category`` name the span
+        ``tracer`` records, so migrations and GC refreshes render as
+        distinct lanes.  Returns the booked ``(start, end)``.
         """
         if duration < 0:
             raise ValueError(f"negative booking duration {duration!r}")
@@ -179,11 +186,11 @@ class ShardDevice:
         else:
             name = resource or self._entry_resource or MIGRATION_STAGE
             start, end = self._stage(name).acquire(at, duration)
-        if self.tracer.enabled:
-            tid = self.tracer.thread(self.trace_pid, name)
-            self.tracer.complete(
+        if tracer is not None and tracer.enabled:
+            pid = self.index + 1
+            tracer.complete(
                 label, category, start, end,
-                pid=self.trace_pid, tid=tid,
+                pid=pid, tid=tracer.thread(pid, name),
             )
         self._drain_at = max(self._drain_at, end)
         self._book_busy(start, end)
@@ -231,20 +238,23 @@ class ShardDevice:
         return start, t
 
     def _acquire_chain(
-        self, chain: list[tuple[str, float]], at: float
+        self,
+        chain: list[tuple[str, float]],
+        at: float,
+        tracer: Tracer | None,
     ) -> tuple[float, float]:
         """Queue a stage chain through the per-resource FIFOs; returns
         ``(start, completion)``."""
         t = at
         start: float | None = None
-        trace = self.tracer.enabled
+        trace = tracer is not None and tracer.enabled
+        pid = self.index + 1
         for resource, duration in chain:
             stage_start, stage_end = self._stage(resource).acquire(t, duration)
             if trace:
-                tid = self.tracer.thread(self.trace_pid, resource)
-                self.tracer.complete(
+                tracer.complete(
                     resource, "stage", stage_start, stage_end,
-                    pid=self.trace_pid, tid=tid,
+                    pid=pid, tid=tracer.thread(pid, resource),
                 )
             if start is None:
                 start = stage_start
@@ -262,5 +272,7 @@ class ShardDevice:
             clipped_start = max(start, self._occupied_until)
             self.busy_s += completion - clipped_start
             self._occupied_until = completion
-            if self.busy_observer is not None:
-                self.busy_observer(clipped_start, completion)
+            if self.windows is not None:
+                self.windows.add_interval(
+                    f"shard{self.index}", clipped_start, completion
+                )

@@ -154,20 +154,19 @@ class Coalescer:
     followers resolve at dispatch) and *dispatched* (results priced but
     not yet back; followers resolve immediately against the pending
     entry).  Entries retire once their completion time passes — from
-    then on the result cache answers repeats.
+    then on the result cache answers repeats.  ``observe`` (the
+    frontend's metrics tap) is passed to each call that can resolve a
+    follower, so the coalescer itself holds plain data only.
     """
 
-    def __init__(self, observe) -> None:
-        self._observe = observe
-        """Metrics callback invoked once per resolved follower."""
-
+    def __init__(self) -> None:
         self._queued_leader: dict[int, Request] = {}
         self._followers: dict[int, list[Request]] = {}
         # query_id -> (completion_s, ids_row, dists_row, searched_k)
         self._inflight: dict[int, tuple[float, np.ndarray, np.ndarray, int]] = {}
         self._retire_heap: list[tuple[float, int]] = []
 
-    def try_coalesce(self, request: Request, now: float) -> bool:
+    def try_coalesce(self, request: Request, now: float, observe) -> bool:
         """Piggyback ``request`` on an identical in-flight query, if any.
 
         A dispatched-but-incomplete search is preferred (it finishes
@@ -179,7 +178,7 @@ class Coalescer:
         if entry is not None:
             completion, _, _, searched_k = entry
             if completion > now and request.k <= searched_k:
-                self._resolve(request, entry)
+                self._resolve(request, entry, observe)
                 return True
         leader = self._queued_leader.get(request.query_id)
         if leader is not None and request.k <= leader.k:
@@ -205,6 +204,7 @@ class Coalescer:
         dists_row: np.ndarray,
         searched_k: int,
         completion: float,
+        observe,
     ) -> None:
         """A batch member's results are priced: resolve its followers
         and open the dispatched-entry piggyback window."""
@@ -212,7 +212,7 @@ class Coalescer:
             del self._queued_leader[request.query_id]
         entry = (completion, ids_row, dists_row, searched_k)
         for follower in self._followers.pop(request.request_id, ()):
-            self._resolve(follower, entry)
+            self._resolve(follower, entry, observe)
         self._inflight[request.query_id] = entry
         heapq.heappush(self._retire_heap, (completion, request.query_id))
 
@@ -235,13 +235,13 @@ class Coalescer:
         if self._queued_leader.get(request.query_id) is request:
             del self._queued_leader[request.query_id]
 
-    def _resolve(self, request: Request, entry) -> None:
+    def _resolve(self, request: Request, entry, observe) -> None:
         completion, ids, dists, _ = entry
         request.completion_s = completion
         request.outcome = COALESCED
         request.result_ids = ids[: request.k].copy()
         request.result_dists = dists[: request.k].copy()
-        self._observe(request)
+        observe(request)
 
 
 @dataclass(frozen=True)
@@ -343,9 +343,7 @@ class ServingFrontend:
                     "nprobe requires a router built with routing centroids"
                 )
         self.service_model = ServiceModel()
-        self.batcher = DynamicBatcher(
-            self.config.policy, predictor=self.predict_completion
-        )
+        self.batcher = DynamicBatcher(self.config.policy)
         self.cache = ResultCache(self.config.cache_capacity)
         self.admission = AdmissionController(self.config.admission_capacity)
         self.metrics = MetricsCollector(router.num_shards, windows=self.windows)
@@ -393,7 +391,7 @@ class ServingFrontend:
                 self.config.rebalance, router.num_shards, router.num_clusters
             )
         self._in_service_total = 0
-        self.coalescer = Coalescer(self._observe_coalesced)
+        self.coalescer = Coalescer()
         # Per-run event-loop state (populated by stream_begin()).
         self._loop: EventLoop | None = None
         self._timer_gen = 0
@@ -409,18 +407,14 @@ class ServingFrontend:
         chain the rest of ``_arrival_queue`` (see stream_extend)."""
 
     def _make_device(self, index: int) -> ShardDevice:
-        """Build shard device ``index`` with its observability taps."""
-        device = ShardDevice(pipelined=self.config.pipelined)
-        device.tracer = self.tracer
-        device.trace_pid = index + 1  # pid 0 is the frontend process
+        """Build shard device ``index`` and name its trace process."""
+        self._name_device_process(index)
+        return ShardDevice(self.config.pipelined, index, self.windows)
+
+    def _name_device_process(self, index: int) -> None:
         if self.tracer.enabled:
-            self.tracer.process(device.trace_pid, f"shard {index}")
-        if self.windows is not None:
-            device.busy_observer = (
-                lambda start, end, name=f"shard{index}":
-                    self.windows.add_interval(name, start, end)
-            )
-        return device
+            # pid 0 is the frontend process
+            self.tracer.process(index + 1, f"shard {index}")
 
     def run(
         self, requests: list[Request], query_pool: np.ndarray
@@ -576,13 +570,19 @@ class ServingFrontend:
         return list(self._arrival_queue)
 
     # ---- snapshot / restore ----------------------------------------------
-    # Wiring vs. state: callables (handlers, observers, tracer taps,
-    # the batcher's predictor) close over live objects and are excluded
-    # from capture; restore re-creates them through stream_begin /
-    # _make_device and re-binds the rest.  Immutable build artifacts
-    # (the query pool, backend indexes, global-ID maps, centroids) are
-    # shared by reference — they never change under serving, so copying
-    # them would only burn memory without buying isolation.
+    # State by default: every instance attribute is captured except
+    # the wiring named in _WIRING.  Components hold plain data only (the
+    # batcher's predictor, the coalescer's metrics tap and the tracer
+    # are passed per call), and state_digest rejects callables, so
+    # wiring left in session state fails the snapshot loudly.  The
+    # router's mutable placement is captured separately and the loop's
+    # state through capture_loop.  Immutable build artifacts (the query
+    # pool, backend indexes, global-ID maps, centroids) are shared by
+    # reference: they never change under serving, so copying them would
+    # only burn memory without buying isolation.
+    _WIRING = frozenset(
+        {"router", "config", "tracer", "_loop", "_pool", "_kernel_tid"}
+    )
 
     def _snapshot_shared(self) -> list:
         """Objects referenced, never copied, by snapshot state."""
@@ -598,84 +598,49 @@ class ServingFrontend:
         """Freeze the open streaming session's full simulation state.
 
         Captures the event loop (clock, heap, seq/dispatch counters),
-        every handler's state (batcher queue, coalescer tables, cache,
-        admission ledger, service model, windowed metrics, collector),
-        per-device stage FIFOs and booked work, the router's mutable
-        placement (replica count / cluster→shard map), the opt-in
-        flash stores, and the epoch controllers — one
-        :func:`~repro.sim.snapshot.clone_state` pass, so objects shared
-        across those structures (a request in the batcher *and* in a
-        pending heap event) stay shared in the copy.  The result is
-        immutable and restorable any number of times.
+        the router's mutable placement (replica count / cluster→shard
+        map) and the session: every attribute not declared wiring —
+        batcher queue, coalescer tables, cache, admission ledger,
+        service model, windowed metrics, collector, device stage FIFOs,
+        flash stores, epoch controllers and the frontend's own
+        counters.  It is one :func:`~repro.sim.snapshot.clone_state`
+        pass, so objects shared across those structures (a request in
+        the batcher *and* in a pending heap event, the windowed metrics
+        behind the collector and every device) stay shared in the
+        copy.  The result is immutable and restorable any number of
+        times.
         """
-        state = {
-            "mode": self.router.mode,
-            "loop": capture_loop(self._loop),
-            "frontend": {
-                "timer_gen": self._timer_gen,
-                "draining": self._draining,
-                "epoch_armed": self._epoch_armed,
-                "last_arrival_s": self._last_arrival_s,
-                "batch_seq": self._batch_seq,
-                "in_service_total": self._in_service_total,
-                "active": self._active,
-                "arrival_queue": self._arrival_queue,
-                "arrival_next": self._arrival_next,
-                "arrival_pending": self._arrival_pending,
-            },
-            "batcher": {
-                key: value
-                for key, value in vars(self.batcher).items()
-                if key != "predictor"
-            },
-            "coalescer": {
-                key: value
-                for key, value in vars(self.coalescer).items()
-                if key != "_observe"
-            },
-            "cache": self.cache,
-            "admission": self.admission,
-            "service_model": self.service_model,
-            "windows": self.windows,
-            "metrics": {
-                key: value
-                for key, value in vars(self.metrics).items()
-                if key != "windows"
-            },
-            "devices": [
-                {
+        router = self.router
+        state = clone_state(
+            {
+                "mode": router.mode,
+                "loop": capture_loop(self._loop),
+                "router": {
+                    "num_backends": len(router.backends),
+                    "cluster_shard": (
+                        [int(s) for s in router.cluster_shard]
+                        if router.cluster_shard is not None
+                        else None
+                    ),
+                },
+                "session": {
                     key: value
-                    for key, value in vars(device).items()
-                    if key not in (
-                        "tracer", "busy_observer", "trace_pid",
-                        "_predict_scratch",
-                    )
-                }
-                for device in self.devices
-            ],
-            "router": {
-                "num_backends": len(self.router.backends),
-                "cluster_shard": (
-                    [int(s) for s in self.router.cluster_shard]
-                    if self.router.cluster_shard is not None
-                    else None
-                ),
+                    for key, value in vars(self).items()
+                    if key not in self._WIRING
+                },
             },
-            "stores": self.stores,
-            "autoscaler": self.autoscaler,
-            "rebalancer": self.rebalancer,
-        }
-        state = clone_state(state, shared=self._snapshot_shared())
+            shared=self._snapshot_shared(),
+        )
         # The batch span counter only advances when a tracer is
         # attached.  It is captured (a resumed traced session keeps its
         # span IDs unique) but excluded from the content address, so
         # attaching observability never changes a snapshot digest — or
         # a twin cache key derived from one.
         digest_view = dict(state)
-        digest_view["frontend"] = {
+        digest_view["session"] = {
             key: value
-            for key, value in state["frontend"].items()
-            if key != "batch_seq"
+            for key, value in state["session"].items()
+            if key != "_batch_seq"
         }
         return Snapshot(
             version=SNAPSHOT_VERSION,
@@ -711,12 +676,12 @@ class ServingFrontend:
                 f"snapshot router mode {frozen['mode']!r} != "
                 f"this router's {self.router.mode!r}"
             )
-        if (frozen["stores"] is None) != (self.stores is None):
+        if (frozen["session"]["stores"] is None) != (self.stores is None):
             raise ValueError(
                 "flash configuration mismatch: snapshot and frontend "
                 "must both (or neither) serve through stateful flash"
             )
-        if (frozen["windows"] is None) != (self.windows is None):
+        if (frozen["session"]["windows"] is None) != (self.windows is None):
             raise ValueError(
                 "metrics-window configuration mismatch: snapshot and "
                 "frontend must agree on ServingConfig.metrics_window_s"
@@ -726,40 +691,7 @@ class ServingFrontend:
         self.stream_begin(query_pool)
         state = clone_state(frozen, shared=self._snapshot_shared())
         restore_loop(self._loop, state["loop"])
-        fe = state["frontend"]
-        self._timer_gen = fe["timer_gen"]
-        self._draining = fe["draining"]
-        self._epoch_armed = fe["epoch_armed"]
-        self._last_arrival_s = fe["last_arrival_s"]
-        self._batch_seq = fe["batch_seq"]
-        self._in_service_total = fe["in_service_total"]
-        self._active = fe["active"]
-        self._arrival_queue = fe["arrival_queue"]
-        self._arrival_next = fe["arrival_next"]
-        self._arrival_pending = fe["arrival_pending"]
-        for key, value in state["batcher"].items():
-            setattr(self.batcher, key, value)
-        self.batcher.predictor = self.predict_completion
-        for key, value in state["coalescer"].items():
-            setattr(self.coalescer, key, value)
-        self.cache = state["cache"]
-        self.admission = state["admission"]
-        self.service_model = state["service_model"]
-        if state["windows"] is not None:
-            self.windows = state["windows"]
-        for key, value in state["metrics"].items():
-            setattr(self.metrics, key, value)
-        self.metrics.windows = self.windows
-        # Devices: grow through _make_device so each gets its tracer /
-        # busy-observer wiring, then overwrite the captured state.
-        captured_devices = state["devices"]
-        while len(self.devices) < len(captured_devices):
-            self.devices.append(self._make_device(len(self.devices)))
-        del self.devices[len(captured_devices):]
-        for device, dev_state in zip(self.devices, captured_devices):
-            for key, value in dev_state.items():
-                setattr(device, key, value)
-        self.metrics.ensure_shards(len(self.devices))
+        vars(self).update(state["session"])
         router_state = state["router"]
         if self.router.mode == REPLICATED:
             while len(self.router.backends) < router_state["num_backends"]:
@@ -774,10 +706,8 @@ class ServingFrontend:
         if router_state["cluster_shard"] is not None:
             for cluster, shard in enumerate(router_state["cluster_shard"]):
                 self.router.cluster_shard[cluster] = shard
-        if state["stores"] is not None:
-            self.stores = state["stores"]
-        self.autoscaler = state["autoscaler"]
-        self.rebalancer = state["rebalancer"]
+        for device in self.devices:
+            self._name_device_process(device.index)
 
     # ---- event handlers --------------------------------------------------
     def _on_arrival(self, event: Arrival) -> None:
@@ -818,7 +748,7 @@ class ServingFrontend:
         # is to complete *with* it, not to read its future results
         # out of the dispatch-time cache write.
         if self.config.coalesce and self.coalescer.try_coalesce(
-            request, now
+            request, now, self._observe_coalesced
         ):
             return
         # The cache precedes admission: a hit is answered from host
@@ -862,7 +792,7 @@ class ServingFrontend:
     def _on_batch_deadline(self, event: BatchDeadline) -> None:
         if event.generation != self._timer_gen or self._draining:
             return  # stale timer: the batch it was armed for changed
-        deadline = self.batcher.deadline()
+        deadline = self.batcher.deadline(self.predict_completion)
         if deadline is None:
             return
         now = self._loop.now
@@ -954,6 +884,7 @@ class ServingFrontend:
             resource=self.service_model.entry_resource,
             label="flash refresh",
             category="maintenance",
+            tracer=self.tracer,
         )
         if self.windows is not None:
             self.windows.inc("flash_refreshes", event.time, len(triples))
@@ -965,7 +896,7 @@ class ServingFrontend:
         # of the timeout statistics, exactly like an operator draining
         # a frontend.
         self._draining = True
-        deadline = self.batcher.deadline()
+        deadline = self.batcher.deadline(self.predict_completion)
         flush_time = deadline if deadline is not None else self._last_arrival_s
         batch = self.batcher.flush()
         if batch is not None:
@@ -1100,7 +1031,7 @@ class ServingFrontend:
         duration = moved_bytes / (policy.migration_gbps * 1e9)
         stage = self.service_model.entry_resource
         _, read_done = self.devices[proposal.source].book(
-            now, duration, resource=stage
+            now, duration, resource=stage, tracer=self.tracer
         )
         write_duration = duration
         if self.stores is not None:
@@ -1112,7 +1043,7 @@ class ServingFrontend:
                 dest_store.program_time_s(dest_store.pages_for(moved_bytes)),
             )
         _, write_done = self.devices[proposal.dest].book(
-            now, write_duration, resource=stage
+            now, write_duration, resource=stage, tracer=self.tracer
         )
         migration = Migration(
             cluster=proposal.cluster,
@@ -1220,6 +1151,7 @@ class ServingFrontend:
                 resource=self.service_model.entry_resource,
                 label="ecc retry",
                 category="flash",
+                tracer=self.tracer,
             )
             if self.windows is not None:
                 self.windows.inc(
@@ -1276,7 +1208,7 @@ class ServingFrontend:
         batch before it closes.
         """
         self._timer_gen += 1
-        deadline = self.batcher.deadline()
+        deadline = self.batcher.deadline(self.predict_completion)
         if deadline is None:
             return
         rank = (
@@ -1406,7 +1338,9 @@ class ServingFrontend:
                 ),
             )
             ids, dists, result = self.router.search_on(shard, queries, k)
-            start, completion = self.devices[shard].serve(result, close_time)
+            start, completion = self.devices[shard].serve(
+                result, close_time, self.tracer
+            )
             if self.stores is not None:
                 completion = self._flash_read(shard, 0, result, n, completion)
             self.service_model.observe(n, result.pipeline_stages())
@@ -1428,7 +1362,7 @@ class ServingFrontend:
             completions = np.full(n, close_time)
             for job in jobs:
                 shard_start, shard_done = self.devices[job.shard].serve(
-                    job.result, close_time
+                    job.result, close_time, self.tracer
                 )
                 if self.stores is not None:
                     shard_done = self._flash_read(
@@ -1496,7 +1430,8 @@ class ServingFrontend:
                 )
             if self.config.coalesce:
                 self.coalescer.on_dispatch(
-                    request, ids[i].copy(), dists[i].copy(), k, completion
+                    request, ids[i].copy(), dists[i].copy(), k, completion,
+                    self._observe_coalesced,
                 )
 
     def _in_service_count(self) -> int:

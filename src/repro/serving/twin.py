@@ -3,7 +3,8 @@
 A :class:`ServingTwin` shadows a live deployment on the simulated
 clock: arrivals are fed in as they appear (:meth:`ServingTwin.feed`),
 the base simulation advances window by window
-(:meth:`ServingTwin.advance`), and every closed window is checkpointed
+(:meth:`ServingTwin.advance`; :meth:`ServingTwin.ingest` does both for
+a recorded arrival log), and every closed window is checkpointed
 as a deterministic :class:`~repro.sim.snapshot.Snapshot`.  What-if
 queries — "replay the last K windows with ``nprobe=3`` / +2 replicas /
 rebalancing on" — fork from the newest checkpoint whose prefix the
@@ -203,6 +204,30 @@ class ServingTwin:
             self._next_window += 1
             taken += 1
         return taken
+
+    def ingest(self, arrivals: list[Request]) -> None:
+        """Feed a time-ordered arrival log window by window, as a live
+        follower would: each window's arrivals, then :meth:`advance` to
+        its boundary, then the tail after the last whole window.
+
+        The clock never passes the newest arrival: :meth:`finish`
+        flushes the final straggler batch via ``StreamEnd``, and byte
+        parity with a from-scratch run requires the clock not to
+        overtake the stream.
+        """
+        if not arrivals:
+            return
+        last_arrival = arrivals[-1].arrival_s
+        fed = 0
+        while self._next_window * self.window_s <= last_arrival:
+            boundary = self._next_window * self.window_s
+            cut = fed
+            while cut < len(arrivals) and arrivals[cut].arrival_s <= boundary:
+                cut += 1
+            self.feed(arrivals[fed:cut])
+            fed = cut
+            self.advance(boundary)
+        self.feed(arrivals[fed:])
 
     def finish(self) -> ServingReport:
         """Close the base run; its report carries the twin counters."""

@@ -37,7 +37,9 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import hashlib
+import types
 from collections import OrderedDict
 from typing import Any, Iterable
 
@@ -48,7 +50,7 @@ from repro.sim.events import EventLoop
 #: Bump when the captured state tree's shape changes incompatibly;
 #: :meth:`restore <repro.serving.frontend.ServingFrontend.restore>`
 #: refuses snapshots from another version.
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -116,6 +118,17 @@ def restore_loop(loop: EventLoop, state: dict) -> None:
 
 # ---- canonical content hashing ------------------------------------------
 
+#: Live wiring, never state.  Hashed as plain objects, every function,
+#: lambda, bound method or partial would get the same digest: their
+#: ``__dict__`` says nothing about what they do.
+_CALLABLES = (
+    types.FunctionType,
+    types.MethodType,
+    types.BuiltinFunctionType,
+    functools.partial,
+)
+
+
 def state_digest(state: Any) -> str:
     """Canonical sha256 over a captured state tree.
 
@@ -172,6 +185,12 @@ def _feed(h, value: Any) -> None:
         h.update(arr.tobytes())
     elif isinstance(value, np.generic):
         _feed(h, value.item())
+    elif isinstance(value, _CALLABLES):
+        raise TypeError(
+            f"state_digest cannot hash callable "
+            f"{getattr(value, '__qualname__', type(value).__qualname__)!r}: "
+            f"captured state must be plain data, not wiring"
+        )
     elif isinstance(value, np.random.Generator):
         h.update(b"G")
         _feed(h, value.bit_generator.state)

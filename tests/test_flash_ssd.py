@@ -75,20 +75,3 @@ class TestRefreshTransparency:
             ssd.refresh(0, 1, 0)
         assert np.array_equal(ssd.read(addr, 16), data)
         ssd.ftl.check_consistency()
-
-
-class TestCapacity:
-    def test_usable_bytes_excludes_reserved(self, ssd, tiny_geometry):
-        assert ssd.usable_bytes < tiny_geometry.capacity_bytes
-        expected = (
-            tiny_geometry.total_planes
-            * ssd.ftl.usable_blocks
-            * tiny_geometry.pages_per_block
-            * tiny_geometry.page_size
-        )
-        assert ssd.usable_bytes == expected
-
-    def test_page_loads_total_tracks_planes(self, ssd):
-        ssd.read(PhysicalAddress(lun=0, plane=0, block=0, page=0), 8)
-        ssd.read(PhysicalAddress(lun=3, plane=1, block=0, page=0), 8)
-        assert ssd.page_loads_total() == 2

@@ -127,10 +127,8 @@ class TestDeviceSpans:
         chain = [("in", "a", 1.0), ("work", "b", 3.0), ("out", "c", 1.0)]
         result = _result(chain)
         tracer = SpanTracer()
-        device = ShardDevice(pipelined=True)
-        device.tracer = tracer
-        device.trace_pid = 3
-        device.serve(result, at=2.0)
+        device = ShardDevice(pipelined=True, index=2)  # trace pid 3
+        device.serve(result, at=2.0, tracer=tracer)
         spans = [e for e in tracer.events() if e["ph"] == "X"]
         assert [e["name"] for e in spans] == ["a", "b", "c"]
         # An unloaded device books the chain back-to-back from t=2, so
@@ -147,9 +145,8 @@ class TestDeviceSpans:
         result = _result([("in", "a", 1.0), ("work", "b", 3.0)])
         tracer = SpanTracer()
         device = ShardDevice(pipelined=False)
-        device.tracer = tracer
-        device.serve(result, at=0.0)
-        device.serve(result, at=0.0)
+        device.serve(result, at=0.0, tracer=tracer)
+        device.serve(result, at=0.0, tracer=tracer)
         spans = [e for e in tracer.events() if e["ph"] == "X"]
         assert [(s["ts"], s["dur"]) for s in spans] == [
             (0.0, pytest.approx(4e6)),
@@ -159,8 +156,7 @@ class TestDeviceSpans:
     def test_booked_movement_span(self):
         tracer = SpanTracer()
         device = ShardDevice(pipelined=True)
-        device.tracer = tracer
-        device.book(1.0, 0.5)
+        device.book(1.0, 0.5, tracer=tracer)
         (span,) = [e for e in tracer.events() if e["ph"] == "X"]
         assert span["name"] == "data movement"
         assert span["cat"] == "movement"

@@ -142,48 +142,52 @@ class TestSloBatcher:
         return lambda n, at: at + service_per_batch
 
     def test_requires_predictor(self):
-        with pytest.raises(ValueError):
-            DynamicBatcher(BatchPolicy(mode="slo"))
+        # The batcher stores no predictor; slo mode asks for one at
+        # the point of use.
+        batcher = DynamicBatcher(BatchPolicy(mode="slo"))
+        batcher.offer(Request(0, 0, 1.0, deadline_s=2.0))
+        with pytest.raises(ValueError, match="predictor"):
+            batcher.deadline()
+        with pytest.raises(ValueError, match="predictor"):
+            batcher.expired(1.0)
 
     def test_loose_deadline_caps_at_max_wait(self):
         batcher = DynamicBatcher(
-            BatchPolicy(max_batch_size=8, max_wait_s=2e-3, mode="slo"),
-            predictor=self._predictor(1e-3),
+            BatchPolicy(max_batch_size=8, max_wait_s=2e-3, mode="slo")
         )
         batcher.offer(Request(0, 0, 1.0, deadline_s=2.0))
         # Plenty of slack: the staleness cap (arrival + max_wait) rules.
-        assert batcher.deadline() == pytest.approx(1.002)
+        assert batcher.deadline(self._predictor(1e-3)) == pytest.approx(1.002)
 
     def test_tight_deadline_closes_before_predicted_breach(self):
         batcher = DynamicBatcher(
-            BatchPolicy(max_batch_size=8, max_wait_s=10e-3, mode="slo"),
-            predictor=self._predictor(2e-3),
+            BatchPolicy(max_batch_size=8, max_wait_s=10e-3, mode="slo")
         )
         batcher.offer(Request(0, 0, 1.0, deadline_s=1.005))
         # Latest close meeting the deadline: 1.005 - 0.002 service.
-        assert batcher.deadline() == pytest.approx(1.003)
-        assert not batcher.expired(1.0025)
-        assert batcher.expired(1.003)
+        deadline = batcher.deadline(self._predictor(2e-3))
+        assert deadline == pytest.approx(1.003)
+        assert not batcher.expired(1.0025, deadline)
+        assert batcher.expired(1.003, deadline)
 
     def test_margin_closes_earlier(self):
         batcher = DynamicBatcher(
             BatchPolicy(max_batch_size=8, max_wait_s=10e-3, mode="slo",
-                        slo_margin_s=1e-3),
-            predictor=self._predictor(2e-3),
+                        slo_margin_s=1e-3)
         )
         batcher.offer(Request(0, 0, 1.0, deadline_s=1.005))
-        assert batcher.deadline() == pytest.approx(1.002)
+        assert batcher.deadline(self._predictor(2e-3)) == pytest.approx(1.002)
 
     def test_most_urgent_member_drives_the_close(self):
         batcher = DynamicBatcher(
-            BatchPolicy(max_batch_size=8, max_wait_s=10e-3, mode="slo"),
-            predictor=self._predictor(2e-3),
+            BatchPolicy(max_batch_size=8, max_wait_s=10e-3, mode="slo")
         )
+        predictor = self._predictor(2e-3)
         batcher.offer(Request(0, 0, 1.0, deadline_s=1.009))
-        assert batcher.deadline() == pytest.approx(1.007)
+        assert batcher.deadline(predictor) == pytest.approx(1.007)
         batcher.offer(Request(1, 1, 1.001, deadline_s=1.004))
         # The new, tighter member pulls the close earlier.
-        assert batcher.deadline() == pytest.approx(1.002)
+        assert batcher.deadline(predictor) == pytest.approx(1.002)
 
     def test_infeasible_deadline_floors_at_newest_arrival(self):
         """A deadline that cannot be met even by closing now closes
@@ -194,28 +198,26 @@ class TestSloBatcher:
             return max(at, drain_until) + 2e-3
 
         batcher = DynamicBatcher(
-            BatchPolicy(max_batch_size=8, max_wait_s=10e-3, mode="slo"),
-            predictor=queued_predictor,
+            BatchPolicy(max_batch_size=8, max_wait_s=10e-3, mode="slo")
         )
         batcher.offer(Request(0, 0, 1.0, deadline_s=1.004))
-        assert batcher.deadline() == pytest.approx(1.0)
-        assert batcher.expired(1.0)
+        deadline = batcher.deadline(queued_predictor)
+        assert deadline == pytest.approx(1.0)
+        assert batcher.expired(1.0, deadline)
 
     def test_deadline_free_members_fall_back_to_max_wait(self):
         batcher = DynamicBatcher(
-            BatchPolicy(max_batch_size=8, max_wait_s=2e-3, mode="slo"),
-            predictor=self._predictor(1e-3),
+            BatchPolicy(max_batch_size=8, max_wait_s=2e-3, mode="slo")
         )
         batcher.offer(Request(0, 0, 1.0))
-        assert batcher.deadline() == pytest.approx(1.002)
+        assert batcher.deadline(self._predictor(1e-3)) == pytest.approx(1.002)
 
     def test_uncalibrated_predictor_falls_back_to_max_wait(self):
         batcher = DynamicBatcher(
-            BatchPolicy(max_batch_size=8, max_wait_s=2e-3, mode="slo"),
-            predictor=lambda n, at: None,
+            BatchPolicy(max_batch_size=8, max_wait_s=2e-3, mode="slo")
         )
         batcher.offer(Request(0, 0, 1.0, deadline_s=1.0005))
-        assert batcher.deadline() == pytest.approx(1.002)
+        assert batcher.deadline(lambda n, at: None) == pytest.approx(1.002)
 
 
 class TestSloServing:

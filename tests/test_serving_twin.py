@@ -52,7 +52,7 @@ from repro.serving.request import Request
 from repro.serving.sharding import PARTITIONED
 from repro.serving.twin import ServingTwin, TwinCache, config_digest
 from repro.sim.events import DataMovement, FlashMaintenance
-from repro.sim.snapshot import SNAPSHOT_VERSION
+from repro.sim.snapshot import SNAPSHOT_VERSION, state_digest
 
 from test_serving_parity import (
     CASES,
@@ -63,8 +63,10 @@ from test_serving_parity import (
     POOL,
     REQUESTS,
     STREAM_SEED,
+    _SLO_KWARGS,
     _digest,
     _run_case,
+    _stream,
 )
 
 
@@ -377,6 +379,117 @@ class TestMidFlightCheckpoints:
         assert _digest(report, resumed.stream_requests) == _digest(
             reference, ref_requests
         )
+
+
+# ---- the generic capture covers the whole session ------------------------
+
+class TestSnapshotCoversSession:
+    """Snapshot captures every frontend attribute not declared wiring.
+
+    Two frontends between them switch on every stateful component: a
+    partitioned pool with flash, rebalancing, metrics windows,
+    coalescing, the cache and a span tracer, and a replicated pool with
+    autoscaling, the slo policy and priority admission.  Each is frozen
+    mid-stream.  The capture must hash (``state_digest`` rejects a
+    callable, so wiring left in session state fails here), its session
+    keys must be exactly the frontend's attributes minus
+    ``_WIRING``, and restore-then-finish must be byte-identical to the
+    uninterrupted run.
+    """
+
+    def _check(self, factory, config, make_requests, pool, traced=False):
+        def tracer():
+            return SpanTracer() if traced else None
+
+        ref_requests = make_requests()
+        reference = ServingFrontend(factory(), config, tracer=tracer()).run(
+            ref_requests, pool
+        )
+
+        live = ServingFrontend(factory(), config, tracer=tracer())
+        requests = make_requests()
+        live.stream_begin(pool, calibrate_k=max(r.k for r in requests))
+        live.stream_extend(requests)
+        live.stream_step(requests[len(requests) // 2].arrival_s)
+        snapshot = live.snapshot()
+        state_digest(snapshot.state)  # the full capture, _batch_seq too
+        session = snapshot.state["session"]
+        assert set(vars(live)) - ServingFrontend._WIRING == set(session)
+        assert not ServingFrontend._WIRING & set(session)
+
+        resumed = ServingFrontend(factory(), config, tracer=tracer())
+        resumed.restore(snapshot, pool)
+        report = resumed.stream_finish()
+        assert _report_bytes(report) == _report_bytes(reference)
+        assert _digest(report, resumed.stream_requests) == _digest(
+            reference, ref_requests
+        )
+        return reference, resumed
+
+    def test_partitioned_flash_rebalance_windows_traced(
+        self, corpus_and_pool
+    ):
+        vectors, pool = corpus_and_pool
+        config = ServingConfig(
+            policy=BatchPolicy(max_batch_size=16, max_wait_s=2e-3),
+            nprobe=1,
+            cache_capacity=64,
+            coalesce=True,
+            rebalance=RebalancePolicy(
+                interval_s=2e-3, skew_threshold=0.05, min_window_queries=1,
+            ),
+            flash=FlashConfig(
+                read_disturb_threshold=200, ecc_hard_failure_prob=0.05
+            ),
+            metrics_window_s=1e-3,
+        )
+
+        def factory():
+            return build_router(
+                vectors, num_shards=4, config=NDSearchConfig.scaled(),
+                mode=PARTITIONED, seed=35, clusters_per_shard=2,
+            )
+
+        reference, _ = self._check(
+            factory, config,
+            lambda: _poisson_stream(rate=16000.0, zipf=1.2), pool,
+            traced=True,
+        )
+        # Every component the guard claims to cover did work.
+        assert reference.rebalance_events
+        assert reference.flash["refreshes"] > 0
+        assert reference.coalesced > 0 and reference.cache_hits > 0
+        assert reference.timeseries is not None
+
+    def test_replicated_autoscale_slo_priority(self, corpus_and_pool):
+        vectors, pool = corpus_and_pool
+        config = ServingConfig(
+            policy=BatchPolicy(
+                max_batch_size=4, max_wait_s=20e-3, mode="slo",
+                slo_margin_s=3e-4,
+            ),
+            cache_capacity=0,
+            coalesce=False,
+            admission_capacity=48,
+            priority_admission=True,
+            autoscale=AutoscalePolicy(
+                min_replicas=1, max_replicas=4, interval_s=2e-3,
+                high_utilization=0.7, high_queue_depth=8.0,
+            ),
+        )
+
+        def factory():
+            return build_router(
+                vectors, num_shards=1, config=NDSearchConfig.scaled()
+            )
+
+        reference, resumed = self._check(
+            factory, config,
+            lambda: _stream(PoissonArrivals(25000.0), **_SLO_KWARGS), pool,
+        )
+        assert reference.scale_events
+        assert resumed.admission.preemptions > 0
+        assert reference.deadline_total > 0
 
 
 # ---- the digital twin ----------------------------------------------------
