@@ -127,8 +127,8 @@ OBS_WINDOW_S = 1e-3
 #: routing what-ifs fork from its checkpoints instead of re-simulating
 #: the shared warm prefix.  Rows carry only deterministic fields (no
 #: wall clocks), keeping the pooled sweep payload byte-identical to
-#: the serial one; the wall-clock speedup gate lives in
-#: ``profile_serving.py`` (the ``twin-whatif`` trajectory entry).
+#: the serial one; the wall-clock speedup gate is the tier-1 test
+#: ``test_serving_twin.py::test_null_whatif_beats_scratch_by_5x``.
 TWIN_WINDOW_S = 20e-3
 
 CORPUS, DIM, POOL, REQUESTS, K = 800, 16, 128, 400, 10

@@ -11,7 +11,7 @@ Rule     Invariant
 =======  ==============================================================
 DET001   no ``id()``-keyed dicts/caches (the PR 1 collision class)
 DET002   no wall-clock/OS-entropy reads in simulation code
-         (``repro.obs.profile`` and ``repro.sim.pool`` are allowlisted)
+         (only ``repro.sim.pool`` is allowlisted)
 DET003   no global-state or unseeded RNG (seeded ``default_rng`` only)
 DET004   no ordering-sensitive iteration over set expressions in
          ``src/repro`` (wrap in ``sorted(...)``)

@@ -15,11 +15,10 @@ from .context import FileContext
 from .findings import Finding
 from .registry import Rule, register
 
-# Modules that legitimately read the wall clock: the profiler measures
-# host speed by design, and the worker pool times subprocess RPC.
-WALL_CLOCK_ALLOWED_MODULES = frozenset(
-    {"repro.obs.profile", "repro.sim.pool"}
-)
+# Modules that legitimately read the wall clock: the worker pool times
+# subprocess RPC.  Host-speed measurement lives outside the package, in
+# benchmarks/e2e.
+WALL_CLOCK_ALLOWED_MODULES = frozenset({"repro.sim.pool"})
 
 # Qualified callables whose results depend on wall clock or OS entropy.
 WALL_CLOCK_CALLS = frozenset(
@@ -190,8 +189,8 @@ class WallClock(Rule):
                     f"{qual}() reads the wall clock / OS entropy inside "
                     "simulation code; use the simulated clock "
                     "(EventLoop.now / event.time) or a seeded source. "
-                    "Host-time measurement belongs in repro.obs.profile "
-                    "or repro.sim.pool.",
+                    "Host-time measurement belongs in benchmarks/e2e; "
+                    "only repro.sim.pool reads the wall clock.",
                 )
 
 

@@ -1,8 +1,7 @@
 """repro.obs — observability for the discrete-event serving stack.
 
 The serving layer answers *what* a deployment sustains (QPS, p99,
-shed rate); this package answers *why*, and whether the simulator
-itself is holding its speed PR over PR:
+shed rate); this package answers *why*:
 
 * :mod:`repro.obs.trace` — a request-span tracer over the event
   kernel: per-request lifecycle spans (arrival → admission / shed /
@@ -18,35 +17,23 @@ itself is holding its speed PR over PR:
   *event-time* windows, turning the end-of-run scalar report into time
   series (queue depth, per-device utilization, p99-within-window,
   shed and hit rates).
-* :mod:`repro.obs.profile` — a run profiler recording wall-clock,
-  kernel events processed per second and peak RSS per configuration;
-  it writes the repo's ``BENCH_serving.json`` perf trajectory and
-  backs the CI events/sec regression gate.
 
 Everything here is observe-only: tracers and window registries read
 values the frontend already computed and never feed back into
 scheduling, routing or timing — observability is zero-perturbation by
 construction, and the parity suite proves it.
+
+How fast the simulator itself runs is measured outside the package, by
+``benchmarks/e2e`` (served requests per calibrated host-second, with a
+per-layer time table under ``--trace 1``).
 """
 
-from repro.obs.profile import (
-    ProfileRecord,
-    RunProfiler,
-    calibrate_events_per_sec,
-    check_regression,
-    peak_rss_bytes,
-)
 from repro.obs.trace import NullTracer, SpanTracer, Tracer
 from repro.obs.windows import WindowedMetrics
 
 __all__ = [
     "NullTracer",
-    "ProfileRecord",
-    "RunProfiler",
     "SpanTracer",
     "Tracer",
     "WindowedMetrics",
-    "calibrate_events_per_sec",
-    "check_regression",
-    "peak_rss_bytes",
 ]

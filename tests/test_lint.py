@@ -139,8 +139,10 @@ class TestDet002:
 
     def test_profiler_and_pool_allowlisted(self):
         src = "import time\nt0 = time.perf_counter()\n"
-        assert rules_of(src, module="repro.obs.profile") == []
         assert rules_of(src, module="repro.sim.pool") == []
+        # The events/sec profiler is gone; its module name is no
+        # longer exempt.
+        assert "DET002" in rules_of(src, module="repro.obs.profile")
 
     def test_out_of_package_code_not_in_scope(self):
         # Tests/benchmarks measure wall-clock freely; the rule guards

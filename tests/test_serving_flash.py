@@ -44,7 +44,8 @@ def corpus_and_pool():
     return vectors, pool
 
 
-def _run(vectors, pool, *, flash, tracer=None, rebalance=None, zipf=1.2):
+def _run(vectors, pool, *, flash, tracer=None, rebalance=None, zipf=1.2,
+         rate=16000.0, n_requests=REQUESTS):
     # The bench_serving --flash cell: a partitioned pool under skewed
     # Zipfian load with nprobe=1, so the hot clusters' blocks see
     # disproportionate disturb.  A fresh router per run — flash wear
@@ -54,9 +55,9 @@ def _run(vectors, pool, *, flash, tracer=None, rebalance=None, zipf=1.2):
         mode=PARTITIONED, seed=35, clusters_per_shard=2,
     )
     stream = QueryStream(
-        PoissonArrivals(16000.0),
+        PoissonArrivals(rate),
         pool_size=POOL,
-        n_requests=REQUESTS,
+        n_requests=n_requests,
         k=K,
         zipf_exponent=zipf,
         seed=33,
@@ -173,4 +174,29 @@ class TestObservability:
         assert (
             report.counters["loop_events_FlashMaintenance"]
             <= report.flash["refreshes"]
+        )
+
+
+class TestBusyWithinHorizon:
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: booked device work ends after the last "
+               "request completes. At 800 requests and 20,000/s, shard 3 "
+               "reads utilization 1.1216: the horizon (first arrival to "
+               "last completion) is 0.0880 s, the union of the shard's "
+               "busy intervals is 0.0988 s and its last booking ends at "
+               "0.0994 s. Its 206 bookings have monotone starts and do "
+               "not overlap, so ShardDevice._book_busy's monotonicity "
+               "assumption holds; the horizon does not count work that "
+               "ends after the last completion. The fix changes reported "
+               "output and belongs in its own change.",
+    )
+    def test_shard_utilization_at_most_one(self, corpus_and_pool):
+        """Per-device busy time never exceeds the report's horizon."""
+        vectors, pool = corpus_and_pool
+        report, _ = _run(
+            vectors, pool, flash=FLASH, rate=20000.0, n_requests=800
+        )
+        assert all(u <= 1.0 for u in report.shard_utilization), (
+            report.shard_utilization
         )

@@ -29,6 +29,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -645,6 +646,86 @@ class TestServingTwin:
         assert config_digest(a) != config_digest(
             dataclasses.replace(a, nprobe=2)
         )
+
+
+# ---- the twin's wall-clock speedup gate -----------------------------------
+
+#: A no-delta what-if restores the last checkpoint and re-simulates only
+#: the final window, so it must answer at least this much faster than a
+#: from-scratch run of the same stream.
+TWIN_SPEEDUP_MIN = 5.0
+TWIN_WINDOW_S = 2e-3
+#: Timed repeats per side; the fastest counts, so one descheduled round
+#: on a shared host does not decide the gate.
+TWIN_ROUNDS = 2
+
+
+def _price_afresh(router):
+    """Drop the router's priced SearSSD batches; compiled traces stay.
+
+    The backends come from the shared build cache, so without this a
+    repeated run would read every batch price back from the previous
+    run's memo instead of pricing it the way a changed input would.
+    """
+    for backend in router.backends:
+        backend.model.system._model._batches.clear()
+
+
+def _best_wall(run, reset=lambda: None):
+    """Fastest of :data:`TWIN_ROUNDS` timed calls of ``run`` (each
+    after an untimed ``reset``), and the last call's result."""
+    walls = []
+    for _ in range(TWIN_ROUNDS):
+        reset()
+        t0 = time.perf_counter()
+        result = run()
+        walls.append(time.perf_counter() - t0)
+    return min(walls), result
+
+
+def test_null_whatif_beats_scratch_by_5x(corpus_and_pool):
+    """Partitioned x4 with ``nprobe=1``, 800 requests at 20,000/s and
+    2 ms checkpoints: the no-delta what-if is byte-identical to the
+    from-scratch report and at least :data:`TWIN_SPEEDUP_MIN` x faster."""
+    vectors, pool = corpus_and_pool
+    config = ServingConfig(policy=_policy(), nprobe=1, **_BATCH_CFG)
+
+    def factory():
+        return build_router(
+            vectors, num_shards=4, config=NDSearchConfig.scaled(),
+            mode=PARTITIONED, seed=35,
+        )
+
+    def stream():
+        return QueryStream(
+            PoissonArrivals(20000.0), pool_size=POOL, n_requests=800, k=K,
+            seed=STREAM_SEED,
+        ).generate()
+
+    def scratch():
+        router = factory()
+        _price_afresh(router)
+        return ServingFrontend(router, config).run(stream(), pool)
+
+    twin = ServingTwin(
+        factory, config, pool, window_s=TWIN_WINDOW_S, calibrate_k=K
+    )
+    twin.ingest(stream())
+    twin.finish()
+
+    def reset_twin():
+        twin.cache = TwinCache()
+        _price_afresh(twin.frontend.router)
+
+    whatif_s, answer = _best_wall(twin.whatif, reset_twin)
+    scratch_s, reference = _best_wall(scratch)
+    assert _report_bytes(answer) == _report_bytes(reference)
+    speedup = scratch_s / whatif_s
+    assert speedup >= TWIN_SPEEDUP_MIN, (
+        f"no-delta what-if is only {speedup:.1f}x faster than from-scratch "
+        f"(need >= {TWIN_SPEEDUP_MIN:g}x): {whatif_s:.4f}s vs "
+        f"{scratch_s:.4f}s"
+    )
 
 
 # ---- ServingReport.twin round-trip (satellite: report surface) -----------

@@ -1,7 +1,7 @@
 """The warm worker pool: determinism, crash recovery, clean shutdown.
 
 The contract :mod:`repro.sim.pool` offers the sweep drivers
-(``bench_serving``, ``profile_serving``, the randomized property job):
+(``bench_serving`` and the randomized property job):
 
 * pooled output is **byte-identical** to the serial sweep for the same
   seeds — results merge in row order, never completion order;
