@@ -3,7 +3,9 @@ pipelined-vs-blocking device comparison.
 
 The online analogue of Figs. 13/19: the same frontend, stream seed and
 corpus across every cell, varying only the batching policy, the size of
-the replicated device pool and the offered load.  Expected shape:
+the replicated device pool and the offered load.  Every cell is a
+:data:`repro.serving.scenario.SCENARIOS` entry or a
+``dataclasses.replace`` of one.  Expected shape:
 
 * batching beats greedy dispatch at high load (larger batches fill the
   LUN-level parallelism — the Fig. 19 effect, now under queueing);
@@ -17,32 +19,28 @@ the replicated device pool and the offered load.  Expected shape:
   pool) cuts per-query device work proportionally to nprobe while
   recall falls gracefully toward — and matches exactly at
   nprobe = num_shards — the broadcast result;
-* with ``--slo``: deadline-driven batch closing (the ``slo`` policy's
-  drain-time prediction) misses fewer deadlines than a fixed max-wait
-  at every deadline, miss rate falls monotonically as the deadline
-  loosens, and high-priority attainment stays >= 95%;
-* with ``--autoscale``: offered load above a static replica's capacity
-  — the autoscaled pool grows, sheds less and holds a lower p99 than
-  the static pool;
-* with ``--rebalance``: skewed Zipfian load on a partitioned pool
-  saturates the devices owning the popular clusters — migrating hot
-  IVF clusters to cold devices (data movement booked on both device
-  timelines) holds a lower p99 and a higher goodput than the static
-  placement;
-* with ``--flash``: the same skewed cell served through a live FTL
-  under every device — read disturb accumulates on the Zipfian-hot
-  clusters' blocks, refresh GC pauses inflate p99, relocation writes
-  amplify beyond the host's, and per-cluster erase counts skew with
-  popularity.
+* deadline-driven batch closing (the ``slo`` policy's drain-time
+  prediction) misses fewer deadlines than a fixed max-wait at every
+  deadline, miss rate falls monotonically as the deadline loosens,
+  and high-priority attainment stays >= 95%;
+* offered load above a static replica's capacity — the autoscaled
+  pool grows, sheds less and holds a lower p99 than the static pool;
+* skewed Zipfian load on a partitioned pool saturates the devices
+  owning the popular clusters — migrating hot IVF clusters to cold
+  devices (data movement booked on both device timelines) holds a
+  lower p99 and a higher goodput than the static placement;
+* the same skewed cell served through a live FTL under every device —
+  read disturb accumulates on the Zipfian-hot clusters' blocks,
+  refresh GC pauses inflate p99, relocation writes amplify beyond the
+  host's, and per-cluster erase counts skew with popularity.
 
 Besides the human-readable table, the sweep persists
-``benchmarks/results/serving_sweep.json`` for the perf-trajectory
-tooling (CI runs with every flag so the artifact carries the full
-sweep).
+``benchmarks/results/serving_sweep.json``, which CI uploads.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
@@ -51,25 +49,15 @@ import numpy as np
 
 from repro.analysis.reporting import format_table
 from repro.ann import BruteForceIndex, recall_at_k
-from repro.core.config import NDSearchConfig
-from repro.data.synthetic import clustered_gaussian, split_queries
 from repro.obs import SpanTracer
-import json
-
 from repro.serving import (
-    AutoscalePolicy,
     BatchPolicy,
-    FlashConfig,
     MMPPArrivals,
     PoissonArrivals,
-    QueryStream,
     RebalancePolicy,
-    ServingConfig,
-    ServingFrontend,
     ServingTwin,
-    build_router,
 )
-from repro.serving.sharding import PARTITIONED
+from repro.serving.scenario import SCENARIOS
 from repro.sim.pool import run_rows
 
 POLICIES = ("batch", "greedy")
@@ -79,45 +67,14 @@ RATES = (500.0, 20000.0)
 #: Bursty-arrival rates for the pipelined-vs-blocking comparison.
 PIPELINE_RATES = (10000.0, 40000.0)
 
-#: Shard count and offered rate for the broadcast-vs-selective rows.
-PARTITION_SHARDS = 4
-PARTITION_RATE = 2000.0
-
-#: High-priority deadlines for the SLO sweep (--slo); the best-effort
-#: class gets 4x the budget.  Monotone loosening: the deadline-miss
-#: rate must be non-increasing left to right.
+#: High-priority deadlines for the SLO sweep; the best-effort class
+#: gets 4x the budget.  Monotone loosening: the deadline-miss rate must
+#: be non-increasing left to right.
 SLO_DEADLINES_MS = (2.0, 4.0, 8.0, 16.0)
-SLO_RATE = 4000.0
-SLO_HIGH_FRAC = 0.25
-SLO_MARGIN_S = 3e-4
 
-#: Offered load / pool bounds for the static-vs-autoscaled comparison
-#: (--autoscale): far above one replica's capacity with small batches,
-#: so the static pool's in-service backlog fills the admission bound.
-AUTOSCALE_RATE = 25000.0
-AUTOSCALE_MAX_REPLICAS = 4
-AUTOSCALE_CAPACITY = 48
-
-#: Skewed partitioned workload for the static-vs-rebalanced comparison
-#: (--rebalance): Zipfian popularity + nprobe=1 routing concentrates
-#: load on the devices owning the hot clusters.
-REBALANCE_RATE = 16000.0
-REBALANCE_ZIPF = 1.2
-REBALANCE_SHARDS = 4
-REBALANCE_CLUSTERS_PER_SHARD = 2
-REBALANCE_SLO_S = 4e-3
 REBALANCE_POLICY = RebalancePolicy(
     interval_s=2e-3, skew_threshold=0.25, migration_gbps=1.0
 )
-
-#: Stateful-flash comparison (--flash): the rebalance sweep's skewed
-#: workload, served with and without a live FTL under every device.
-#: The disturb threshold is scaled down so refreshes fire at benchmark
-#: read volumes the way the real threshold fires at production ones;
-#: the 5% hard-decode failure rate is the paper's mid-late-lifetime
-#: regime (Fig. 18b sweeps up to 30%).
-FLASH_THRESHOLD = 200
-FLASH_ECC_PROB = 0.05
 
 #: Event-time window for the observability rerun's metrics time series.
 OBS_WINDOW_S = 1e-3
@@ -131,46 +88,29 @@ OBS_WINDOW_S = 1e-3
 #: ``test_serving_twin.py::test_null_whatif_beats_scratch_by_5x``.
 TWIN_WINDOW_S = 20e-3
 
-CORPUS, DIM, POOL, REQUESTS, K = 800, 16, 128, 400, 10
+#: The registry cells the sections vary (see repro.serving.scenario).
+HI = SCENARIOS["batch-x1-hi"]
+PARTITIONED = SCENARIOS["partitioned-broadcast"]
+SKEWED = SCENARIOS["partitioned-skewed-flash"]
+AUTOSCALED = SCENARIOS["autoscale-overload"]
 
 
-def _run_cell(
-    router, pool, *, arrivals, policy, pipelined, coalesce, zipf=0.0,
-    nprobe=None, priorities=(0,), weights=None, slo=None, admission=None,
-    autoscale=None, rebalance=None, flash=None, metrics_window_s=None,
-    tracer=None,
-):
-    stream = QueryStream(
-        arrivals,
-        pool_size=POOL,
-        n_requests=REQUESTS,
-        k=K,
-        zipf_exponent=zipf,
-        seed=33,
-        priorities=priorities,
-        priority_weights=weights,
-        slo_s=slo,
-    )
-    frontend = ServingFrontend(
-        router,
-        ServingConfig(
-            policy=policy,
-            cache_capacity=0,  # no cache noise in the sweeps
-            pipelined=pipelined,
-            coalesce=coalesce,
-            nprobe=nprobe,
-            admission_capacity=admission,
-            autoscale=autoscale,
-            rebalance=rebalance,
-            flash=flash,
-            metrics_window_s=metrics_window_s,
-        ),
-        tracer=tracer,
-    )
-    return frontend.run(stream.generate(), pool)
+def _serving(scenario, **changes):
+    """``scenario`` with the given ``ServingConfig`` fields changed."""
+    return replace(scenario, serving=replace(scenario.serving, **changes))
 
 
-# ---- per-process warm state (shared by serial and pooled rows) ---------
+@lru_cache(maxsize=1)
+def _partition_reference():
+    """Exact ground truth + the replicated pool's offline results (the
+    "no partitioning" reference a deployment would compare to)."""
+    vectors, pool = HI.vectors_and_pool()
+    gt, _ = BruteForceIndex(vectors).search_batch(pool, HI.k)
+    replicated_ids, _, _ = HI.router().search_all(pool, HI.k)
+    return gt, replicated_ids, recall_at_k(replicated_ids, gt, HI.k)
+
+
+# ---- sweep rows: one pure function per cell family ---------------------
 # Every sweep row is a pure function of its spec: the corpus, query
 # pool and routers are deterministic builds from pinned seeds, and the
 # router build cache (repro.serving.sharding) makes repeated builds of
@@ -178,73 +118,12 @@ def _run_cell(
 # family reuses its indexes across all the rows keyed to it.
 
 
-@lru_cache(maxsize=1)
-def _dataset():
-    vectors = clustered_gaussian(CORPUS, DIM, seed=31)
-    pool = split_queries(vectors, POOL, seed=32)
-    return vectors, pool
-
-
-def _replicated_router(shards: int):
-    vectors, _ = _dataset()
-    return build_router(
-        vectors, num_shards=shards, config=NDSearchConfig.scaled()
-    )
-
-
-def _partitioned_router(clusters_per_shard: int | None = None):
-    vectors, _ = _dataset()
-    kwargs = {}
-    if clusters_per_shard is not None:
-        kwargs["clusters_per_shard"] = clusters_per_shard
-    return build_router(
-        vectors,
-        num_shards=PARTITION_SHARDS,
-        config=NDSearchConfig.scaled(),
-        mode=PARTITIONED,
-        seed=35,
-        **kwargs,
-    )
-
-
-def _cpu_spill_router():
-    # The CPU host with a spilling DRAM (the billion-scale analogue:
-    # the corpus does not fit, every access reads the SSD) has the
-    # fattest front stage, so it shows the pipeline overlap most
-    # clearly.
-    vectors, _ = _dataset()
-    config = NDSearchConfig.scaled()
-    spill_config = replace(
-        config, host=replace(config.host, dram_capacity_bytes=16 * 1024)
-    )
-    return build_router(
-        vectors, num_shards=2, config=spill_config, platform="cpu"
-    )
-
-
-@lru_cache(maxsize=1)
-def _partition_reference():
-    """Exact ground truth + the replicated pool's offline results (the
-    "no partitioning" reference a deployment would compare to)."""
-    vectors, pool = _dataset()
-    gt, _ = BruteForceIndex(vectors).search_batch(pool, K)
-    replicated_ids, _, _ = _replicated_router(1).search_all(pool, K)
-    return gt, replicated_ids, recall_at_k(replicated_ids, gt, K)
-
-
-# ---- sweep rows: one pure function per cell family ---------------------
-
-
 def _sweep_row(policy: str, shards: int, rate: float) -> dict:
-    _, pool = _dataset()
-    report = _run_cell(
-        _replicated_router(shards),
-        pool,
+    report, _ = replace(
+        _serving(HI, policy=BatchPolicy(mode=policy)),
+        num_shards=shards,
         arrivals=PoissonArrivals(rate),
-        policy=BatchPolicy(max_batch_size=32, max_wait_s=2e-3, mode=policy),
-        pipelined=True,
-        coalesce=False,  # uniform pool: nothing to coalesce
-    )
+    ).run()
     return {
         "policy": policy,
         "shards": shards,
@@ -258,32 +137,27 @@ def _sweep_row(policy: str, shards: int, rate: float) -> dict:
 
 
 def _pipeline_row(platform: str, rate: float) -> dict:
-    _, pool = _dataset()
-    router = (
-        _cpu_spill_router() if platform == "cpu" else _replicated_router(1)
+    # The CPU host with a spilling DRAM (the billion-scale analogue:
+    # the corpus does not fit, every access reads the SSD) has the
+    # fattest front stage, so it shows the pipeline overlap most
+    # clearly.
+    name = (
+        "cpu-spill-pipelined-bursty" if platform == "cpu"
+        else "pipelined-x1-bursty"
     )
-    cells = {}
-    for mode, pipelined in (("blocking", False), ("pipelined", True)):
-        cells[mode] = _run_cell(
-            router,
-            pool,
-            arrivals=MMPPArrivals(rate),
-            policy=BatchPolicy(max_batch_size=32, max_wait_s=2e-3),
-            pipelined=pipelined,
-            coalesce=False,
-        )
+    cell = replace(SCENARIOS[name], arrivals=MMPPArrivals(rate))
+    blocking, _ = _serving(cell, pipelined=False).run()
+    pipelined, _ = cell.run()
     return {
         "platform": platform,
         "arrivals": "mmpp",
         "rate": rate,
-        "qps_blocking": cells["blocking"].qps,
-        "qps_pipelined": cells["pipelined"].qps,
-        "p99_ms_blocking": cells["blocking"].latency_p99_s * 1e3,
-        "p99_ms_pipelined": cells["pipelined"].latency_p99_s * 1e3,
+        "qps_blocking": blocking.qps,
+        "qps_pipelined": pipelined.qps,
+        "p99_ms_blocking": blocking.latency_p99_s * 1e3,
+        "p99_ms_pipelined": pipelined.latency_p99_s * 1e3,
         "qps_gain": (
-            cells["pipelined"].qps / cells["blocking"].qps - 1.0
-            if cells["blocking"].qps > 0
-            else 0.0
+            pipelined.qps / blocking.qps - 1.0 if blocking.qps > 0 else 0.0
         ),
     }
 
@@ -293,48 +167,34 @@ def _partitioned_row(nprobe: int | None) -> dict:
     # the nprobe shards whose k-means centroids are nearest.  Recall is
     # measured offline on the query pool, against exact ground truth
     # and against the replicated pool's results.
-    _, pool = _dataset()
-    part_router = _partitioned_router()
+    cell = _serving(PARTITIONED, nprobe=nprobe)
+    _, pool = cell.vectors_and_pool()
+    router = cell.router()
     gt, replicated_ids, recall_replicated = _partition_reference()
     if nprobe is None:
-        ids, _, _ = part_router.search_all(pool, K)
+        ids, _, _ = router.search_all(pool, cell.k)
     else:
-        ids, _, _ = part_router.search_probed(pool, K, nprobe)
-    report = _run_cell(
-        part_router,
-        pool,
-        arrivals=PoissonArrivals(PARTITION_RATE),
-        policy=BatchPolicy(max_batch_size=32, max_wait_s=2e-3),
-        pipelined=True,
-        coalesce=False,
-        nprobe=nprobe,
-    )
+        ids, _, _ = router.search_probed(pool, cell.k, nprobe)
+    report, _ = cell.run()
     return {
         "routing": "broadcast" if nprobe is None else f"nprobe={nprobe}",
-        "nprobe": PARTITION_SHARDS if nprobe is None else nprobe,
+        "nprobe": cell.num_shards if nprobe is None else nprobe,
         "qps": report.qps,
         "p50_ms": report.latency_p50_s * 1e3,
         "p99_ms": report.latency_p99_s * 1e3,
         "probes_per_query": report.mean_probes_per_query,
         "shard_probes": list(report.shard_probe_counts),
         "energy_j": report.energy_j,
-        "recall": recall_at_k(ids, gt, K),
-        "recall_vs_replicated": recall_at_k(ids, replicated_ids, K),
+        "recall": recall_at_k(ids, gt, cell.k),
+        "recall_vs_replicated": recall_at_k(ids, replicated_ids, cell.k),
         "recall_replicated_baseline": recall_replicated,
     }
 
 
 def _coalesce_row(coalesce: bool) -> dict:
-    _, pool = _dataset()
-    report = _run_cell(
-        _replicated_router(1),
-        pool,
-        arrivals=MMPPArrivals(20000.0),
-        policy=BatchPolicy(max_batch_size=32, max_wait_s=2e-3),
-        pipelined=True,
-        coalesce=coalesce,
-        zipf=1.1,
-    )
+    report, _ = _serving(
+        SCENARIOS["coalesce-zipf-bursty"], coalesce=coalesce
+    ).run()
     return {
         "coalesce": coalesce,
         "searched": report.completed,
@@ -351,20 +211,10 @@ def _observability_row() -> dict:
     # exactly (asserted in the bench test); the full report travels
     # through :meth:`ServingReport.to_dict` and the Chrome trace is
     # persisted as a separate CI artifact by the bench test.
-    _, pool = _dataset()
     tracer = SpanTracer()
-    obs_report = _run_cell(
-        _replicated_router(1),
-        pool,
-        arrivals=PoissonArrivals(RATES[-1]),
-        policy=BatchPolicy(max_batch_size=32, max_wait_s=2e-3, mode="batch"),
-        pipelined=True,
-        coalesce=False,
-        metrics_window_s=OBS_WINDOW_S,
-        tracer=tracer,
-    )
+    report, _ = _serving(HI, metrics_window_s=OBS_WINDOW_S).run(tracer)
     return {
-        "report": obs_report.to_dict(),
+        "report": report.to_dict(),
         "trace": tracer.to_json(),
         "trace_events": len(tracer),
     }
@@ -373,30 +223,14 @@ def _observability_row() -> dict:
 def _slo_row(deadline_ms: float) -> dict:
     # Two priority classes share the stream (the high class carries the
     # tight deadline, the best-effort class 4x the budget); each
-    # deadline runs under the slo policy (drain-time-predicted closes)
-    # and under the classic max-wait policy, same stream and pool.
-    _, pool = _dataset()
-    slo_spec = {1: deadline_ms * 1e-3, 0: 4 * deadline_ms * 1e-3}
-    cells = {}
-    for mode in ("slo", "batch"):
-        # The margin absorbs service-model error (per-query trace
-        # variance around the affine fit); it only means anything to
-        # the slo policy.
-        cells[mode] = _run_cell(
-            _replicated_router(1),
-            pool,
-            arrivals=PoissonArrivals(SLO_RATE),
-            policy=BatchPolicy(
-                max_batch_size=32, max_wait_s=20e-3, mode=mode,
-                slo_margin_s=SLO_MARGIN_S if mode == "slo" else 0.0,
-            ),
-            pipelined=True,
-            coalesce=False,
-            priorities=(0, 1),
-            weights=(1.0 - SLO_HIGH_FRAC, SLO_HIGH_FRAC),
-            slo=slo_spec,
-        )
-    slo_report, batch_report = cells["slo"], cells["batch"]
+    # deadline runs under the slo policy (drain-time-predicted closes,
+    # with a margin absorbing service-model error) and under the
+    # classic max-wait policy, same stream and pool.
+    slo_s = {1: deadline_ms * 1e-3, 0: 4 * deadline_ms * 1e-3}
+    slo_report, _ = replace(SCENARIOS["slo-deadline-4ms"], slo_s=slo_s).run()
+    batch_report, _ = replace(
+        SCENARIOS["maxwait-deadline-4ms"], slo_s=slo_s
+    ).run()
     return {
         "deadline_ms": deadline_ms,
         "miss_rate_slo": slo_report.deadline_miss_rate,
@@ -416,28 +250,7 @@ def _slo_row(deadline_ms: float) -> dict:
 
 
 def _autoscale_row(scaled: bool) -> dict:
-    _, pool = _dataset()
-    policy = (
-        AutoscalePolicy(
-            min_replicas=1,
-            max_replicas=AUTOSCALE_MAX_REPLICAS,
-            interval_s=2e-3,
-            high_utilization=0.7,
-            high_queue_depth=8.0,
-        )
-        if scaled
-        else None
-    )
-    report = _run_cell(
-        _replicated_router(1),
-        pool,
-        arrivals=PoissonArrivals(AUTOSCALE_RATE),
-        policy=BatchPolicy(max_batch_size=4, max_wait_s=2e-3),
-        pipelined=True,
-        coalesce=False,
-        admission=AUTOSCALE_CAPACITY,
-        autoscale=policy,
-    )
+    report, _ = (AUTOSCALED if scaled else SCENARIOS["static-overload"]).run()
     return {
         "pool": "autoscaled" if scaled else "static",
         "qps": report.qps,
@@ -451,26 +264,12 @@ def _autoscale_row(scaled: bool) -> dict:
 
 
 def _rebalance_row(moved: bool) -> dict:
-    # A skewed Zipfian stream routed with nprobe=1 piles onto the
-    # devices owning the popular clusters; the rebalancer migrates hot
-    # clusters to cold devices.  Each run builds a fresh pool:
+    # The skewed cell on ideal storage; the rebalancer migrates hot
+    # clusters to cold devices.  Every run builds a fresh pool:
     # migration mutates the cluster placement.
-    _, pool = _dataset()
-    router = _partitioned_router(
-        clusters_per_shard=REBALANCE_CLUSTERS_PER_SHARD
-    )
-    report = _run_cell(
-        router,
-        pool,
-        arrivals=PoissonArrivals(REBALANCE_RATE),
-        policy=BatchPolicy(max_batch_size=16, max_wait_s=2e-3),
-        pipelined=True,
-        coalesce=False,
-        zipf=REBALANCE_ZIPF,
-        nprobe=1,
-        slo=REBALANCE_SLO_S,
-        rebalance=REBALANCE_POLICY if moved else None,
-    )
+    report, _ = _serving(
+        SKEWED, flash=None, rebalance=REBALANCE_POLICY if moved else None
+    ).run()
     return {
         "placement": "rebalanced" if moved else "static",
         "qps": report.qps,
@@ -487,33 +286,12 @@ def _rebalance_row(moved: bool) -> dict:
 
 
 def _flash_row(enabled: bool) -> dict:
-    # The rebalance sweep's skewed workload again (partitioned pool,
-    # Zipfian stream, nprobe=1), now with a live FTL + ECC under every
-    # device: cluster reads accumulate read disturb, hot blocks cross
-    # the threshold and refresh (a GC pause booked on the device), and
-    # LDPC retry storms jitter individual reads.  The flash-off leg is
-    # the same cell with ``flash=None`` — the parity baseline.
-    _, pool = _dataset()
-    router = _partitioned_router(
-        clusters_per_shard=REBALANCE_CLUSTERS_PER_SHARD
-    )
-    report = _run_cell(
-        router,
-        pool,
-        arrivals=PoissonArrivals(REBALANCE_RATE),
-        policy=BatchPolicy(max_batch_size=16, max_wait_s=2e-3),
-        pipelined=True,
-        coalesce=False,
-        zipf=REBALANCE_ZIPF,
-        nprobe=1,
-        slo=REBALANCE_SLO_S,
-        flash=FlashConfig(
-            read_disturb_threshold=FLASH_THRESHOLD,
-            ecc_hard_failure_prob=FLASH_ECC_PROB,
-        )
-        if enabled
-        else None,
-    )
+    # The skewed cell with a live FTL + ECC under every device: cluster
+    # reads accumulate read disturb, hot blocks cross the threshold and
+    # refresh (a GC pause booked on the device), and LDPC retry storms
+    # jitter individual reads.  The flash-off leg is the same cell with
+    # ``flash=None`` — the parity baseline.
+    report, _ = (SKEWED if enabled else _serving(SKEWED, flash=None)).run()
     row = {
         "storage": "flash" if enabled else "ideal",
         "qps": report.qps,
@@ -541,28 +319,15 @@ def _twin_base():
     forks from its checkpoints (warm-worker affinity keys the twin
     rows to the ``partitioned`` family, so pooled runs share it too).
     """
-    _, pool = _dataset()
+    _, pool = PARTITIONED.vectors_and_pool()
     twin = ServingTwin(
-        _partitioned_router,
-        ServingConfig(
-            policy=BatchPolicy(max_batch_size=32, max_wait_s=2e-3),
-            cache_capacity=0,
-            coalesce=False,
-        ),
+        PARTITIONED.router,
+        PARTITIONED.serving,
         pool,
         window_s=TWIN_WINDOW_S,
-        calibrate_k=K,
+        calibrate_k=PARTITIONED.k,
     )
-    twin.ingest(
-        QueryStream(
-            PoissonArrivals(PARTITION_RATE),
-            pool_size=POOL,
-            n_requests=REQUESTS,
-            k=K,
-            zipf_exponent=0.0,
-            seed=33,
-        ).generate()
-    )
+    twin.ingest(PARTITIONED.requests())
     return twin, twin.finish()
 
 
@@ -585,29 +350,18 @@ def _twin_row(nprobe) -> dict:
         "checkpoints": len(twin.checkpoints),
     }
     if nprobe == "keep":
-        _, pool = _dataset()
-        scratch = _run_cell(
-            _partitioned_router(),
-            pool,
-            arrivals=PoissonArrivals(PARTITION_RATE),
-            policy=BatchPolicy(max_batch_size=32, max_wait_s=2e-3),
-            pipelined=True,
-            coalesce=False,
-        )
+        scratch, _ = PARTITIONED.run()
+
+        def payload(report):
+            fields = report.to_dict()
+            fields.pop("twin", None)
+            return json.dumps(fields, sort_keys=True)
+
         row["identical"] = (
             json.dumps(answer.to_dict(), sort_keys=True)
             == json.dumps(scratch.to_dict(), sort_keys=True)
         )
-        row["base_matches_live"] = (
-            json.dumps(
-                {k: v for k, v in base_report.to_dict().items() if k != "twin"},
-                sort_keys=True,
-            )
-            == json.dumps(
-                {k: v for k, v in scratch.to_dict().items() if k != "twin"},
-                sort_keys=True,
-            )
-        )
+        row["base_matches_live"] = payload(base_report) == payload(scratch)
     return row
 
 
@@ -630,9 +384,7 @@ def bench_row(section: str, spec: dict) -> dict:
     return _SECTION_ROWS[section](**spec)
 
 
-def _row_specs(
-    slo: bool, autoscale: bool, rebalance: bool, flash: bool
-) -> list[tuple[str, str, dict]]:
+def _row_specs() -> list[tuple[str, str, dict]]:
     """The sweep matrix as ``(affinity_key, section, spec)`` rows, in
     the order the sections assemble.
 
@@ -654,34 +406,25 @@ def _row_specs(
             rows.append(
                 (key, "pipeline", {"platform": platform, "rate": rate})
             )
-    for nprobe in (None, 1, 2, PARTITION_SHARDS):
+    for nprobe in (None, 1, 2, PARTITIONED.num_shards):
         rows.append(("partitioned", "partitioned", {"nprobe": nprobe}))
     for coalesce in (False, True):
         rows.append(("replicated-x1", "coalescing", {"coalesce": coalesce}))
     rows.append(("replicated-x1", "observability", {}))
     for nprobe in ("keep", 1, 2):
         rows.append(("partitioned", "twin", {"nprobe": nprobe}))
-    if slo:
-        for deadline_ms in SLO_DEADLINES_MS:
-            rows.append(
-                ("replicated-x1", "slo", {"deadline_ms": deadline_ms})
-            )
-    if autoscale:
-        for scaled in (False, True):
-            rows.append(("replicated-x1", "autoscale", {"scaled": scaled}))
-    if rebalance:
-        for moved in (False, True):
-            rows.append(("partitioned", "rebalance", {"moved": moved}))
-    if flash:
-        for enabled in (False, True):
-            rows.append(("partitioned", "flash", {"enabled": enabled}))
+    for deadline_ms in SLO_DEADLINES_MS:
+        rows.append(("replicated-x1", "slo", {"deadline_ms": deadline_ms}))
+    for scaled in (False, True):
+        rows.append(("replicated-x1", "autoscale", {"scaled": scaled}))
+    for moved in (False, True):
+        rows.append(("partitioned", "rebalance", {"moved": moved}))
+    for enabled in (False, True):
+        rows.append(("partitioned", "flash", {"enabled": enabled}))
     return rows
 
 
-def collect(
-    slo: bool = False, autoscale: bool = False, rebalance: bool = False,
-    flash: bool = False, workers: int = 0,
-) -> dict:
+def collect(workers: int = 0) -> dict:
     """Run the sweep matrix; pooled over ``workers`` warm subprocesses
     when positive, serially in-process otherwise.
 
@@ -689,7 +432,7 @@ def collect(
     and the results merge in row order, so the pooled payload is
     byte-identical to the serial one.
     """
-    specs = _row_specs(slo, autoscale, rebalance, flash)
+    specs = _row_specs()
     outputs = run_rows(
         [
             (key, "bench_serving:bench_row", {"section": section, "spec": spec})
@@ -698,17 +441,10 @@ def collect(
         workers,
         path=[Path(__file__).resolve().parent],
     )
-    results: dict = {
-        "sweep": [],
-        "pipeline": [],
-        "partitioned": [],
-        "coalescing": [],
-        "observability": None,
-        "twin": [],
-    }
+    results: dict = {}
     for (_, section, _spec), output in zip(specs, outputs):
         if section == "observability":
-            results["observability"] = output
+            results[section] = output
         else:
             results.setdefault(section, []).append(output)
     return results
@@ -766,120 +502,110 @@ def run(results: dict | None = None) -> str:
             for r in results["partitioned"]
         ],
         title=(
-            f"partitioned x{PARTITION_SHARDS}: broadcast vs selective probing "
-            f"(replicated baseline recall "
+            f"partitioned x{PARTITIONED.num_shards}: broadcast vs selective "
+            f"probing (replicated baseline recall "
             f"{results['partitioned'][0]['recall_replicated_baseline']:.4f})"
         ),
     )
-    tables = [sweep_table, pipeline_table, partition_table]
-    if results.get("twin"):
-        tables.append(
-            format_table(
-                ["fork", "QPS", "p50 ms", "p99 ms", "probes/q", "searched",
-                 "note"],
-                [
-                    [
-                        r["routing"],
-                        f"{r['qps']:,.0f}",
-                        f"{r['p50_ms']:.3f}",
-                        f"{r['p99_ms']:.3f}",
-                        f"{r['probes_per_query']:.2f}",
-                        r["searched"],
-                        (
-                            "byte-identical to scratch"
-                            if r.get("identical")
-                            else "final window re-routed"
-                        ),
-                    ]
-                    for r in results["twin"]
-                ],
-                title=(
-                    f"incremental what-if forks off one warm prefix "
-                    f"(twin, {TWIN_WINDOW_S * 1e3:g} ms checkpoints, "
-                    f"{results['twin'][0]['checkpoints']} snapshots)"
+    twin_table = format_table(
+        ["fork", "QPS", "p50 ms", "p99 ms", "probes/q", "searched", "note"],
+        [
+            [
+                r["routing"],
+                f"{r['qps']:,.0f}",
+                f"{r['p50_ms']:.3f}",
+                f"{r['p99_ms']:.3f}",
+                f"{r['probes_per_query']:.2f}",
+                r["searched"],
+                (
+                    "byte-identical to scratch"
+                    if r.get("identical")
+                    else "final window re-routed"
                 ),
-            )
-        )
-    if "slo" in results:
-        tables.append(
-            format_table(
-                ["deadline ms", "miss slo", "miss wait", "hi attain slo",
-                 "hi attain wait", "goodput slo", "p99 slo", "p99 wait",
-                 "batch slo"],
-                [
-                    [
-                        f"{r['deadline_ms']:g}",
-                        f"{r['miss_rate_slo']:.1%}",
-                        f"{r['miss_rate_max_wait']:.1%}",
-                        f"{r['attainment_high_slo']:.1%}",
-                        f"{r['attainment_high_max_wait']:.1%}",
-                        f"{r['goodput_slo']:,.0f}",
-                        f"{r['p99_ms_slo']:.3f}",
-                        f"{r['p99_ms_max_wait']:.3f}",
-                        f"{r['mean_batch_slo']:.1f}",
-                    ]
-                    for r in results["slo"]
-                ],
-                title=(
-                    f"slo policy vs max-wait @ {SLO_RATE:g} QPS "
-                    f"(high-priority deadline sweep, best-effort = 4x)"
-                ),
-            )
-        )
-    if "rebalance" in results:
-        tables.append(
-            format_table(
-                ["placement", "QPS", "goodput", "p99 ms", "miss", "max util",
-                 "migr", "MB moved"],
-                [
-                    [
-                        r["placement"],
-                        f"{r['qps']:,.0f}",
-                        f"{r['goodput']:,.0f}",
-                        f"{r['p99_ms']:.3f}",
-                        f"{r['miss_rate']:.1%}",
-                        f"{r['max_util']:.0%}",
-                        len(r["migrations"]),
-                        f"{r['bytes_moved'] / 1e6:.2f}",
-                    ]
-                    for r in results["rebalance"]
-                ],
-                title=(
-                    f"static vs rebalanced partitioned x{REBALANCE_SHARDS} "
-                    f"@ {REBALANCE_RATE:g} QPS (zipf {REBALANCE_ZIPF:g}, "
-                    f"nprobe 1, "
-                    f"{REBALANCE_CLUSTERS_PER_SHARD} clusters/shard)"
-                ),
-            )
-        )
-    if "flash" in results:
-        tables.append(_flash_table(results["flash"]))
-    if "autoscale" in results:
-        tables.append(
-            format_table(
-                ["pool", "QPS", "shed", "shed rate", "p99 ms", "queue",
-                 "events", "replicas"],
-                [
-                    [
-                        r["pool"],
-                        f"{r['qps']:,.0f}",
-                        r["shed"],
-                        f"{r['shed_rate']:.1%}",
-                        f"{r['p99_ms']:.3f}",
-                        f"{r['mean_queue_depth']:.1f}",
-                        len(r["scale_events"]),
-                        r["replicas_final"],
-                    ]
-                    for r in results["autoscale"]
-                ],
-                title=(
-                    f"static vs autoscaled pool @ {AUTOSCALE_RATE:g} QPS "
-                    f"(capacity {AUTOSCALE_CAPACITY}, "
-                    f"max {AUTOSCALE_MAX_REPLICAS} replicas)"
-                ),
-            )
-        )
-    return "\n\n".join(tables)
+            ]
+            for r in results["twin"]
+        ],
+        title=(
+            f"incremental what-if forks off one warm prefix "
+            f"(twin, {TWIN_WINDOW_S * 1e3:g} ms checkpoints, "
+            f"{results['twin'][0]['checkpoints']} snapshots)"
+        ),
+    )
+    slo_table = format_table(
+        ["deadline ms", "miss slo", "miss wait", "hi attain slo",
+         "hi attain wait", "goodput slo", "p99 slo", "p99 wait",
+         "batch slo"],
+        [
+            [
+                f"{r['deadline_ms']:g}",
+                f"{r['miss_rate_slo']:.1%}",
+                f"{r['miss_rate_max_wait']:.1%}",
+                f"{r['attainment_high_slo']:.1%}",
+                f"{r['attainment_high_max_wait']:.1%}",
+                f"{r['goodput_slo']:,.0f}",
+                f"{r['p99_ms_slo']:.3f}",
+                f"{r['p99_ms_max_wait']:.3f}",
+                f"{r['mean_batch_slo']:.1f}",
+            ]
+            for r in results["slo"]
+        ],
+        title=(
+            f"slo policy vs max-wait @ "
+            f"{SCENARIOS['slo-deadline-4ms'].arrivals.rate_qps:g} QPS "
+            f"(high-priority deadline sweep, best-effort = 4x)"
+        ),
+    )
+    rebalance_table = format_table(
+        ["placement", "QPS", "goodput", "p99 ms", "miss", "max util",
+         "migr", "MB moved"],
+        [
+            [
+                r["placement"],
+                f"{r['qps']:,.0f}",
+                f"{r['goodput']:,.0f}",
+                f"{r['p99_ms']:.3f}",
+                f"{r['miss_rate']:.1%}",
+                f"{r['max_util']:.0%}",
+                len(r["migrations"]),
+                f"{r['bytes_moved'] / 1e6:.2f}",
+            ]
+            for r in results["rebalance"]
+        ],
+        title=(
+            f"static vs rebalanced partitioned x{SKEWED.num_shards} "
+            f"@ {SKEWED.arrivals.rate_qps:g} QPS (zipf "
+            f"{SKEWED.zipf_exponent:g}, nprobe 1, "
+            f"{SKEWED.clusters_per_shard} clusters/shard)"
+        ),
+    )
+    autoscale_table = format_table(
+        ["pool", "QPS", "shed", "shed rate", "p99 ms", "queue",
+         "events", "replicas"],
+        [
+            [
+                r["pool"],
+                f"{r['qps']:,.0f}",
+                r["shed"],
+                f"{r['shed_rate']:.1%}",
+                f"{r['p99_ms']:.3f}",
+                f"{r['mean_queue_depth']:.1f}",
+                len(r["scale_events"]),
+                r["replicas_final"],
+            ]
+            for r in results["autoscale"]
+        ],
+        title=(
+            f"static vs autoscaled pool @ "
+            f"{AUTOSCALED.arrivals.rate_qps:g} QPS (capacity "
+            f"{AUTOSCALED.serving.admission_capacity}, max "
+            f"{AUTOSCALED.serving.autoscale.max_replicas} replicas)"
+        ),
+    )
+    return "\n\n".join([
+        sweep_table, pipeline_table, partition_table, twin_table,
+        slo_table, rebalance_table, _flash_table(results["flash"]),
+        autoscale_table,
+    ])
 
 
 def _flash_table(rows: list[dict]) -> str:
@@ -904,15 +630,15 @@ def _flash_table(rows: list[dict]) -> str:
         ],
         title=(
             f"ideal vs stateful flash, partitioned "
-            f"x{REBALANCE_SHARDS} @ {REBALANCE_RATE:g} QPS "
-            f"(zipf {REBALANCE_ZIPF:g}, nprobe 1, disturb "
-            f"threshold {FLASH_THRESHOLD})"
+            f"x{SKEWED.num_shards} @ {SKEWED.arrivals.rate_qps:g} QPS "
+            f"(zipf {SKEWED.zipf_exponent:g}, nprobe 1, disturb "
+            f"threshold {SKEWED.serving.flash.read_disturb_threshold})"
         ),
     )
 
 
 def check_flash_rows(rows: list[dict]) -> None:
-    """The --flash acceptance assertions, shared by the pytest sweep
+    """The flash acceptance assertions, shared by the pytest sweep
     and the standalone tier-1 runner: the same skewed cell through a
     live FTL pays for its reads — GC refresh pauses inflate the tail,
     hot clusters wear their blocks harder than cold ones, and
@@ -936,17 +662,9 @@ def check_flash_rows(rows: list[dict]) -> None:
 
 
 def test_bench_serving(benchmark, record_table, record_json, request):
-    slo = request.config.getoption("--slo")
-    autoscale = request.config.getoption("--autoscale")
-    rebalance = request.config.getoption("--rebalance")
-    flash = request.config.getoption("--flash")
     workers = request.config.getoption("--workers")
     results = benchmark.pedantic(
-        lambda: collect(
-            slo=slo, autoscale=autoscale, rebalance=rebalance,
-            flash=flash, workers=workers,
-        ),
-        rounds=1, iterations=1,
+        lambda: collect(workers), rounds=1, iterations=1
     )
     # The Chrome trace goes to its own artifact (it is a standalone
     # Perfetto-loadable file, and it would bloat the sweep JSON).
@@ -992,11 +710,11 @@ def test_bench_serving(benchmark, record_table, record_json, request):
     # while recall degrades gracefully and monotonically.
     part = {r["routing"]: r for r in results["partitioned"]}
     broadcast = part["broadcast"]
-    full = part[f"nprobe={PARTITION_SHARDS}"]
+    full = part[f"nprobe={PARTITIONED.num_shards}"]
     assert full["qps"] == broadcast["qps"]
     assert full["p99_ms"] == broadcast["p99_ms"]
     assert full["recall"] == broadcast["recall"]
-    assert broadcast["probes_per_query"] == PARTITION_SHARDS
+    assert broadcast["probes_per_query"] == PARTITIONED.num_shards
     assert part["nprobe=1"]["probes_per_query"] == 1.0
     assert part["nprobe=1"]["energy_j"] < broadcast["energy_j"]
     by_nprobe = sorted(
@@ -1022,12 +740,12 @@ def test_bench_serving(benchmark, record_table, record_json, request):
     assert obs["qps"] == untraced["qps"]
     assert obs["latency_p99_s"] * 1e3 == untraced["p99_ms"]
     assert obs["counters"]["loop_events_total"] > 0
-    assert obs["counters"]["loop_events_Arrival"] == REQUESTS
+    assert obs["counters"]["loop_events_Arrival"] == HI.n_requests
     series = obs["timeseries"]
     assert series["window_s"] == OBS_WINDOW_S
     windows = series["windows"]
     assert sum(w["counters"]["completions"] for w in windows) == obs["completed"]
-    assert sum(w["counters"]["arrivals"] for w in windows) == REQUESTS
+    assert sum(w["counters"]["arrivals"] for w in windows) == HI.n_requests
     assert results["observability"]["trace_events"] == len(trace["traceEvents"])
     assert trace["traceEvents"], "traced run recorded no events"
     for event in trace["traceEvents"]:
@@ -1051,70 +769,65 @@ def test_bench_serving(benchmark, record_table, record_json, request):
         < twin_rows["nprobe=2"]["probes_per_query"]
     )
 
-    # SLO sweep (--slo): loosening the deadline never raises the miss
-    # rate, the slo policy keeps >= 95% high-priority attainment, and
-    # it never misses more than the fixed max-wait policy it replaces.
-    if "slo" in results:
-        slo_rows = results["slo"]
-        for tight, loose in zip(slo_rows[:-1], slo_rows[1:]):
-            assert loose["miss_rate_slo"] <= tight["miss_rate_slo"] + 1e-9, (
-                tight, loose,
-            )
-        for r in slo_rows:
-            # Attainment must be earned, not vacuous: the high class
-            # actually gets served, and nearly all of it on time.
-            assert r["high_served_slo"] > 0, r
-            assert r["high_shed_slo"] == 0, r
-            assert r["attainment_high_slo"] >= 0.95, r
-            assert r["miss_rate_slo"] <= r["miss_rate_max_wait"] + 1e-9, r
+    # SLO sweep: loosening the deadline never raises the miss rate, the
+    # slo policy keeps >= 95% high-priority attainment, and it never
+    # misses more than the fixed max-wait policy it replaces.
+    slo_rows = results["slo"]
+    for tight, loose in zip(slo_rows[:-1], slo_rows[1:]):
+        assert loose["miss_rate_slo"] <= tight["miss_rate_slo"] + 1e-9, (
+            tight, loose,
+        )
+    for r in slo_rows:
+        # Attainment must be earned, not vacuous: the high class
+        # actually gets served, and nearly all of it on time.
+        assert r["high_served_slo"] > 0, r
+        assert r["high_shed_slo"] == 0, r
+        assert r["attainment_high_slo"] >= 0.95, r
+        assert r["miss_rate_slo"] <= r["miss_rate_max_wait"] + 1e-9, r
 
-    # Autoscaling (--autoscale): above a static replica's capacity the
-    # scaled pool sheds less and holds a lower p99.
-    if "autoscale" in results:
-        static, scaled = results["autoscale"]
-        assert static["pool"] == "static" and scaled["pool"] == "autoscaled"
-        assert static["shed"] > 0
-        assert scaled["shed"] < static["shed"]
-        assert scaled["p99_ms"] < static["p99_ms"]
-        assert scaled["scale_events"]
-        assert scaled["replicas_final"] > 1
+    # Autoscaling: above a static replica's capacity the scaled pool
+    # sheds less and holds a lower p99.
+    static, scaled = results["autoscale"]
+    assert static["pool"] == "static" and scaled["pool"] == "autoscaled"
+    assert static["shed"] > 0
+    assert scaled["shed"] < static["shed"]
+    assert scaled["p99_ms"] < static["p99_ms"]
+    assert scaled["scale_events"]
+    assert scaled["replicas_final"] > 1
 
-    # Rebalancing (--rebalance): under skewed Zipfian load the
-    # migrated placement beats the static one on tail latency and
-    # on-time throughput, by unloading the hottest device.
-    if "rebalance" in results:
-        static, moved = results["rebalance"]
-        assert static["placement"] == "static"
-        assert moved["placement"] == "rebalanced"
-        assert moved["migrations"], "skew never triggered a migration"
-        assert moved["bytes_moved"] > 0
-        assert moved["p99_ms"] < static["p99_ms"], (static, moved)
-        assert moved["goodput"] > static["goodput"], (static, moved)
-        assert moved["max_util"] < static["max_util"]
-        # The log replays onto the final placement (atomic commits).
-        placement = [
-            c % REBALANCE_SHARDS
-            for c in range(REBALANCE_SHARDS * REBALANCE_CLUSTERS_PER_SHARD)
-        ]
-        for event in moved["migrations"]:
-            assert placement[event["cluster"]] == event["source"]
-            placement[event["cluster"]] = event["dest"]
-        assert placement == moved["cluster_map_final"]
+    # Rebalancing: under skewed Zipfian load the migrated placement
+    # beats the static one on tail latency and on-time throughput, by
+    # unloading the hottest device.
+    static, moved = results["rebalance"]
+    assert static["placement"] == "static"
+    assert moved["placement"] == "rebalanced"
+    assert moved["migrations"], "skew never triggered a migration"
+    assert moved["bytes_moved"] > 0
+    assert moved["p99_ms"] < static["p99_ms"], (static, moved)
+    assert moved["goodput"] > static["goodput"], (static, moved)
+    assert moved["max_util"] < static["max_util"]
+    # The log replays onto the final placement (atomic commits).
+    placement = [
+        c % SKEWED.num_shards
+        for c in range(SKEWED.num_shards * SKEWED.clusters_per_shard)
+    ]
+    for event in moved["migrations"]:
+        assert placement[event["cluster"]] == event["source"]
+        placement[event["cluster"]] = event["dest"]
+    assert placement == moved["cluster_map_final"]
 
-    # Stateful flash (--flash): GC pauses shape the tail, wear skew
-    # follows read skew — the same assertions the standalone tier-1
-    # runner (`python benchmarks/bench_serving.py`) enforces.
-    if "flash" in results:
-        check_flash_rows(results["flash"])
+    # Stateful flash: GC pauses shape the tail, wear skew follows read
+    # skew — the same assertions the standalone tier-1 runner
+    # (`python benchmarks/bench_serving.py`) enforces.
+    check_flash_rows(results["flash"])
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Standalone flash sweep for tier-1 CI (no pytest-benchmark
+    """Standalone flash rows for tier-1 CI (no pytest-benchmark
     needed): run the ideal-vs-stateful-flash rows, assert the
     acceptance shape (GC-pause p99 inflation, erase skew following
     read skew, WA > 1) and write the wear/GC stats JSON artifact."""
     import argparse
-    import json
 
     parser = argparse.ArgumentParser(
         description="Run the ideal-vs-stateful-flash serving rows and "

@@ -22,35 +22,9 @@ RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
 
 def pytest_addoption(parser):
-    """Opt-in sweep sections for the serving benchmark.
-
-    ``--slo`` adds the deadline sweep (slo policy vs max-wait across
-    loosening deadlines), ``--autoscale`` the static-vs-autoscaled
-    overload comparison, ``--rebalance`` the static-vs-rebalanced
-    partitioned comparison under skewed Zipfian load and ``--flash``
-    the ideal-vs-stateful-flash comparison (live FTL + ECC under every
-    device) to ``bench_serving``; all extend
-    ``results/serving_sweep.json``.  CI runs with every flag so the
-    uploaded artifact carries the full sweep.
-    """
-    parser.addoption(
-        "--slo", action="store_true", default=False,
-        help="include the SLO deadline sweep in bench_serving",
-    )
-    parser.addoption(
-        "--autoscale", action="store_true", default=False,
-        help="include the static-vs-autoscaled sweep in bench_serving",
-    )
-    parser.addoption(
-        "--rebalance", action="store_true", default=False,
-        help="include the static-vs-rebalanced partitioned sweep "
-             "in bench_serving",
-    )
-    parser.addoption(
-        "--flash", action="store_true", default=False,
-        help="include the ideal-vs-stateful-flash sweep in "
-             "bench_serving",
-    )
+    """``--workers`` fans ``bench_serving``'s sweep rows (every section,
+    written to ``results/serving_sweep.json``) over warm worker
+    subprocesses."""
     from repro.sim.pool import workers_from_env
 
     parser.addoption(

@@ -36,20 +36,18 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from repro import platform as platform_registry
 from repro.ann import BruteForceIndex, HNSWIndex, HNSWParams, recall_at_k
-from repro.core import NDSearch, NDSearchConfig
-from repro.data.synthetic import clustered_gaussian, split_queries
+from repro.core import NDSearch
 from repro.obs import SpanTracer
-from repro.serving.arrivals import MMPPArrivals, PoissonArrivals, QueryStream
+from repro.serving.arrivals import MMPPArrivals, PoissonArrivals
 from repro.serving.autoscale import AutoscalePolicy
 from repro.serving.batcher import POLICY_MODES, BatchPolicy
-from repro.serving.frontend import ServingConfig, ServingFrontend
+from repro.serving.frontend import ServingConfig
 from repro.serving.rebalance import RebalancePolicy
 from repro.serving.request import Request
-from repro.serving.sharding import REPLICATED, SHARD_MODES, build_router
+from repro.serving.scenario import Scenario
+from repro.serving.sharding import REPLICATED, SHARD_MODES
 from repro.serving.storage import FlashConfig
 from repro.serving.twin import ServingTwin
 
@@ -144,8 +142,7 @@ def _report_bytes(report) -> bytes:
 
 def _twin_selftest(
     twin: ServingTwin,
-    serving_config: ServingConfig,
-    router_factory,
+    scenario: Scenario,
     pool,
     arrivals_path: str,
     whatifs: list[tuple[str, dict]],
@@ -159,9 +156,7 @@ def _twin_selftest(
     """
     failures: list[str] = []
     null_answer = twin.whatif()
-    scratch = ServingFrontend(router_factory(), serving_config).run(
-        _load_arrivals(arrivals_path), pool
-    )
+    scratch = scenario.frontend().run(_load_arrivals(arrivals_path), pool)
     if _report_bytes(null_answer) != _report_bytes(scratch):
         failures.append(
             "no-delta what-if is not byte-identical to a from-scratch "
@@ -181,7 +176,7 @@ def _twin_selftest(
     return failures
 
 
-def _run_follow(args, parser, serving_config, router_factory, pool, tracer):
+def _run_follow(args, parser, scenario, pool, tracer):
     """``--follow``: incremental ingest, windowed checkpoints, what-ifs."""
     window_s = args.window_ms * 1e-3
     if window_s <= 0.0:
@@ -199,8 +194,8 @@ def _run_follow(args, parser, serving_config, router_factory, pool, tracer):
     except ValueError as exc:
         parser.error(str(exc))
     twin = ServingTwin(
-        router_factory,
-        serving_config,
+        scenario.router,
+        scenario.serving,
         pool,
         window_s=window_s,
         tracer=tracer,
@@ -231,8 +226,7 @@ def _run_follow(args, parser, serving_config, router_factory, pool, tracer):
     exit_code = 0
     if args.twin_selftest:
         failures = _twin_selftest(
-            twin, serving_config, router_factory, pool, args.follow,
-            whatifs,
+            twin, scenario, pool, args.follow, whatifs
         )
         if failures:
             print(f"\nFAIL: twin self-test ({len(failures)} violation(s)):",
@@ -440,69 +434,6 @@ def main(argv: list[str] | None = None) -> int:
         f"corpus {args.corpus} x {args.dim}, pool {args.pool} queries, "
         f"{args.shards} x {args.backend} shard(s) [{args.mode}{routing}]"
     )
-    vectors = clustered_gaussian(args.corpus, args.dim, seed=args.seed)
-    pool = split_queries(vectors, args.pool, seed=args.seed + 1)
-    config = NDSearchConfig.scaled()
-
-    arrivals = (
-        PoissonArrivals(args.rate)
-        if args.arrivals == "poisson"
-        else MMPPArrivals(args.rate)
-    )
-    stream = QueryStream(
-        arrivals,
-        pool_size=args.pool,
-        n_requests=args.requests,
-        k=args.k,
-        zipf_exponent=args.zipf,
-        seed=args.seed,
-        priorities=priorities,
-        priority_weights=weights,
-        slo_s=slo_s,
-    )
-    if args.emit_arrivals:
-        requests = stream.generate()
-        _write_arrivals(args.emit_arrivals, requests)
-        print(f"arrivals: {len(requests)} requests -> {args.emit_arrivals}")
-        return 0
-
-    print("building shard pool ...")
-
-    def router_factory():
-        return build_router(
-            vectors,
-            num_shards=args.shards,
-            config=config,
-            mode=args.mode,
-            platform=args.backend,
-            seed=args.seed,
-            clusters_per_shard=args.clusters_per_shard,
-        )
-
-    router = router_factory()
-    policy = BatchPolicy(
-        max_batch_size=args.batch_size,
-        max_wait_s=args.max_wait_ms * 1e-3,
-        mode=args.policy,
-        slo_margin_s=args.slo_margin_ms * 1e-3,
-    )
-    autoscale = (
-        AutoscalePolicy(
-            max_replicas=args.autoscale_max,
-            interval_s=args.autoscale_interval_ms * 1e-3,
-        )
-        if args.autoscale
-        else None
-    )
-    rebalance = (
-        RebalancePolicy(
-            interval_s=args.rebalance_interval_ms * 1e-3,
-            skew_threshold=args.rebalance_skew,
-            migration_gbps=args.migration_gbps,
-        )
-        if args.rebalance
-        else None
-    )
     flash = None
     if args.flash:
         flash = (
@@ -510,34 +441,85 @@ def main(argv: list[str] | None = None) -> int:
             if args.flash_threshold is not None
             else FlashConfig()
         )
-    tracer = SpanTracer() if args.trace else None
-    serving_config = ServingConfig(
-        policy=policy,
-        cache_capacity=args.cache,
-        admission_capacity=args.admission,
-        pipelined=not args.blocking_devices,
-        coalesce=not args.no_coalesce,
-        nprobe=args.nprobe,
-        priority_admission=args.priority_admission,
-        autoscale=autoscale,
-        rebalance=rebalance,
-        flash=flash,
-        metrics_window_s=(
-            args.metrics_window_ms * 1e-3
-            if args.metrics_window_ms is not None
-            else None
+    scenario = Scenario(
+        corpus_size=args.corpus,
+        dim=args.dim,
+        corpus_seed=args.seed,
+        pool_size=args.pool,
+        pool_seed=args.seed + 1,
+        num_shards=args.shards,
+        mode=args.mode,
+        platform=args.backend,
+        router_seed=args.seed,
+        clusters_per_shard=args.clusters_per_shard,
+        arrivals=(
+            PoissonArrivals(args.rate)
+            if args.arrivals == "poisson"
+            else MMPPArrivals(args.rate)
+        ),
+        n_requests=args.requests,
+        k=args.k,
+        zipf_exponent=args.zipf,
+        stream_seed=args.seed,
+        priorities=priorities,
+        priority_weights=weights,
+        slo_s=slo_s,
+        serving=ServingConfig(
+            policy=BatchPolicy(
+                max_batch_size=args.batch_size,
+                max_wait_s=args.max_wait_ms * 1e-3,
+                mode=args.policy,
+                slo_margin_s=args.slo_margin_ms * 1e-3,
+            ),
+            cache_capacity=args.cache,
+            admission_capacity=args.admission,
+            pipelined=not args.blocking_devices,
+            coalesce=not args.no_coalesce,
+            nprobe=args.nprobe,
+            priority_admission=args.priority_admission,
+            autoscale=(
+                AutoscalePolicy(
+                    max_replicas=args.autoscale_max,
+                    interval_s=args.autoscale_interval_ms * 1e-3,
+                )
+                if args.autoscale
+                else None
+            ),
+            rebalance=(
+                RebalancePolicy(
+                    interval_s=args.rebalance_interval_ms * 1e-3,
+                    skew_threshold=args.rebalance_skew,
+                    migration_gbps=args.migration_gbps,
+                )
+                if args.rebalance
+                else None
+            ),
+            flash=flash,
+            metrics_window_s=(
+                args.metrics_window_ms * 1e-3
+                if args.metrics_window_ms is not None
+                else None
+            ),
         ),
     )
+    if args.emit_arrivals:
+        requests = scenario.requests()
+        _write_arrivals(args.emit_arrivals, requests)
+        print(f"arrivals: {len(requests)} requests -> {args.emit_arrivals}")
+        return 0
+
+    print("building shard pool ...")
+    vectors, pool = scenario.vectors_and_pool()
+    tracer = SpanTracer() if args.trace else None
     if args.follow:
-        return _run_follow(
-            args, parser, serving_config, router_factory, pool, tracer
-        )
-    frontend = ServingFrontend(router, serving_config, tracer=tracer)
+        return _run_follow(args, parser, scenario, pool, tracer)
+    frontend = scenario.frontend(tracer)
+    router = frontend.router
     print(
         f"serving {args.requests} requests at {args.rate:g} QPS "
         f"({args.arrivals}, zipf {args.zipf:g}) ..."
     )
-    report = frontend.run(stream.generate(), pool)
+    report = frontend.run(scenario.requests(), pool)
     if tracer is not None:
         tracer.write(args.trace)
         print(f"trace: {len(tracer)} events -> {args.trace}")
@@ -629,7 +611,7 @@ def main(argv: list[str] | None = None) -> int:
     sharded_ids, _, _ = router.search_all(pool, args.k)
     system = NDSearch(
         index=HNSWIndex(vectors, HNSWParams(M=8, ef_construction=48)),
-        config=config,
+        config=scenario.config,
     )
     unsharded_ids, _, _ = system.search_batch(pool, args.k)
     gt, _ = BruteForceIndex(vectors).search_batch(pool, args.k)

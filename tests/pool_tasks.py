@@ -47,36 +47,29 @@ def serving_digest(policy: str, rate: float) -> dict:
     and serial sweeps over the same rows must produce byte-identical
     results — the determinism contract the pool tests hold it to.
     """
-    from repro.core.config import NDSearchConfig
-    from repro.data.synthetic import clustered_gaussian, split_queries
-    from repro.serving import (
-        BatchPolicy,
-        PoissonArrivals,
-        QueryStream,
-        ServingConfig,
-        ServingFrontend,
-        build_router,
-    )
+    from dataclasses import replace
 
-    vectors = clustered_gaussian(200, 8, seed=7)
-    pool = split_queries(vectors, 32, seed=9)
-    router = build_router(
-        vectors, num_shards=1, config=NDSearchConfig.scaled()
-    )
-    requests = QueryStream(
-        PoissonArrivals(rate), pool_size=32, n_requests=80, k=5, seed=11
-    ).generate()
-    frontend = ServingFrontend(
-        router,
-        ServingConfig(
-            policy=BatchPolicy(
-                max_batch_size=16, max_wait_s=2e-3, mode=policy
-            ),
-            cache_capacity=0,
-            coalesce=False,
+    from repro.serving import BatchPolicy, PoissonArrivals
+    from repro.serving.scenario import SCENARIOS
+
+    base = SCENARIOS["batch-x1-hi"]
+    report, requests = replace(
+        base,
+        corpus_size=200,
+        dim=8,
+        corpus_seed=7,
+        pool_size=32,
+        pool_seed=9,
+        arrivals=PoissonArrivals(rate),
+        n_requests=80,
+        k=5,
+        zipf_exponent=1.0,
+        stream_seed=11,
+        serving=replace(
+            base.serving,
+            policy=BatchPolicy(max_batch_size=16, mode=policy),
         ),
-    )
-    report = frontend.run(requests, pool)
+    ).run()
     digest = hashlib.sha256()
     for request in requests:
         digest.update(

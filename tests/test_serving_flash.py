@@ -12,82 +12,41 @@ default) is the parity baseline pinned in ``test_serving_parity.py``.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
-from repro.core.config import NDSearchConfig
-from repro.data.synthetic import clustered_gaussian, split_queries
 from repro.obs import SpanTracer
-from repro.serving import (
-    BatchPolicy,
-    FlashConfig,
-    PoissonArrivals,
-    QueryStream,
-    RebalancePolicy,
-    ServingConfig,
-    ServingFrontend,
-    build_router,
+from repro.serving import PoissonArrivals, RebalancePolicy
+from repro.serving.scenario import SCENARIOS
+
+#: The skewed partitioned cell: a Zipfian stream routed with nprobe=1,
+#: so the hot clusters' blocks see disproportionate disturb, served
+#: through a live FTL whose disturb threshold is scaled down so the
+#: test's read volume trips refreshes the way production volumes trip
+#: the real threshold.
+FLASH_CELL = SCENARIOS["partitioned-skewed-flash"]
+IDEAL_CELL = replace(
+    FLASH_CELL, serving=replace(FLASH_CELL.serving, flash=None)
 )
-from repro.serving.sharding import PARTITIONED
-
-CORPUS, DIM, POOL, REQUESTS, K = 800, 16, 128, 400, 10
-
-#: Disturb threshold scaled down so the test's read volume trips
-#: refreshes the way production volumes trip the real threshold.
-FLASH = FlashConfig(read_disturb_threshold=200, ecc_hard_failure_prob=0.05)
 
 
-@pytest.fixture(scope="module")
-def corpus_and_pool():
-    vectors = clustered_gaussian(CORPUS, DIM, seed=31)
-    pool = split_queries(vectors, POOL, seed=32)
-    return vectors, pool
-
-
-def _run(vectors, pool, *, flash, tracer=None, rebalance=None, zipf=1.2,
-         rate=16000.0, n_requests=REQUESTS):
-    # The bench_serving --flash cell: a partitioned pool under skewed
-    # Zipfian load with nprobe=1, so the hot clusters' blocks see
-    # disproportionate disturb.  A fresh router per run — flash wear
-    # is mutable state and rebalance mutates placement.
-    router = build_router(
-        vectors, num_shards=4, config=NDSearchConfig.scaled(),
-        mode=PARTITIONED, seed=35, clusters_per_shard=2,
-    )
-    stream = QueryStream(
-        PoissonArrivals(rate),
-        pool_size=POOL,
-        n_requests=n_requests,
-        k=K,
-        zipf_exponent=zipf,
-        seed=33,
-        slo_s=4e-3,
-    )
-    frontend = ServingFrontend(
-        router,
-        ServingConfig(
-            policy=BatchPolicy(max_batch_size=16, max_wait_s=2e-3),
-            cache_capacity=0,
-            coalesce=False,
-            nprobe=1,
-            rebalance=rebalance,
-            flash=flash,
-        ),
-        tracer=tracer,
-    )
-    report = frontend.run(stream.generate(), pool)
-    return report, frontend
+def _run(scenario=FLASH_CELL, tracer=None):
+    # A fresh router per run — flash wear is mutable state and
+    # rebalance mutates placement.
+    _, pool = scenario.vectors_and_pool()
+    frontend = scenario.frontend(tracer)
+    return frontend.run(scenario.requests(), pool), frontend
 
 
 class TestDeterminism:
-    def test_same_seed_same_config_byte_identical(self, corpus_and_pool):
+    def test_same_seed_same_config_byte_identical(self):
         """Satellite 1: flash-on runs are exactly reproducible — the
         full report (flash wear summary included) serializes to the
         same bytes across two independent runs."""
-        vectors, pool = corpus_and_pool
         payloads = []
         for _ in range(2):
-            report, _ = _run(vectors, pool, flash=FLASH)
+            report, _ = _run()
             payloads.append(
                 json.dumps(report.to_dict(), sort_keys=True).encode()
             )
@@ -95,10 +54,9 @@ class TestDeterminism:
 
 
 class TestGCPausesShapeTail:
-    def test_refreshes_fire_and_inflate_p99(self, corpus_and_pool):
-        vectors, pool = corpus_and_pool
-        ideal, _ = _run(vectors, pool, flash=None)
-        stateful, _ = _run(vectors, pool, flash=FLASH)
+    def test_refreshes_fire_and_inflate_p99(self):
+        ideal, _ = _run(IDEAL_CELL)
+        stateful, _ = _run()
         assert ideal.flash is None
         assert stateful.flash is not None
         assert stateful.flash["refreshes"] > 0
@@ -107,13 +65,12 @@ class TestGCPausesShapeTail:
         # charging for its reads — and the tail pays for it.
         assert stateful.latency_p99_s > ideal.latency_p99_s
 
-    def test_pauses_are_booked_device_time(self, corpus_and_pool):
+    def test_pauses_are_booked_device_time(self):
         """Satellite 3: a refresh is not a latency fudge — it occupies
         the device's entry-stage FIFO (visible in ``stage_busy``), so
         queued batches drain later."""
-        vectors, pool = corpus_and_pool
-        _, plain = _run(vectors, pool, flash=None)
-        _, flashed = _run(vectors, pool, flash=FLASH)
+        _, plain = _run(IDEAL_CELL)
+        _, flashed = _run()
         plain_busy = sum(
             sum(d.stage_busy.values()) for d in plain.devices
         )
@@ -122,12 +79,11 @@ class TestGCPausesShapeTail:
         )
         assert flash_busy > plain_busy
 
-    def test_wear_skew_follows_popularity(self, corpus_and_pool):
+    def test_wear_skew_follows_popularity(self):
         """Zipfian-hot clusters wear their blocks: the most-read
         cluster accumulates at least as many erases as any other and
         strictly more than the least-read one."""
-        vectors, pool = corpus_and_pool
-        report, _ = _run(vectors, pool, flash=FLASH)
+        report, _ = _run()
         reads = report.flash["cluster_page_reads"]
         erases = report.flash["cluster_erases"]
         hot = max(reads, key=reads.get)
@@ -137,18 +93,23 @@ class TestGCPausesShapeTail:
         # Relocation writes amplify beyond the host's own programs.
         assert report.flash["write_amplification"] > 1.0
 
-    def test_migration_charges_program_erase(self, corpus_and_pool):
+    def test_migration_charges_program_erase(self):
         """Rebalance data movement is honest about write amplification:
         migrating a cluster programs its pages on the destination FTL
         and erases its blocks on the source, so nand writes grow beyond
         the no-migration run's."""
-        vectors, pool = corpus_and_pool
-        static, _ = _run(vectors, pool, flash=FLASH)
+        static, _ = _run()
         moved, _ = _run(
-            vectors, pool, flash=FLASH,
-            rebalance=RebalancePolicy(
-                interval_s=2e-3, skew_threshold=0.25, migration_gbps=1.0
-            ),
+            replace(
+                FLASH_CELL,
+                serving=replace(
+                    FLASH_CELL.serving,
+                    rebalance=RebalancePolicy(
+                        interval_s=2e-3, skew_threshold=0.25,
+                        migration_gbps=1.0,
+                    ),
+                ),
+            )
         )
         assert moved.rebalance_events, "skew never triggered a migration"
         assert (
@@ -159,13 +120,12 @@ class TestGCPausesShapeTail:
 
 
 class TestObservability:
-    def test_trace_carries_flash_lanes(self, corpus_and_pool):
+    def test_trace_carries_flash_lanes(self):
         """Refreshes and ECC retries render as their own trace spans
         (distinct from query stages and migrations), and the kernel
         telemetry counts the FlashMaintenance events."""
-        vectors, pool = corpus_and_pool
         tracer = SpanTracer()
-        report, _ = _run(vectors, pool, flash=FLASH, tracer=tracer)
+        report, _ = _run(tracer=tracer)
         payload = tracer.to_json()
         names = {e.get("name") for e in payload["traceEvents"]}
         assert "flash refresh" in names
@@ -191,11 +151,12 @@ class TestBusyWithinHorizon:
                "ends after the last completion. The fix changes reported "
                "output and belongs in its own change.",
     )
-    def test_shard_utilization_at_most_one(self, corpus_and_pool):
+    def test_shard_utilization_at_most_one(self):
         """Per-device busy time never exceeds the report's horizon."""
-        vectors, pool = corpus_and_pool
         report, _ = _run(
-            vectors, pool, flash=FLASH, rate=20000.0, n_requests=800
+            replace(
+                FLASH_CELL, arrivals=PoissonArrivals(20000.0), n_requests=800
+            )
         )
         assert all(u <= 1.0 for u in report.shard_utilization), (
             report.shard_utilization

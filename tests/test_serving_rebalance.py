@@ -3,72 +3,35 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.core.config import NDSearchConfig
 from repro.serving import (
-    AutoscalePolicy,
-    BatchPolicy,
-    PoissonArrivals,
-    QueryStream,
     RebalancePolicy,
     Rebalancer,
     ServingConfig,
     ServingFrontend,
-    build_router,
 )
 from repro.serving.request import COMPLETED
-from repro.serving.sharding import PARTITIONED
+from repro.serving.scenario import SCENARIOS
 
-CORPUS, DIM, POOL, REQUESTS, K = 800, 16, 128, 400, 10
-
-
-@pytest.fixture(scope="module")
-def config():
-    return NDSearchConfig.scaled()
+#: The skewed partitioned cell: a Zipfian stream routed with nprobe=1
+#: over 4 devices x 2 clusters, so the devices owning the popular
+#: clusters run hot.
+SKEWED = SCENARIOS["partitioned-skewed-flash"]
 
 
-@pytest.fixture(scope="module")
-def corpus_and_pool():
-    from repro.data.synthetic import clustered_gaussian, split_queries
-
-    vectors = clustered_gaussian(CORPUS, DIM, seed=31)
-    return vectors, split_queries(vectors, POOL, seed=32)
-
-
-def skewed_stream(rate=16000.0, zipf=1.2, seed=33, slo_s=4e-3):
-    return QueryStream(
-        PoissonArrivals(rate),
-        pool_size=POOL,
-        n_requests=REQUESTS,
-        k=K,
-        zipf_exponent=zipf,
-        seed=seed,
-        slo_s=slo_s,
-    ).generate()
-
-
-def run_partitioned(
-    vectors, pool, config, rebalance, *, nprobe=1, clusters_per_shard=2,
-    stream=None,
-):
-    router = build_router(
-        vectors, num_shards=4, config=config, mode=PARTITIONED, seed=35,
-        clusters_per_shard=clusters_per_shard,
+def run_partitioned(rebalance):
+    """Serve the skewed cell on ideal storage under ``rebalance``."""
+    scenario = replace(
+        SKEWED,
+        serving=replace(SKEWED.serving, flash=None, rebalance=rebalance),
     )
-    frontend = ServingFrontend(
-        router,
-        ServingConfig(
-            policy=BatchPolicy(max_batch_size=16, max_wait_s=2e-3),
-            cache_capacity=0,
-            coalesce=False,
-            nprobe=nprobe,
-            rebalance=rebalance,
-        ),
-    )
-    requests = stream if stream is not None else skewed_stream()
+    _, pool = scenario.vectors_and_pool()
+    frontend = scenario.frontend()
+    requests = scenario.requests()
     report = frontend.run(requests, pool)
     return report, requests, frontend
 
@@ -95,11 +58,8 @@ class TestPolicyValidation:
         with pytest.raises(ValueError):
             Rebalancer(REBALANCE, num_shards=1, num_clusters=2)
 
-    def test_rebalance_requires_partitioned_mode(
-        self, corpus_and_pool, config
-    ):
-        vectors, _ = corpus_and_pool
-        replicated = build_router(vectors, num_shards=2, config=config)
+    def test_rebalance_requires_partitioned_mode(self):
+        replicated = replace(SCENARIOS["batch-x1-hi"], num_shards=2).router()
         with pytest.raises(ValueError):
             ServingFrontend(
                 replicated, ServingConfig(rebalance=REBALANCE)
@@ -191,10 +151,9 @@ class TestDecisions:
 
 class TestEndToEnd:
     @pytest.fixture(scope="class")
-    def runs(self, corpus_and_pool, config):
-        vectors, pool = corpus_and_pool
-        static = run_partitioned(vectors, pool, config, None)
-        rebalanced = run_partitioned(vectors, pool, config, REBALANCE)
+    def runs(self):
+        static = run_partitioned(None)
+        rebalanced = run_partitioned(REBALANCE)
         return static, rebalanced
 
     def test_migrations_happen_and_are_recorded(self, runs):
@@ -239,21 +198,16 @@ class TestEndToEnd:
             static.shard_utilization
         )
 
-    def test_migration_cost_is_booked_on_both_devices(
-        self, corpus_and_pool, config
-    ):
+    def test_migration_cost_is_booked_on_both_devices(self):
         """Data movement occupies the source and destination timelines:
         with an absurdly slow migration link, serving gets slower, not
         faster (the cost is real, not free)."""
-        vectors, pool = corpus_and_pool
         free_ish = run_partitioned(
-            vectors, pool, config,
             RebalancePolicy(
                 interval_s=2e-3, skew_threshold=0.25, migration_gbps=1000.0,
             ),
         )[0]
         expensive = run_partitioned(
-            vectors, pool, config,
             RebalancePolicy(
                 interval_s=2e-3, skew_threshold=0.25, migration_gbps=1e-3,
             ),
@@ -281,41 +235,15 @@ class TestDeterminism:
         h.update(repr(report).encode())
         return h.hexdigest()
 
-    def test_rebalanced_run_is_bit_reproducible(
-        self, corpus_and_pool, config
-    ):
-        vectors, pool = corpus_and_pool
-
+    def test_rebalanced_run_is_bit_reproducible(self):
         def once():
-            report, requests, _ = run_partitioned(
-                vectors, pool, config, REBALANCE, stream=skewed_stream()
-            )
+            report, requests, _ = run_partitioned(REBALANCE)
             return self._digest(report, requests)
 
         assert once() == once()
 
-    def test_autoscaled_run_is_bit_reproducible(
-        self, corpus_and_pool, config
-    ):
-        vectors, pool = corpus_and_pool
-
+    def test_autoscaled_run_is_bit_reproducible(self):
         def once():
-            router = build_router(vectors, num_shards=1, config=config)
-            frontend = ServingFrontend(
-                router,
-                ServingConfig(
-                    policy=BatchPolicy(max_batch_size=4, max_wait_s=2e-3),
-                    cache_capacity=0,
-                    coalesce=False,
-                    admission_capacity=48,
-                    autoscale=AutoscalePolicy(
-                        min_replicas=1, max_replicas=4, interval_s=2e-3,
-                        high_utilization=0.7, high_queue_depth=8.0,
-                    ),
-                ),
-            )
-            requests = skewed_stream(rate=25000.0, zipf=0.0, slo_s=None)
-            report = frontend.run(requests, pool)
-            return self._digest(report, requests)
+            return self._digest(*SCENARIOS["autoscale-overload"].run())
 
         assert once() == once()

@@ -30,99 +30,56 @@ import copy
 import dataclasses
 import json
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.core.config import NDSearchConfig
 from repro.obs import SpanTracer
 from repro.serving import (
-    AutoscalePolicy,
-    BatchPolicy,
-    FlashConfig,
     PoissonArrivals,
-    QueryStream,
     RebalancePolicy,
     ServingConfig,
     ServingFrontend,
-    build_router,
 )
 from repro.serving.metrics import ServingReport
 from repro.serving.request import Request
-from repro.serving.sharding import PARTITIONED
+from repro.serving.scenario import SCENARIOS
 from repro.serving.twin import ServingTwin, TwinCache, config_digest
 from repro.sim.events import DataMovement, FlashMaintenance
 from repro.sim.snapshot import SNAPSHOT_VERSION, state_digest
 
-from test_serving_parity import (
-    CASES,
-    CORPUS,
-    DIM,
-    GOLDEN,
-    K,
-    POOL,
-    REQUESTS,
-    STREAM_SEED,
-    _SLO_KWARGS,
-    _digest,
-    _run_case,
-    _stream,
+from test_serving_parity import GOLDEN, _digest
+
+#: The skewed partitioned cell the flash and rebalance suites serve.
+SKEWED = SCENARIOS["partitioned-skewed-flash"]
+
+#: The replicated x4 pool at 2,000 QPS: the twin suite's base session.
+TWIN_CELL = replace(
+    SCENARIOS["batch-x4-lo"], arrivals=PoissonArrivals(2000.0)
 )
 
 
 @pytest.fixture(scope="module")
-def corpus_and_pool():
-    from repro.data.synthetic import clustered_gaussian, split_queries
-
-    vectors = clustered_gaussian(CORPUS, DIM, seed=31)
-    pool = split_queries(vectors, POOL, seed=32)
-    return vectors, pool
-
-
-def _fresh_routers(vectors):
-    """A fresh router wrapper per leg.
-
-    The snapshot legs must not share mutable router state (autoscaling
-    adds/removes replicas on its router); ``build_router`` memoizes the
-    expensive immutable artifacts by content, so fresh wrappers are
-    cheap.
-    """
-    config = NDSearchConfig.scaled()
-    spill = dataclasses.replace(
-        config, host=dataclasses.replace(
-            config.host, dram_capacity_bytes=16 * 1024
-        )
-    )
-    return {
-        "x1": build_router(vectors, num_shards=1, config=config),
-        "x4": build_router(vectors, num_shards=4, config=config),
-        "part4": build_router(
-            vectors, num_shards=4, config=config, mode=PARTITIONED, seed=35
-        ),
-        "cpu2": build_router(
-            vectors, num_shards=2, config=spill, platform="cpu"
-        ),
-        "overload": build_router(vectors, num_shards=1, config=config),
-    }
-
-
-def _poisson_stream(rate=2000.0, zipf=0.0):
-    return QueryStream(
-        PoissonArrivals(rate), pool_size=POOL, n_requests=REQUESTS, k=K,
-        zipf_exponent=zipf, seed=STREAM_SEED,
-    ).generate()
+def pool():
+    return TWIN_CELL.vectors_and_pool()[1]
 
 
 def _report_bytes(report):
     return json.dumps(report.to_dict(), sort_keys=True).encode()
 
 
-_BATCH_CFG = dict(cache_capacity=0, coalesce=False)
-
-
-def _policy():
-    return BatchPolicy(max_batch_size=32, max_wait_s=2e-3)
+def _paused(scenario, pool, tracer=None, at=None):
+    """A frontend over ``scenario`` stepped to the arrival of request
+    number ``at`` (default: the midpoint), and its requests."""
+    frontend = scenario.frontend(tracer)
+    requests = scenario.requests()
+    frontend.stream_begin(pool, calibrate_k=max(r.k for r in requests))
+    frontend.stream_extend(requests)
+    at = len(requests) // 2 if at is None else at
+    frontend.stream_step(requests[at].arrival_s)
+    return frontend, requests
 
 
 # ---- snapshot → restore → run parity vs the pinned digests ---------------
@@ -134,33 +91,24 @@ class TestSnapshotRestoreParity:
     @pytest.mark.parametrize(
         "traced", (False, True), ids=("plain", "traced")
     )
-    @pytest.mark.parametrize("name", CASES)
-    def test_restore_hits_golden_digest(
-        self, name, traced, corpus_and_pool
-    ):
-        vectors, pool = corpus_and_pool
-        tracer = SpanTracer() if traced else None
-        window = 1e-3 if traced else None
-        frontend, requests = _run_case(
-            name, _fresh_routers(vectors), pool,
-            tracer=tracer, metrics_window_s=window, build_only=True,
+    @pytest.mark.parametrize(
+        "name", [name for name in SCENARIOS if name in GOLDEN]
+    )
+    def test_restore_hits_golden_digest(self, name, traced, pool):
+        scenario = SCENARIOS[name]
+        if traced:
+            scenario = replace(
+                scenario,
+                serving=replace(scenario.serving, metrics_window_s=1e-3),
+            )
+        frontend, requests = _paused(
+            scenario, pool, SpanTracer() if traced else None
         )
-        frontend.stream_begin(
-            pool, calibrate_k=max(r.k for r in requests)
-        )
-        frontend.stream_extend(requests)
-        t_mid = requests[len(requests) // 2].arrival_s
-        frontend.stream_step(t_mid)
         snapshot = frontend.snapshot()
         assert snapshot.version == SNAPSHOT_VERSION
-        assert snapshot.time == t_mid
+        assert snapshot.time == requests[len(requests) // 2].arrival_s
 
-        resumed_tracer = SpanTracer() if traced else None
-        resumed, _ = _run_case(
-            name, _fresh_routers(vectors), pool,
-            tracer=resumed_tracer, metrics_window_s=window,
-            build_only=True,
-        )
+        resumed = scenario.frontend(SpanTracer() if traced else None)
         resumed.restore(snapshot, pool)
         report = resumed.stream_finish()
         got = _digest(report, resumed.stream_requests)
@@ -170,45 +118,27 @@ class TestSnapshotRestoreParity:
             + (" with instrumentation attached" if traced else "")
         )
 
-    def test_snapshot_digest_is_tracer_blind(self, corpus_and_pool):
+    def test_snapshot_digest_is_tracer_blind(self, pool):
         # The captured state excludes the span tracer (observe-only by
         # construction), so a traced run and a plain run frozen at the
         # same point produce the same content address.  Windowed
         # metrics, by contrast, ARE simulation state — restore refuses
         # a windows-enabled snapshot into a windows-less frontend —
         # so both legs here run without them.
-        vectors, pool = corpus_and_pool
-        digests = []
-        for tracer in (None, SpanTracer()):
-            frontend, requests = _run_case(
-                "batch-x4-lo", _fresh_routers(vectors), pool,
-                tracer=tracer, build_only=True,
-            )
-            frontend.stream_begin(
-                pool, calibrate_k=max(r.k for r in requests)
-            )
-            frontend.stream_extend(requests)
-            frontend.stream_step(requests[len(requests) // 2].arrival_s)
-            digests.append(frontend.snapshot().digest)
+        digests = [
+            _paused(SCENARIOS["batch-x4-lo"], pool, tracer)[0]
+            .snapshot().digest
+            for tracer in (None, SpanTracer())
+        ]
         assert digests[0] == digests[1]
 
-    def test_snapshot_is_restorable_twice(self, corpus_and_pool):
+    def test_snapshot_is_restorable_twice(self, pool):
         # Restoring deep-copies again: two forks of one checkpoint must
         # not share mutable state, so both reach the pinned digest.
-        vectors, pool = corpus_and_pool
-        frontend, requests = _run_case(
-            "partitioned-nprobe2", _fresh_routers(vectors), pool,
-            build_only=True,
-        )
-        frontend.stream_begin(pool, calibrate_k=max(r.k for r in requests))
-        frontend.stream_extend(requests)
-        frontend.stream_step(requests[len(requests) // 2].arrival_s)
-        snapshot = frontend.snapshot()
+        scenario = SCENARIOS["partitioned-nprobe2"]
+        snapshot = _paused(scenario, pool)[0].snapshot()
         for _ in range(2):
-            fork, _ = _run_case(
-                "partitioned-nprobe2", _fresh_routers(vectors), pool,
-                build_only=True,
-            )
+            fork = scenario.frontend()
             fork.restore(snapshot, pool)
             report = fork.stream_finish()
             assert (
@@ -247,29 +177,15 @@ class TestSnapshotRestoreParity:
         leader_copy.completion_s = 2.0
         assert leader.result_ids[0] == 0 and leader.completion_s is None
 
-    def test_restore_rejects_version_and_mode_mismatch(
-        self, corpus_and_pool
-    ):
-        vectors, pool = corpus_and_pool
-        frontend, requests = _run_case(
-            "batch-x4-lo", _fresh_routers(vectors), pool, build_only=True
-        )
-        frontend.stream_begin(pool, calibrate_k=max(r.k for r in requests))
-        frontend.stream_extend(requests)
-        frontend.stream_step(requests[10].arrival_s)
-        snapshot = frontend.snapshot()
+    def test_restore_rejects_version_and_mode_mismatch(self, pool):
+        replicated = SCENARIOS["batch-x4-lo"]
+        snapshot = _paused(replicated, pool, at=10)[0].snapshot()
 
-        stale = dataclasses.replace(snapshot, version=SNAPSHOT_VERSION + 1)
-        target, _ = _run_case(
-            "batch-x4-lo", _fresh_routers(vectors), pool, build_only=True
-        )
+        stale = replace(snapshot, version=SNAPSHOT_VERSION + 1)
         with pytest.raises(ValueError, match="version"):
-            target.restore(stale, pool)
+            replicated.frontend().restore(stale, pool)
 
-        partitioned, _ = _run_case(
-            "partitioned-broadcast", _fresh_routers(vectors), pool,
-            build_only=True,
-        )
+        partitioned = SCENARIOS["partitioned-broadcast"].frontend()
         with pytest.raises(ValueError, match="mode"):
             partitioned.restore(snapshot, pool)
 
@@ -280,105 +196,79 @@ class TestMidFlightCheckpoints:
     """A snapshot taken while a migration or a flash refresh is still
     in the event heap must resume byte-identically."""
 
-    def test_mid_migration_checkpoint(self, corpus_and_pool):
-        vectors, pool = corpus_and_pool
+    @staticmethod
+    def _resume_from_first(scenario, pool, caught, kind):
+        """Step ``scenario`` arrival by arrival, snapshot the first time
+        ``caught(frontend)`` holds, and check that resuming from there
+        reproduces the uninterrupted run."""
+        reference, ref_requests = scenario.run()
+        live = scenario.frontend()
+        requests = scenario.requests()
+        live.stream_begin(pool)
+        live.stream_extend(requests)
+        snapshot = None
+        for request in requests:
+            live.stream_step(request.arrival_s)
+            if caught(live):
+                snapshot = live.snapshot(kind=kind)
+                break
+        assert snapshot is not None, (
+            f"scan never caught a {kind} checkpoint — the config no "
+            f"longer triggers it, so this edge case is untested"
+        )
+
+        resumed = scenario.frontend()
+        resumed.restore(snapshot, pool)
+        report = resumed.stream_finish()
+        assert _digest(report, resumed.stream_requests) == _digest(
+            reference, ref_requests
+        )
+
+    @staticmethod
+    def _in_heap(frontend, event_type):
+        return any(
+            isinstance(entry[-1], event_type)
+            for entry in frontend._loop._heap
+        )
+
+    def test_mid_migration_checkpoint(self, pool):
         # The rebalance suite's trigger shape — cluster-routed
         # (nprobe=1) skewed traffic over a 4×2-cluster partitioned
         # pool — with glacial migration bandwidth, so a triggered
         # migration stays in flight long enough for the step scan to
         # catch it mid-transfer.
-        config = ServingConfig(
-            policy=BatchPolicy(max_batch_size=16, max_wait_s=2e-3),
-            nprobe=1,
-            rebalance=RebalancePolicy(
-                interval_s=2e-3, skew_threshold=0.05,
-                min_window_queries=1, migration_gbps=1e-3,
+        scenario = replace(
+            SKEWED,
+            slo_s=None,
+            serving=replace(
+                SKEWED.serving,
+                flash=None,
+                rebalance=RebalancePolicy(
+                    interval_s=2e-3, skew_threshold=0.05,
+                    min_window_queries=1, migration_gbps=1e-3,
+                ),
             ),
-            **_BATCH_CFG,
+        )
+        self._resume_from_first(
+            scenario, pool,
+            lambda live: self._in_heap(live, DataMovement)
+            or live.rebalancer._inflight,
+            "mid-migration",
         )
 
-        def factory():
-            return build_router(
-                vectors, num_shards=4, config=NDSearchConfig.scaled(),
-                mode=PARTITIONED, seed=35, clusters_per_shard=2,
-            )
-
-        ref_requests = _poisson_stream(rate=16000.0, zipf=1.2)
-        reference = ServingFrontend(factory(), config).run(
-            ref_requests, pool
-        )
-
-        live = ServingFrontend(factory(), config)
-        requests = _poisson_stream(rate=16000.0, zipf=1.2)
-        live.stream_begin(pool)
-        live.stream_extend(requests)
-        snapshot = None
-        for request in requests:
-            live.stream_step(request.arrival_s)
-            in_heap = any(
-                isinstance(entry[-1], DataMovement)
-                for entry in live._loop._heap
-            )
-            if in_heap or live.rebalancer._inflight:
-                snapshot = live.snapshot(kind="mid-migration")
-                break
-        assert snapshot is not None, (
-            "scan never caught an in-flight migration — the config no "
-            "longer triggers rebalancing, so this edge case is untested"
-        )
-
-        resumed = ServingFrontend(factory(), config)
-        resumed.restore(snapshot, pool)
-        report = resumed.stream_finish()
-        assert _digest(report, resumed.stream_requests) == _digest(
-            reference, ref_requests
-        )
-
-    def test_mid_flash_maintenance_checkpoint(self, corpus_and_pool):
-        vectors, pool = corpus_and_pool
-        # The serving-flash test preset: a disturb threshold low enough
+    def test_mid_flash_maintenance_checkpoint(self, pool):
+        # The skewed cell's flash preset: a disturb threshold low enough
         # that refreshes fire at benchmark request counts.
-        config = ServingConfig(
-            policy=_policy(),
-            flash=FlashConfig(
-                read_disturb_threshold=200, ecc_hard_failure_prob=0.05
-            ),
-            **_BATCH_CFG,
+        scenario = replace(
+            TWIN_CELL,
+            num_shards=2,
+            zipf_exponent=1.1,
+            serving=replace(TWIN_CELL.serving, flash=SKEWED.serving.flash),
         )
-
-        def factory():
-            return build_router(
-                vectors, num_shards=2, config=NDSearchConfig.scaled()
-            )
-
-        ref_requests = _poisson_stream(zipf=1.1)
-        reference = ServingFrontend(factory(), config).run(
-            ref_requests, pool
-        )
-
-        live = ServingFrontend(factory(), config)
-        requests = _poisson_stream(zipf=1.1)
-        live.stream_begin(pool)
-        live.stream_extend(requests)
-        snapshot = None
-        for request in requests:
-            live.stream_step(request.arrival_s)
-            if any(
-                isinstance(entry[-1], FlashMaintenance)
-                for entry in live._loop._heap
-            ):
-                snapshot = live.snapshot(kind="mid-maintenance")
-                break
-        assert snapshot is not None, (
-            "scan never caught a pending FlashMaintenance — the flash "
-            "config no longer refreshes, so this edge case is untested"
-        )
-
-        resumed = ServingFrontend(factory(), config)
-        resumed.restore(snapshot, pool)
-        report = resumed.stream_finish()
-        assert _digest(report, resumed.stream_requests) == _digest(
-            reference, ref_requests
+        self._resume_from_first(
+            scenario, pool,
+            lambda live: self._in_heap(live, FlashMaintenance),
+            "mid-maintenance",
         )
 
 
@@ -398,27 +288,19 @@ class TestSnapshotCoversSession:
     uninterrupted run.
     """
 
-    def _check(self, factory, config, make_requests, pool, traced=False):
+    def _check(self, scenario, pool, traced=False):
         def tracer():
             return SpanTracer() if traced else None
 
-        ref_requests = make_requests()
-        reference = ServingFrontend(factory(), config, tracer=tracer()).run(
-            ref_requests, pool
-        )
-
-        live = ServingFrontend(factory(), config, tracer=tracer())
-        requests = make_requests()
-        live.stream_begin(pool, calibrate_k=max(r.k for r in requests))
-        live.stream_extend(requests)
-        live.stream_step(requests[len(requests) // 2].arrival_s)
+        reference, ref_requests = scenario.run(tracer())
+        live, _ = _paused(scenario, pool, tracer())
         snapshot = live.snapshot()
         state_digest(snapshot.state)  # the full capture, _batch_seq too
         session = snapshot.state["session"]
         assert set(vars(live)) - ServingFrontend._WIRING == set(session)
         assert not ServingFrontend._WIRING & set(session)
 
-        resumed = ServingFrontend(factory(), config, tracer=tracer())
+        resumed = scenario.frontend(tracer())
         resumed.restore(snapshot, pool)
         report = resumed.stream_finish()
         assert _report_bytes(report) == _report_bytes(reference)
@@ -427,67 +309,45 @@ class TestSnapshotCoversSession:
         )
         return reference, resumed
 
-    def test_partitioned_flash_rebalance_windows_traced(
-        self, corpus_and_pool
-    ):
-        vectors, pool = corpus_and_pool
-        config = ServingConfig(
-            policy=BatchPolicy(max_batch_size=16, max_wait_s=2e-3),
-            nprobe=1,
-            cache_capacity=64,
-            coalesce=True,
-            rebalance=RebalancePolicy(
-                interval_s=2e-3, skew_threshold=0.05, min_window_queries=1,
+    def test_partitioned_flash_rebalance_windows_traced(self, pool):
+        scenario = replace(
+            SKEWED,
+            slo_s=None,
+            serving=replace(
+                SKEWED.serving,
+                cache_capacity=64,
+                coalesce=True,
+                rebalance=RebalancePolicy(
+                    interval_s=2e-3, skew_threshold=0.05,
+                    min_window_queries=1,
+                ),
+                metrics_window_s=1e-3,
             ),
-            flash=FlashConfig(
-                read_disturb_threshold=200, ecc_hard_failure_prob=0.05
-            ),
-            metrics_window_s=1e-3,
         )
-
-        def factory():
-            return build_router(
-                vectors, num_shards=4, config=NDSearchConfig.scaled(),
-                mode=PARTITIONED, seed=35, clusters_per_shard=2,
-            )
-
-        reference, _ = self._check(
-            factory, config,
-            lambda: _poisson_stream(rate=16000.0, zipf=1.2), pool,
-            traced=True,
-        )
+        reference, _ = self._check(scenario, pool, traced=True)
         # Every component the guard claims to cover did work.
         assert reference.rebalance_events
         assert reference.flash["refreshes"] > 0
         assert reference.coalesced > 0 and reference.cache_hits > 0
         assert reference.timeseries is not None
 
-    def test_replicated_autoscale_slo_priority(self, corpus_and_pool):
-        vectors, pool = corpus_and_pool
-        config = ServingConfig(
-            policy=BatchPolicy(
-                max_batch_size=4, max_wait_s=20e-3, mode="slo",
-                slo_margin_s=3e-4,
-            ),
-            cache_capacity=0,
-            coalesce=False,
-            admission_capacity=48,
-            priority_admission=True,
-            autoscale=AutoscalePolicy(
-                min_replicas=1, max_replicas=4, interval_s=2e-3,
-                high_utilization=0.7, high_queue_depth=8.0,
+    def test_replicated_autoscale_slo_priority(self, pool):
+        # The autoscaled overload cell with the two-class deadline
+        # stream, the slo policy and priority admission.
+        overload = SCENARIOS["autoscale-overload"]
+        slo = SCENARIOS["slo-deadline-4ms"]
+        scenario = replace(
+            overload,
+            priorities=slo.priorities,
+            priority_weights=slo.priority_weights,
+            slo_s=slo.slo_s,
+            serving=replace(
+                overload.serving,
+                policy=replace(slo.serving.policy, max_batch_size=4),
+                priority_admission=True,
             ),
         )
-
-        def factory():
-            return build_router(
-                vectors, num_shards=1, config=NDSearchConfig.scaled()
-            )
-
-        reference, resumed = self._check(
-            factory, config,
-            lambda: _stream(PoissonArrivals(25000.0), **_SLO_KWARGS), pool,
-        )
+        reference, resumed = self._check(scenario, pool)
         assert reference.scale_events
         assert resumed.admission.preemptions > 0
         assert reference.deadline_total > 0
@@ -496,29 +356,22 @@ class TestSnapshotCoversSession:
 # ---- the digital twin ----------------------------------------------------
 
 @pytest.fixture(scope="module")
-def twin_run(corpus_and_pool):
+def twin_run(pool):
     """One shared twin session over the replicated x4 pool: feed,
     advance, two null what-ifs, a scratch fallback, then finish."""
-    vectors, pool = corpus_and_pool
-    config = ServingConfig(policy=_policy(), **_BATCH_CFG)
-
-    def factory():
-        return build_router(
-            vectors, num_shards=4, config=NDSearchConfig.scaled()
-        )
-
     tracer = SpanTracer()
-    twin = ServingTwin(factory, config, pool, window_s=0.05, tracer=tracer)
-    requests = _poisson_stream()
+    twin = ServingTwin(
+        TWIN_CELL.router, TWIN_CELL.serving, pool, window_s=0.05,
+        tracer=tracer,
+    )
+    requests = TWIN_CELL.requests()
     twin.feed(requests)
     checkpoints = twin.advance(requests[-1].arrival_s)
     null_first = twin.whatif()
     null_second = twin.whatif()
     hits_after_nulls = twin.cache.hits
     scratch = twin.whatif(last_windows=checkpoints + 5)
-    reference = ServingFrontend(factory(), config).run(
-        _poisson_stream(), pool
-    )
+    reference, _ = TWIN_CELL.run()
     base = twin.finish()
     return SimpleNamespace(
         twin=twin, tracer=tracer, checkpoints=checkpoints,
@@ -582,29 +435,16 @@ class TestServingTwin:
         assert "twin.restore" in names
         assert "twin.cache_hit" in names
 
-    def test_whatif_deltas_change_the_answer(
-        self, twin_run, corpus_and_pool
-    ):
+    def test_whatif_deltas_change_the_answer(self, twin_run):
         grown = twin_run.twin.whatif(add_replicas=2)
         assert _report_bytes(grown) != _report_bytes(twin_run.null_first)
         assert len(grown.shard_utilization) == 6
         assert grown.twin is None
 
-    def test_whatif_validations(self, corpus_and_pool):
-        vectors, pool = corpus_and_pool
-
-        def replicated():
-            return build_router(
-                vectors, num_shards=2, config=NDSearchConfig.scaled()
-            )
-
-        def partitioned():
-            return build_router(
-                vectors, num_shards=4, config=NDSearchConfig.scaled(),
-                mode=PARTITIONED, seed=35,
-            )
-
-        config = ServingConfig(policy=_policy(), **_BATCH_CFG)
+    def test_whatif_validations(self, pool):
+        replicated = replace(TWIN_CELL, num_shards=2).router
+        partitioned = SCENARIOS["partitioned-broadcast"].router
+        config = TWIN_CELL.serving
         with pytest.raises(ValueError, match="window_s"):
             ServingTwin(replicated, config, pool, window_s=0.0)
 
@@ -616,36 +456,29 @@ class TestServingTwin:
         with pytest.raises(ValueError, match="replicated"):
             part_twin.whatif(add_replicas=1)
 
-        scaled_config = ServingConfig(
-            policy=_policy(),
-            autoscale=AutoscalePolicy(
-                min_replicas=1, max_replicas=4, interval_s=2e-3,
-                high_utilization=0.7, high_queue_depth=8.0,
-            ),
-            **_BATCH_CFG,
+        scaled_config = replace(
+            config, autoscale=SCENARIOS["autoscale-overload"].serving.autoscale
         )
         scaled = ServingTwin(replicated, scaled_config, pool, window_s=0.05)
         with pytest.raises(ValueError, match="autoscaler"):
             scaled.whatif(add_replicas=1)
 
-    def test_cache_key_covers_the_causal_inputs(self, corpus_and_pool):
-        config = ServingConfig(policy=_policy(), **_BATCH_CFG)
-        suffix = _poisson_stream()[:5]
+    def test_cache_key_covers_the_causal_inputs(self):
+        config = TWIN_CELL.serving
+        suffix = TWIN_CELL.requests()[:5]
         base = TwinCache.key(config, "d" * 64, 3, suffix)
         assert TwinCache.key(config, "d" * 64, 3, suffix) == base
-        other_config = dataclasses.replace(config, nprobe=1)
+        other_config = replace(config, nprobe=1)
         assert TwinCache.key(other_config, "d" * 64, 3, suffix) != base
         assert TwinCache.key(config, "e" * 64, 3, suffix) != base
         assert TwinCache.key(config, "d" * 64, 4, suffix) != base
         assert TwinCache.key(config, "d" * 64, 3, suffix[:-1]) != base
 
     def test_config_digest_is_repr_stable(self):
-        a = ServingConfig(policy=_policy(), **_BATCH_CFG)
-        b = ServingConfig(policy=_policy(), **_BATCH_CFG)
+        a = ServingConfig(cache_capacity=0, coalesce=False)
+        b = ServingConfig(cache_capacity=0, coalesce=False)
         assert config_digest(a) == config_digest(b)
-        assert config_digest(a) != config_digest(
-            dataclasses.replace(a, nprobe=2)
-        )
+        assert config_digest(a) != config_digest(replace(a, nprobe=2))
 
 
 # ---- the twin's wall-clock speedup gate -----------------------------------
@@ -683,34 +516,26 @@ def _best_wall(run, reset=lambda: None):
     return min(walls), result
 
 
-def test_null_whatif_beats_scratch_by_5x(corpus_and_pool):
+def test_null_whatif_beats_scratch_by_5x(pool):
     """Partitioned x4 with ``nprobe=1``, 800 requests at 20,000/s and
     2 ms checkpoints: the no-delta what-if is byte-identical to the
     from-scratch report and at least :data:`TWIN_SPEEDUP_MIN` x faster."""
-    vectors, pool = corpus_and_pool
-    config = ServingConfig(policy=_policy(), nprobe=1, **_BATCH_CFG)
-
-    def factory():
-        return build_router(
-            vectors, num_shards=4, config=NDSearchConfig.scaled(),
-            mode=PARTITIONED, seed=35,
-        )
-
-    def stream():
-        return QueryStream(
-            PoissonArrivals(20000.0), pool_size=POOL, n_requests=800, k=K,
-            seed=STREAM_SEED,
-        ).generate()
+    scenario = replace(
+        SCENARIOS["partitioned-nprobe1"],
+        arrivals=PoissonArrivals(20000.0),
+        n_requests=800,
+    )
 
     def scratch():
-        router = factory()
-        _price_afresh(router)
-        return ServingFrontend(router, config).run(stream(), pool)
+        frontend = scenario.frontend()
+        _price_afresh(frontend.router)
+        return frontend.run(scenario.requests(), pool)
 
     twin = ServingTwin(
-        factory, config, pool, window_s=TWIN_WINDOW_S, calibrate_k=K
+        scenario.router, scenario.serving, pool, window_s=TWIN_WINDOW_S,
+        calibrate_k=scenario.k,
     )
-    twin.ingest(stream())
+    twin.ingest(scenario.requests())
     twin.finish()
 
     def reset_twin():
