@@ -17,11 +17,41 @@ import numpy as np
 
 from repro.ann.trace import SearchTrace
 from repro.core.placement import VertexPlacement
+from repro.core.rounds import distinct
+
+_NONE = np.zeros(0, dtype=np.int64)
 
 
-def _trace_vertices(trace: SearchTrace) -> np.ndarray:
-    flat = [v for record in trace.iterations for v in record.computed]
-    return np.asarray(flat, dtype=np.int64)
+def _page_accesses(
+    traces: list[SearchTrace], placement: VertexPlacement, shared: bool
+) -> np.ndarray:
+    """Distinct pages sensed per (round, trace), summed per trace.
+
+    With ``shared`` the traces of a batch pool each round's pages, and
+    the one-element result is the batch total.
+    """
+    vertex = np.concatenate([_NONE, *(t.computed for t in traces)])
+    rnd = np.concatenate([_NONE, *(t.rounds for t in traces)])
+    owner = np.repeat(np.arange(len(traces)), [t.trace_length for t in traces])
+    if shared:
+        owner = np.zeros_like(owner)
+    keys = placement.page_keys(vertex)
+    key_span = int(keys.max(initial=0)) + 1
+    n_rounds = int(rnd.max(initial=0)) + 1
+    pages = distinct((owner * n_rounds + rnd) * key_span + keys)
+    return np.bincount(
+        pages // key_span // n_rounds, minlength=1 if shared else len(traces)
+    )
+
+
+def _walked(
+    traces: list[SearchTrace], placement: VertexPlacement
+) -> tuple[np.ndarray, np.ndarray]:
+    """Trace lengths and page accesses of the traces that computed
+    at least one vertex."""
+    lengths = np.array([t.trace_length for t in traces], dtype=np.int64)
+    walked = lengths > 0
+    return lengths[walked], _page_accesses(traces, placement, False)[walked]
 
 
 def page_access_ratio(
@@ -33,19 +63,8 @@ def page_access_ratio(
     page; a page revisited in a later iteration is re-sensed, matching
     the paper's counting of accesses rather than distinct pages).
     """
-    ratios = []
-    for trace in traces:
-        length = trace.trace_length
-        if length == 0:
-            continue
-        accesses = 0
-        for record in trace.iterations:
-            if not record.computed:
-                continue
-            vertices = np.asarray(record.computed, dtype=np.int64)
-            accesses += int(np.unique(placement.page_keys(vertices)).size)
-        ratios.append(accesses / length)
-    return float(np.mean(ratios)) if ratios else 0.0
+    lengths, accesses = _walked(traces, placement)
+    return float(np.mean(accesses / lengths)) if lengths.size else 0.0
 
 
 def accessed_vector_fraction(
@@ -55,20 +74,10 @@ def accessed_vector_fraction(
 ) -> float:
     """Mean (accessed vector bytes / fetched page bytes) over queries."""
     page_size = placement.geometry.page_size
-    fractions = []
-    for trace in traces:
-        vector_bytes_total = 0
-        page_bytes_total = 0
-        for record in trace.iterations:
-            if not record.computed:
-                continue
-            vertices = np.asarray(record.computed, dtype=np.int64)
-            pages = int(np.unique(placement.page_keys(vertices)).size)
-            vector_bytes_total += vertices.size * vector_bytes
-            page_bytes_total += pages * page_size
-        if page_bytes_total:
-            fractions.append(vector_bytes_total / page_bytes_total)
-    return float(np.mean(fractions)) if fractions else 0.0
+    lengths, accesses = _walked(traces, placement)
+    if not lengths.size:
+        return 0.0
+    return float(np.mean((lengths * vector_bytes) / (accesses * page_size)))
 
 
 def lun_coverage(
@@ -76,14 +85,10 @@ def lun_coverage(
 ) -> float:
     """Fraction of vertex-holding LUNs accessed by this batch."""
     holding = np.unique(placement.lun)
-    touched: set[int] = set()
-    for trace in traces:
-        vertices = _trace_vertices(trace)
-        if vertices.size:
-            touched.update(int(l) for l in np.unique(placement.lun[vertices]))
     if holding.size == 0:
         return 0.0
-    return len(touched) / int(holding.size)
+    vertex = np.concatenate([_NONE, *(t.computed for t in traces)])
+    return distinct(placement.lun[vertex]).size / int(holding.size)
 
 
 def batch_page_accesses(
@@ -93,24 +98,4 @@ def batch_page_accesses(
 ) -> int:
     """Total page senses for a batch, with or without cross-query
     sharing (the Fig. 15 normalised-page-access metric)."""
-    total = 0
-    max_rounds = max((t.num_iterations for t in traces), default=0)
-    for round_idx in range(max_rounds):
-        if shared:
-            vertices = []
-            for trace in traces:
-                if round_idx < trace.num_iterations:
-                    vertices.extend(trace.iterations[round_idx].computed)
-            if vertices:
-                keys = placement.page_keys(np.asarray(vertices, dtype=np.int64))
-                total += int(np.unique(keys).size)
-        else:
-            for trace in traces:
-                if round_idx < trace.num_iterations:
-                    computed = trace.iterations[round_idx].computed
-                    if computed:
-                        keys = placement.page_keys(
-                            np.asarray(computed, dtype=np.int64)
-                        )
-                        total += int(np.unique(keys).size)
-    return total
+    return int(_page_accesses(traces, placement, shared).sum())

@@ -5,7 +5,10 @@ inner loop (Section II-A): keep a candidate list, repeatedly pop the
 candidate nearest to the query, terminate when it is farther than the
 worst of the current top results, otherwise compute distances to its
 unvisited neighbors and push them.  The kernel optionally records an
-access trace (one :class:`IterationRecord` per pop) for the simulator.
+access trace for the simulator: one iteration per pop, holding the
+popped vertex and the neighbors whose distances it computed.  The
+:class:`TraceRecorder` stores them as the columns of a
+:class:`~repro.ann.trace.SearchTrace`.
 """
 
 from __future__ import annotations

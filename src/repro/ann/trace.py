@@ -5,18 +5,23 @@ to dump, for every query, the index sequence of accessed vertices; the
 trace-driven simulator then replays those accesses on each platform
 model.  We formalise that record here:
 
-* :class:`IterationRecord` — one search iteration: the entry vertex
-  whose neighbor list was read, and the neighbor IDs whose distances
-  were computed this iteration.
 * :class:`SearchTrace` — all iterations of one query, plus the final
-  result list.
-* :class:`TraceRecorder` — the hook object search kernels call.
+  result list, stored as three read-only int64 columns: ``entries[n]``
+  (the vertex popped in each iteration), ``offsets[n + 1]`` and
+  ``computed[m]`` (iteration ``i`` computed
+  ``computed[offsets[i]:offsets[i + 1]]``).  Every simulator reads the
+  columns directly; a trace is immutable because batches share it by
+  identity.
+* :class:`IterationRecord` — one search iteration as a value object.
+  :attr:`SearchTrace.iterations` builds them on demand for tests and
+  oracles; no simulator reads them.
+* :class:`TraceRecorder` — the hook object search kernels call.  It
+  appends to lists and builds the columns once, in :meth:`finish`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -35,58 +40,128 @@ class IterationRecord:
     computed: tuple[int, ...]
 
 
-@dataclass
-class SearchTrace:
-    """The complete access trace of one query."""
+def _read_only(values) -> np.ndarray:
+    """An int64 read-only view of ``values`` (the caller's array keeps
+    its own flags)."""
+    out = np.asarray(values, dtype=np.int64).view()
+    out.flags.writeable = False
+    return out
 
-    query_id: int
-    iterations: list[IterationRecord] = field(default_factory=list)
+
+@dataclass(frozen=True, eq=False)
+class SearchTrace:
+    """The complete access trace of one query, as columns."""
+
+    query_id: int = 0
+    entries: np.ndarray = ()
+    offsets: np.ndarray = (0,)
+    computed: np.ndarray = ()
     result_ids: np.ndarray | None = None
     result_distances: np.ndarray | None = None
 
-    @property
-    def num_iterations(self) -> int:
-        return len(self.iterations)
+    def __post_init__(self) -> None:
+        for name in ("entries", "offsets", "computed"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+        if self.offsets.size != self.entries.size + 1 or (
+            self.offsets[0] != 0 or self.offsets[-1] != self.computed.size
+        ):
+            raise ValueError(
+                "offsets must run from 0 to len(computed), one past each entry"
+            )
+
+    def __reduce__(self):
+        # Copies and unpickled traces are rebuilt through __init__, so
+        # their columns are read-only too.
+        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
+
+    @classmethod
+    def from_iterations(
+        cls,
+        iterations,
+        query_id: int = 0,
+        result_ids: np.ndarray | None = None,
+        result_distances: np.ndarray | None = None,
+    ) -> "SearchTrace":
+        """Build a trace from :class:`IterationRecord` values."""
+        sizes = [len(it.computed) for it in iterations]
+        return cls(
+            query_id=query_id,
+            entries=[it.entry for it in iterations],
+            offsets=np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
+            computed=[v for it in iterations for v in it.computed],
+            result_ids=result_ids,
+            result_distances=result_distances,
+        )
 
     @property
-    def visited_vertices(self) -> list[int]:
+    def num_iterations(self) -> int:
+        return self.entries.size
+
+    @property
+    def visited_vertices(self) -> np.ndarray:
         """All computed vertex IDs in visit order (may repeat entries)."""
-        out: list[int] = []
-        for it in self.iterations:
-            out.extend(it.computed)
-        return out
+        return self.computed
 
     @property
     def trace_length(self) -> int:
         """The paper's 'length of the searching trace': number of
         visited vertices that are computed against the query."""
-        return sum(len(it.computed) for it in self.iterations)
+        return self.computed.size
 
     @property
-    def entries(self) -> list[int]:
-        return [it.entry for it in self.iterations]
+    def sizes(self) -> np.ndarray:
+        """Computed vertices per iteration."""
+        return np.diff(self.offsets)
+
+    @property
+    def rounds(self) -> np.ndarray:
+        """The iteration of each computed vertex, aligned with
+        :attr:`computed`."""
+        return np.repeat(np.arange(self.entries.size), self.sizes)
+
+    @property
+    def iterations(self) -> tuple[IterationRecord, ...]:
+        """The trace as :class:`IterationRecord` values, built on demand."""
+        computed = self.computed.tolist()
+        bounds = self.offsets.tolist()
+        return tuple(
+            IterationRecord(entry, tuple(computed[lo:hi]))
+            for entry, lo, hi in zip(self.entries.tolist(), bounds, bounds[1:])
+        )
 
 
 class TraceRecorder:
     """Mutable builder the search kernels feed; one per query."""
 
     def __init__(self, query_id: int = 0) -> None:
-        self.trace = SearchTrace(query_id=query_id)
+        self.query_id = query_id
+        self._entries: list[int] = []
+        self._computed: list[np.ndarray] = []
+        self._result: tuple[np.ndarray | None, np.ndarray | None] = (None, None)
 
     def record_iteration(self, entry: int, computed: list[int] | np.ndarray) -> None:
-        self.trace.iterations.append(
-            IterationRecord(
-                entry=int(entry),
-                computed=tuple(np.asarray(computed, dtype=np.int64).tolist()),
-            )
-        )
+        self._entries.append(int(entry))
+        # A copy: the caller may reuse its buffer before finish().
+        self._computed.append(np.array(computed, dtype=np.int64, ndmin=1))
 
     def record_result(self, ids: np.ndarray, distances: np.ndarray) -> None:
-        self.trace.result_ids = np.asarray(ids, dtype=np.int64)
-        self.trace.result_distances = np.asarray(distances, dtype=np.float64)
+        self._result = (
+            np.asarray(ids, dtype=np.int64),
+            np.asarray(distances, dtype=np.float64),
+        )
 
     def finish(self) -> SearchTrace:
-        return self.trace
+        sizes = [c.size for c in self._computed]
+        return SearchTrace(
+            query_id=self.query_id,
+            entries=self._entries,
+            offsets=np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
+            computed=(
+                np.concatenate(self._computed) if self._computed else ()
+            ),
+            result_ids=self._result[0],
+            result_distances=self._result[1],
+        )
 
 
 def remap_trace(trace: SearchTrace, new_id: np.ndarray) -> SearchTrace:
@@ -95,26 +170,19 @@ def remap_trace(trace: SearchTrace, new_id: np.ndarray) -> SearchTrace:
     Used after static-scheduling reordering: traces are generated on
     the original graph, then remapped to the reordered vertex IDs so
     the simulator sees the post-reordering physical placement.
-    ``new_id[old] = new``.
+    ``new_id[old] = new``.  Two gathers share the trace's ``offsets``.
+    Negative result IDs are padding and stay ``-1``.
     """
-    iterations = trace.iterations
-    n = len(iterations)
-    computed = [it.computed for it in iterations]
-    sizes = [len(c) for c in computed]
-    # One gather over every entry, then every computed id, in order.
-    old = np.fromiter(
-        chain((it.entry for it in iterations), chain.from_iterable(computed)),
-        dtype=np.int64, count=n + sum(sizes),
-    )
-    new = new_id[old].tolist()
-    remapped = SearchTrace(query_id=trace.query_id)
-    start = n
-    for entry, size in zip(new[:n], sizes):
-        remapped.iterations.append(
-            IterationRecord(entry=entry, computed=tuple(new[start:start + size]))
+    result_ids = trace.result_ids
+    if result_ids is not None:
+        result_ids = np.where(
+            result_ids >= 0, new_id[np.maximum(result_ids, 0)], -1
         )
-        start += size
-    if trace.result_ids is not None:
-        remapped.result_ids = new_id[trace.result_ids]
-        remapped.result_distances = trace.result_distances
-    return remapped
+    return SearchTrace(
+        query_id=trace.query_id,
+        entries=new_id[trace.entries],
+        offsets=trace.offsets,
+        computed=new_id[trace.computed],
+        result_ids=result_ids,
+        result_distances=trace.result_distances,
+    )

@@ -40,14 +40,10 @@ def cache_hit_count(
     traces: list[SearchTrace], cached_vertices: np.ndarray | None
 ) -> int:
     """Accesses served by a host/DRAM cache of hot vertices."""
-    if cached_vertices is None or len(cached_vertices) == 0:
+    if cached_vertices is None or len(cached_vertices) == 0 or not traces:
         return 0
-    cached = frozenset(int(v) for v in cached_vertices)
-    hits = 0
-    for trace in traces:
-        for record in trace.iterations:
-            hits += sum(1 for v in record.computed if v in cached)
-    return hits
+    computed = np.concatenate([t.computed for t in traces])
+    return int(np.isin(computed, cached_vertices).sum())
 
 
 @dataclass(frozen=True)

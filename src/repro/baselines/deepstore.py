@@ -18,6 +18,13 @@ utilization").  What they cannot avoid:
 Because graph-traversal ANNS is not compute-bound, DS-cp's extra
 proximity beats DS-c's bigger logic — the inversion versus the original
 DeepStore paper that Section VII-B calls out.
+
+:meth:`DeepStoreModel.run_batch` prices a batch in one pass over the
+traces' columns: every computed vertex is tagged with its round, trace
+and accelerator group, page loads come from one distinct-count over
+the tagged page keys, and busy totals and the batch clock are
+sequential cumulative sums.  The result is bit-exact with a loop over
+rounds, traces and groups, which the tests keep as an oracle.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from repro.ann.trace import SearchTrace
 from repro.baselines.common import DatasetProfile
 from repro.core.config import NDSearchConfig
 from repro.core.placement import VertexPlacement
+from repro.core.rounds import distinct, ordered_total, run_heads
 from repro.sim.energy import EnergyModel
 from repro.sim.stats import Counters, PhaseSegment, SimResult
 
@@ -54,8 +62,12 @@ class DeepStoreModel:
         if self.level not in ("chip", "channel"):
             raise ValueError(f"level must be 'chip' or 'channel', got {self.level!r}")
         g = self.config.geometry
-        self._plane_span = g.blocks_per_plane * g.pages_per_block
-        self._lun_span = self._plane_span * g.planes_per_lun
+        self._lun_span = g.blocks_per_plane * g.pages_per_block * g.planes_per_lun
+        self._key_space = g.total_luns * self._lun_span
+        # LUNs below one accelerator, sharing its bus.
+        self._luns_below = (
+            g.luns_per_chip if self.level == "chip" else g.luns_per_channel
+        )
 
     @property
     def platform(self) -> str:
@@ -67,10 +79,7 @@ class DeepStoreModel:
         return g.total_chips if self.level == "chip" else g.channels
 
     def _group_of_lun(self, luns: np.ndarray) -> np.ndarray:
-        g = self.config.geometry
-        if self.level == "chip":
-            return luns // g.luns_per_chip
-        return luns // g.luns_per_channel
+        return luns // self._luns_below
 
     def _transfer_s(self) -> float:
         """Move one page from the page buffer to the accelerator."""
@@ -90,118 +99,100 @@ class DeepStoreModel:
         algorithm: str = "hnsw",
         cached_vertices: np.ndarray | None = None,
     ) -> SimResult:
+        """Price one batch, every round and accelerator group at once.
+
+        Each round advances every active query by one iteration.  Its
+        computed vertices (minus hot vertices served from controller
+        DRAM) are sensed, shipped to the accelerator above their LUN
+        and computed there; the round lasts as long as its slowest
+        accelerator group plus the controller's scheduling and
+        gathering.  Every computed vertex is tagged with its round,
+        trace and group, so one pass prices the whole batch.  Groups
+        are walked in the order a per-round loop meets them (by round,
+        then by the first trace touching the group, then by group) and
+        every float is added in that order, so the result is bit-exact
+        with such a loop.
+        """
         timing = self.config.timing
-        cached = (
-            frozenset(int(v) for v in cached_vertices)
-            if cached_vertices is not None
-            else frozenset()
-        )
-        counters = Counters()
-        busy: dict[str, float] = {
-            "pcie_host": 0.0,
-            "nand_read": 0.0,
-            "page_transfer": 0.0,
-            "controller": 0.0,
-            "compute": 0.0,
-        }
+        geometry = self.config.geometry
         batch = len(traces)
         if batch == 0:
             return SimResult(self.platform, algorithm, profile.name, 0, 0.0)
+        n_groups = self.num_accelerators
+        key_space = self._key_space
+
+        # Every computed vertex, tagged with its round and trace.
+        n_iters = np.fromiter(
+            (t.num_iterations for t in traces), dtype=np.int64, count=batch
+        )
+        n_rounds = int(n_iters.max())
+        vertex = np.concatenate([t.computed for t in traces])
+        rnd = np.concatenate([t.rounds for t in traces])
+        owner = np.repeat(np.arange(batch), [t.trace_length for t in traces])
+        # Traces still searching in each round.
+        finished = np.cumsum(np.bincount(n_iters, minlength=n_rounds))
+        n_active = batch - finished[:n_rounds]
+        # DiskANN-style hot vertices served from the SSD's controller
+        # DRAM, as on NDSearch.
+        hit_rounds = rnd[:0]
+        if cached_vertices is not None and len(cached_vertices):
+            hit = np.isin(vertex, cached_vertices)
+            hit_rounds = rnd[hit]
+            vertex, rnd, owner = vertex[~hit], rnd[~hit], owner[~hit]
+        n_pairs = np.bincount(rnd, minlength=n_rounds)
+
+        # (round, group) pairs in the order a per-round loop meets them.
+        keys = self.placement.page_keys(vertex)
+        group = self._group_of_lun(keys // self._lun_span)
+        rg = rnd * n_groups + group
+        by_rg = np.argsort(rg, kind="stable")
+        heads = np.flatnonzero(run_heads(rg[by_rg]))
+        pair = rg[by_rg[heads]]
+        first_trace = owner[by_rg[heads]]
+        n_vectors = np.append(heads[1:], rg.size) - heads
+        # Page loads per (round, group): with dynamic allocation the
+        # group's accelerator senses each distinct page once per round;
+        # without it, once per round for each trace that needs it.
+        scope = rnd if self.dynamic_alloc else rnd * batch + owner
+        pages = distinct(scope * key_space + keys)
+        page_round = pages // key_space
+        if not self.dynamic_alloc:
+            page_round //= batch
+        page_group = self._group_of_lun(pages % key_space // self._lun_span)
+        loads = np.bincount(
+            page_round * n_groups + page_group, minlength=n_rounds * n_groups
+        )[pair]
+        g_round = pair // n_groups
+        walk = np.argsort((g_round * batch + first_trace) * n_groups
+                          + pair % n_groups)
+        g_round, loads, n_vectors = g_round[walk], loads[walk], n_vectors[walk]
+
+        # Transfers serialise on the shared bus; senses from the LUNs
+        # below the accelerator pipeline behind them.
+        t_transfer = loads * self._transfer_s()
+        t_sense = -(-loads // self._luns_below) * timing.read_page_s
+        t_compute = n_vectors * timing.distance_mac_s(profile.dim)
+        group_time = np.maximum(t_transfer, t_sense) + t_compute
+        round_time = np.zeros(n_rounds)
+        np.maximum.at(round_time, g_round, group_time)
+
+        t_sched = n_active * timing.vgen_stage_s + n_pairs * timing.alloc_dispatch_s
+        t_gather = n_pairs * timing.dram_access_s
+        t_round = t_sched + round_time + t_gather
 
         query_bytes = batch * (profile.dim * 4 + 16)
+        out_bytes = batch * 10 * 8
         t_in = timing.host_transfer_s(query_bytes)
-        counters["pcie_bytes"] += query_bytes
-        busy["pcie_host"] += t_in
-        makespan = t_in
+        t_out = timing.host_transfer_s(out_bytes)
+        clock = np.cumsum(np.concatenate(([t_in], t_round))).tolist()
         timeline: list[PhaseSegment] = []
         if t_in > 0:
-            timeline.append(
-                PhaseSegment("host_in", 0.0, t_in, resource="host_in")
-            )
-        t_page = self._transfer_s()
-
-        max_rounds = max(t.num_iterations for t in traces)
-        for round_idx in range(max_rounds):
-            group_pages: dict[int, list[np.ndarray]] = {}
-            group_vectors: dict[int, int] = {}
-            n_active = 0
-            n_pairs = 0
-            for trace in traces:
-                if round_idx >= trace.num_iterations:
-                    continue
-                n_active += 1
-                computed = np.asarray(
-                    trace.iterations[round_idx].computed, dtype=np.int64
-                )
-                if cached and computed.size:
-                    # DiskANN-style hot vertices served from the SSD's
-                    # controller DRAM, as on NDSearch.
-                    mask = np.fromiter(
-                        (int(v) in cached for v in computed),
-                        dtype=bool,
-                        count=computed.size,
-                    )
-                    hits = int(mask.sum())
-                    if hits:
-                        counters["cache_hits"] += hits
-                        computed = computed[~mask]
-                if computed.size == 0:
-                    continue
-                n_pairs += int(computed.size)
-                keys = self.placement.page_keys(computed)
-                luns = keys // self._lun_span
-                groups = self._group_of_lun(luns)
-                for grp in np.unique(groups):
-                    grp_keys = keys[groups == grp]
-                    group_pages.setdefault(int(grp), []).append(grp_keys)
-                    group_vectors[int(grp)] = (
-                        group_vectors.get(int(grp), 0) + grp_keys.size
-                    )
-            if n_active == 0:
-                continue
-
-            t_sched = n_active * timing.vgen_stage_s + n_pairs * timing.alloc_dispatch_s
-            t_gather = n_pairs * timing.dram_access_s
-            busy["controller"] += t_sched + t_gather
-            counters["distance_computations"] += n_pairs
-
-            round_time = 0.0
-            for grp, key_groups in group_pages.items():
-                if self.dynamic_alloc:
-                    loads = int(np.unique(np.concatenate(key_groups)).size)
-                else:
-                    loads = int(sum(np.unique(k).size for k in key_groups))
-                counters["page_reads"] += loads
-                counters["internal_bytes"] += loads * self.config.geometry.page_size
-                # Transfers serialise on the shared bus; senses from the
-                # LUNs below the accelerator pipeline behind them.
-                luns_below = (
-                    self.config.geometry.luns_per_chip
-                    if self.level == "chip"
-                    else self.config.geometry.luns_per_channel
-                )
-                t_transfer = loads * t_page
-                t_sense = -(-loads // luns_below) * timing.read_page_s
-                t_compute = group_vectors.get(grp, 0) * timing.distance_mac_s(
-                    profile.dim
-                )
-                group_time = max(t_transfer, t_sense) + t_compute
-                busy["page_transfer"] += t_transfer
-                busy["nand_read"] += t_sense
-                busy["compute"] += t_compute
-                round_time = max(round_time, group_time)
-            t_round = t_sched + round_time + t_gather
-            if t_round > 0:
-                timeline.append(
-                    PhaseSegment(
-                        "search_round", makespan, makespan + t_round,
-                        resource="engine",
-                    )
-                )
-            makespan += t_round
-
-        out_bytes = batch * 10 * 8
-        t_out = timing.host_transfer_s(out_bytes)
+            timeline.append(PhaseSegment("host_in", 0.0, t_in, resource="host_in"))
+        timeline.extend(
+            PhaseSegment("search_round", clock[r], clock[r + 1], resource="engine")
+            for r in np.flatnonzero(t_round > 0).tolist()
+        )
+        makespan = clock[-1]
         if t_out > 0:
             timeline.append(
                 PhaseSegment(
@@ -209,7 +200,31 @@ class DeepStoreModel:
                 )
             )
         makespan += t_out
-        counters["pcie_bytes"] += out_bytes
+
+        busy = {
+            "pcie_host": t_in,
+            "nand_read": ordered_total(t_sense),
+            "page_transfer": ordered_total(t_transfer),
+            "controller": ordered_total(t_sched + t_gather),
+            "compute": ordered_total(t_compute),
+        }
+        # Counter keys in the order a per-round loop first touches
+        # them: host bytes, then per round any cache hits, the distance
+        # count and, once a group loads pages, the page counters.
+        page_reads = int(loads.sum())
+        touched = [((-1, 0), "pcie_bytes", query_bytes + out_bytes)]
+        if hit_rounds.size:
+            touched.append(((int(hit_rounds.min()), 0), "cache_hits",
+                            hit_rounds.size))
+        if n_rounds:
+            touched.append(((0, 1), "distance_computations",
+                            int(n_pairs.sum())))
+        if g_round.size:
+            first = int(g_round[0])
+            touched.append(((first, 2), "page_reads", page_reads))
+            touched.append(((first, 3), "internal_bytes",
+                            page_reads * geometry.page_size))
+        counters = Counters({name: value for _, name, value in sorted(touched)})
 
         result = SimResult(
             platform=self.platform,

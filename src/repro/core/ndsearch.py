@@ -22,7 +22,6 @@ offers two execution paths:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -54,15 +53,12 @@ def precompute_speculative_sets(
     """
     out: list[list[np.ndarray]] = []
     for trace in traces:
-        computed = [record.computed for record in trace.iterations]
-        sizes = [len(c) for c in computed]
-        vertices = np.fromiter(
-            chain.from_iterable(computed), dtype=np.int64, count=sum(sizes)
+        n_rounds = trace.num_iterations
+        ids, bounds = rank_by_round(
+            graph, trace.computed, trace.rounds, n_rounds, width
         )
-        rounds = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-        ids, bounds = rank_by_round(graph, vertices, rounds, len(sizes), width)
         b = bounds.tolist()
-        out.append([ids[b[r]:b[r + 1]] for r in range(len(sizes))])
+        out.append([ids[b[r]:b[r + 1]] for r in range(n_rounds)])
     return out
 
 

@@ -21,8 +21,6 @@ Two layers:
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from repro.ann.graph import ProximityGraph
@@ -31,6 +29,7 @@ from repro.core.allocator import Allocator
 from repro.core.config import NDSearchConfig
 from repro.core.luncsr import LUNCSR
 from repro.core.placement import VertexPlacement, map_vertices
+from repro.core.rounds import distinct, ordered_sums, run_heads
 from repro.core.sin import LunAccelerator, SiNEngine
 from repro.core.vgenerator import Vgenerator
 from repro.flash.ecc import LDPCModel
@@ -190,38 +189,6 @@ _QUERY_PRESENT = [_ROW["hits"], _ROW["n_cached"], _ROW["had"]]
 _QUERY_VALUE = [_ROW["hits"], _ROW["n_cached"], _ROW["pairs"]]
 
 
-def _run_heads(values: np.ndarray) -> np.ndarray:
-    """Mask of the first element of every run of equal ``values``.
-
-    On sorted values this yields what ``np.unique`` does — the heads
-    are the distinct values — at a fraction of its cost on the small
-    arrays a trace or sub-batch holds.
-    """
-    return np.concatenate(([True], values[1:] != values[:-1]))[: values.size]
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """The sorted distinct ``values``."""
-    ordered = np.sort(values)
-    return ordered[_run_heads(ordered)]
-
-
-def _ordered_sums(values: np.ndarray, seg: np.ndarray, n_seg: int) -> np.ndarray:
-    """Per-segment sums of ``values`` rows, added strictly left to right.
-
-    ``seg`` is each column's segment id, non-decreasing.  Columns land
-    in a zero-padded ``(segment, position)`` matrix whose sequential
-    ``cumsum`` reproduces a Python ``+=`` loop bit for bit; ``np.sum``
-    and ``add.reduceat`` sum pairwise and may round differently.
-    """
-    starts = np.searchsorted(seg, np.arange(n_seg))
-    pos = np.arange(seg.size) - starts[seg]
-    width = int(pos.max()) + 1 if pos.size else 1
-    mat = np.zeros((values.shape[0], n_seg, width))
-    mat[:, seg, pos] = values
-    return np.cumsum(mat, axis=2)[..., -1]
-
-
 class SearSSDModel:
     """Trace-driven timing simulation of one batch on SearSSD."""
 
@@ -279,9 +246,9 @@ class SearSSDModel:
         the same (block, page), i.e. distinct pages minus distinct
         plane-stripped pages.
         """
-        uniq = _distinct(tagged)
+        uniq = distinct(tagged)
         plane = (uniq // self._plane_span) % self.config.geometry.planes_per_lun
-        stripped = _distinct(uniq - plane * self._plane_span)
+        stripped = distinct(uniq - plane * self._plane_span)
         starts = np.searchsorted(uniq, lo)
         stops = np.searchsorted(uniq, hi)
         merged = (stops - starts) - (
@@ -392,16 +359,10 @@ class SearSSDModel:
         the sorted tagged keys.
         """
         flags = self.config.flags
-        iters = trace.iterations
-        n_iter = len(iters)
-        sizes = np.fromiter(
-            (len(it.computed) for it in iters), dtype=np.int64, count=n_iter
-        )
-        flat = np.fromiter(
-            chain.from_iterable(it.computed for it in iters),
-            dtype=np.int64, count=int(sizes.sum()),
-        )
-        rid = np.repeat(np.arange(n_iter, dtype=np.int64), sizes)
+        n_iter = trace.num_iterations
+        sizes = trace.sizes
+        flat = trace.computed
+        rid = trace.rounds
         hits = n_cached = np.zeros(n_iter, dtype=np.int64)
         # spec[j] is prefetched in round j (never on the last round) and
         # can hit in round j + 1.
@@ -436,7 +397,7 @@ class SearSSDModel:
         key_space = self._key_space
         tagged = rid * key_space + self._page_keys(flat)
         lun_tags = np.sort(tagged // self._lun_span)
-        heads = np.flatnonzero(_run_heads(lun_tags))
+        heads = np.flatnonzero(run_heads(lun_tags))
         group_ids = lun_tags[heads]
         raw = np.append(heads[1:], lun_tags.size) - heads
         lo = group_ids * self._lun_span
@@ -477,8 +438,8 @@ class SearSSDModel:
         with speculative prefetch overlapping the next round.  All rounds
         and all ``(round, LUN)`` groups are priced in one pass over the
         stacked compiled traces.  Every float is accumulated in the order
-        a per-round replay would add it (:func:`_ordered_sums`,
-        sequential ``cumsum``), so the result is bit-exact with it.
+        a per-round replay would add it (:func:`ordered_sums`, sequential
+        ``cumsum``), so the result is bit-exact with it.
         """
         timing = self.config.timing
         flags = self.config.flags
@@ -521,7 +482,7 @@ class SearSSDModel:
         key = groups[0] * n_luns + groups[1]
         by_key = np.argsort(key, kind="stable")
         key = key[by_key]
-        heads = np.flatnonzero(_run_heads(key))
+        heads = np.flatnonzero(run_heads(key))
         g_round, g_lun = np.divmod(key[heads], n_luns)
         n_queries = np.append(heads[1:], key.size) - heads
         first_query = owner[by_key[heads]]
@@ -553,7 +514,7 @@ class SearSSDModel:
         ) + t_soft
         t_mac = n_vectors * mac_s
         lun_time = t_nand + t_mac
-        nand_r, mac_r, queue_r, ecc_r, soft_r = _ordered_sums(
+        nand_r, mac_r, queue_r, ecc_r, soft_r = ordered_sums(
             np.array((t_nand, t_mac, lun_time,
                       loads * timing.ecc_hard_decode_s, t_soft)),
             g_round, n_rounds,
@@ -564,10 +525,10 @@ class SearSSDModel:
         rc = g_round * n_channels + g_lun // geometry.luns_per_channel
         by_channel = np.argsort(rc, kind="stable")
         rc = rc[by_channel]
-        rc_heads = _run_heads(rc)
+        rc_heads = run_heads(rc)
         rc_first = np.flatnonzero(rc_heads)
         readout_bytes = n_vectors * 8 + 16
-        (readout,) = _ordered_sums(
+        (readout,) = ordered_sums(
             (readout_bytes[by_channel] / timing.channel_bus_bw + 0.5e-6)[None],
             np.cumsum(rc_heads) - 1, rc_first.size,
         )
@@ -575,7 +536,7 @@ class SearSSDModel:
         # Critical-path attribution: the slowest channel's compute time
         # counts as NAND read, the remainder as channel-bus readout.
         rc_round = rc[rc_first] // n_channels
-        round_first = np.flatnonzero(_run_heads(rc_round))
+        round_first = np.flatnonzero(run_heads(rc_round))
         t_search = np.zeros(n_rounds)
         t_crit = np.zeros(n_rounds)
         t_search[rc_round[round_first]] = np.maximum.reduceat(

@@ -8,6 +8,12 @@ by instrumenting the search code — and feeds them to the simulator.
 serialisable to a single ``.npz`` so expensive graph construction and
 trace generation run once per (dataset, algorithm) and every
 experiment replays from cache.
+
+The file holds the traces' columns concatenated: ``entries`` and
+``computed``, with ``iter_offsets`` (each trace's first iteration) and
+``computed_offsets`` (each iteration's first computed vertex) as
+boundaries.  Saving concatenates each trace's columns; loading slices
+them back out, with no per-iteration objects either way.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.ann.trace import IterationRecord, SearchTrace
+from repro.ann.trace import SearchTrace
 
 
 def zipf_weights(pool_size: int, exponent: float = 1.0) -> np.ndarray:
@@ -115,53 +121,49 @@ class TraceSet:
 
     # ---- persistence ------------------------------------------------------
     def save(self, path: str | Path) -> None:
-        """Flatten the ragged trace structure into one ``.npz``."""
-        iter_offsets = [0]
-        computed_offsets = [0]
-        entries: list[int] = []
-        computed: list[int] = []
-        for trace in self.traces:
-            for record in trace.iterations:
-                entries.append(record.entry)
-                computed.extend(record.computed)
-                computed_offsets.append(len(computed))
-            iter_offsets.append(len(entries))
+        """Write every trace's columns, concatenated, to one ``.npz``."""
+        traces = self.traces
+        empty = np.zeros(0, dtype=np.int64)
+        # Each trace's offsets restart at 0: shift them onto the
+        # concatenated ``computed`` and keep one leading 0 overall.
+        bases = np.cumsum([0] + [t.trace_length for t in traces]).tolist()
         np.savez_compressed(
             Path(path),
-            entries=np.asarray(entries, dtype=np.int64),
-            iter_offsets=np.asarray(iter_offsets, dtype=np.int64),
-            computed=np.asarray(computed, dtype=np.int64),
-            computed_offsets=np.asarray(computed_offsets, dtype=np.int64),
+            entries=np.concatenate([empty] + [t.entries for t in traces]),
+            iter_offsets=np.cumsum(
+                [0] + [t.num_iterations for t in traces], dtype=np.int64
+            ),
+            computed=np.concatenate([empty] + [t.computed for t in traces]),
+            computed_offsets=np.concatenate(
+                [np.zeros(1, dtype=np.int64)]
+                + [t.offsets[1:] + b for t, b in zip(traces, bases)]
+            ),
             result_ids=self.result_ids,
             result_dists=self.result_dists,
         )
 
     @classmethod
     def load(cls, path: str | Path) -> "TraceSet":
+        """Slice each trace's columns out of the concatenated arrays."""
         with np.load(Path(path)) as data:
             entries = data["entries"]
-            iter_offsets = data["iter_offsets"]
+            iter_offsets = data["iter_offsets"].tolist()
             computed = data["computed"]
             computed_offsets = data["computed_offsets"]
             result_ids = data["result_ids"]
             result_dists = data["result_dists"]
         traces: list[SearchTrace] = []
-        iter_idx = 0
-        for q in range(iter_offsets.size - 1):
-            trace = SearchTrace(query_id=q)
-            for _ in range(int(iter_offsets[q + 1] - iter_offsets[q])):
-                lo = int(computed_offsets[iter_idx])
-                hi = int(computed_offsets[iter_idx + 1])
-                trace.iterations.append(
-                    IterationRecord(
-                        entry=int(entries[iter_idx]),
-                        computed=tuple(int(v) for v in computed[lo:hi]),
-                    )
-                )
-                iter_idx += 1
-            trace.result_ids = result_ids[q]
-            trace.result_distances = result_dists[q]
-            traces.append(trace)
+        for q, (lo, hi) in enumerate(zip(iter_offsets, iter_offsets[1:])):
+            offsets = computed_offsets[lo:hi + 1]
+            start = int(offsets[0])
+            traces.append(SearchTrace(
+                query_id=q,
+                entries=entries[lo:hi],
+                offsets=offsets - start,
+                computed=computed[start:int(offsets[-1])],
+                result_ids=result_ids[q],
+                result_distances=result_dists[q],
+            ))
         return cls(traces=traces, result_ids=result_ids, result_dists=result_dists)
 
     @classmethod

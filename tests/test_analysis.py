@@ -26,11 +26,10 @@ def placement(tiny_geometry):
 
 
 def _trace(vertex_lists):
-    t = SearchTrace(query_id=0)
-    for vs in vertex_lists:
-        t.iterations.append(IterationRecord(entry=vs[0] if vs else 0,
-                                            computed=tuple(vs)))
-    return t
+    return SearchTrace.from_iterations([
+        IterationRecord(entry=vs[0] if vs else 0, computed=tuple(vs))
+        for vs in vertex_lists
+    ])
 
 
 class TestLocalityMetrics:

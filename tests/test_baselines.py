@@ -15,16 +15,16 @@ def _traces(n_queries=8, iterations=6, per_iter=5, n_vertices=600, seed=0):
     rng = np.random.default_rng(seed)
     out = []
     for q in range(n_queries):
-        t = SearchTrace(query_id=q)
+        records = []
         for _ in range(iterations):
             computed = tuple(
                 int(v) for v in rng.choice(n_vertices, per_iter, replace=False)
             )
-            t.iterations.append(
+            records.append(
                 IterationRecord(entry=int(rng.integers(n_vertices)),
                                 computed=computed)
             )
-        out.append(t)
+        out.append(SearchTrace.from_iterations(records, query_id=q))
     return out
 
 
@@ -185,9 +185,9 @@ class TestDeepStore:
         traces = []
         base = _traces(1, 5, 6, seed=9)[0]
         for q in range(16):
-            t = SearchTrace(query_id=q)
-            t.iterations = list(base.iterations)
-            traces.append(t)
+            traces.append(
+                SearchTrace.from_iterations(base.iterations, query_id=q)
+            )
         on = DeepStoreModel(
             config=tiny_config, placement=placement, dynamic_alloc=True
         ).run_batch(traces, _profile())

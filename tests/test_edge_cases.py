@@ -34,9 +34,10 @@ class TestDegenerateInputs:
     def test_trace_with_empty_iterations_simulates(self, tiny_config):
         placement = map_vertices(100, tiny_config.geometry, 64)
         model = SearSSDModel(config=tiny_config, placement=placement, dim=16)
-        trace = SearchTrace(query_id=0)
-        trace.iterations.append(IterationRecord(entry=0, computed=()))
-        trace.iterations.append(IterationRecord(entry=1, computed=(2, 3)))
+        trace = SearchTrace.from_iterations([
+            IterationRecord(entry=0, computed=()),
+            IterationRecord(entry=1, computed=(2, 3)),
+        ])
         result = model.run_batch([trace])
         assert result.sim_time_s > 0
 
@@ -56,8 +57,9 @@ class TestFailureInjection:
             dim=16,
             ldpc=LDPCModel(hard_failure_prob=1.0),
         )
-        trace = SearchTrace(query_id=0)
-        trace.iterations.append(IterationRecord(entry=0, computed=(1, 50, 99)))
+        trace = SearchTrace.from_iterations(
+            [IterationRecord(entry=0, computed=(1, 50, 99))]
+        )
         result = model.run_batch([trace])
         assert result.counters["ecc_soft_decodes"] == result.counters[
             "ecc_hard_decodes"

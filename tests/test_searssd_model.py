@@ -14,15 +14,15 @@ def _make_traces(n_queries, iterations, vertices_per_iter, n_vertices, seed=0):
     rng = np.random.default_rng(seed)
     traces = []
     for q in range(n_queries):
-        t = SearchTrace(query_id=q)
+        records = []
         for _ in range(iterations):
             entry = int(rng.integers(n_vertices))
             computed = tuple(
                 int(v) for v in rng.choice(n_vertices, vertices_per_iter,
                                            replace=False)
             )
-            t.iterations.append(IterationRecord(entry=entry, computed=computed))
-        traces.append(t)
+            records.append(IterationRecord(entry=entry, computed=computed))
+        traces.append(SearchTrace.from_iterations(records, query_id=q))
     return traces
 
 
@@ -64,9 +64,9 @@ class TestSchedulingEffects:
         base = _make_traces(1, 6, 8, 600, seed=2)[0]
         traces = []
         for q in range(16):
-            t = SearchTrace(query_id=q)
-            t.iterations = list(base.iterations)
-            traces.append(t)
+            traces.append(
+                SearchTrace.from_iterations(base.iterations, query_id=q)
+            )
         on = SearSSDModel(
             config=tiny_config.with_flags(
                 SchedulingFlags(True, True, True, False)
@@ -88,8 +88,9 @@ class TestSchedulingEffects:
         placement = map_vertices(600, tiny_config.geometry, 64, scheme="multiplane")
         vpp = placement.vectors_per_page
         # Accesses deliberately span sibling planes at equal pages.
-        t = SearchTrace(query_id=0)
-        t.iterations.append(IterationRecord(entry=0, computed=(0, vpp)))
+        t = SearchTrace.from_iterations(
+            [IterationRecord(entry=0, computed=(0, vpp))]
+        )
         model = SearSSDModel(config=tiny_config, placement=placement, dim=16)
         result = model.run_batch([t])
         assert result.counters["multiplane_reads"] == 1

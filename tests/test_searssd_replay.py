@@ -164,12 +164,10 @@ class TestBatchMemo:
 
 # ---- round-vectorized compilation --------------------------------------------
 def _trace(rounds) -> SearchTrace:
-    t = SearchTrace(query_id=0)
-    for computed in rounds:
-        t.iterations.append(
-            IterationRecord(entry=0, computed=tuple(int(v) for v in computed))
-        )
-    return t
+    return SearchTrace.from_iterations([
+        IterationRecord(entry=0, computed=tuple(int(v) for v in computed))
+        for computed in rounds
+    ])
 
 
 def _loads_and_merges(model: SearSSDModel, keys) -> tuple[int, int]:

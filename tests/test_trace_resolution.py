@@ -4,6 +4,8 @@ per-iteration code they replace exactly."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -41,27 +43,31 @@ def _precompute_oracle(traces, graph, width) -> list[list[np.ndarray]]:
 
 
 def _remap_oracle(trace: SearchTrace, new_id: np.ndarray) -> SearchTrace:
-    remapped = SearchTrace(query_id=trace.query_id)
-    for it in trace.iterations:
-        remapped.iterations.append(
-            IterationRecord(
-                entry=int(new_id[it.entry]),
-                computed=tuple(int(new_id[c]) for c in it.computed),
-            )
+    iterations = [
+        IterationRecord(
+            entry=int(new_id[it.entry]),
+            computed=tuple(int(new_id[c]) for c in it.computed),
         )
-    if trace.result_ids is not None:
-        remapped.result_ids = new_id[trace.result_ids]
-        remapped.result_distances = trace.result_distances
-    return remapped
+        for it in trace.iterations
+    ]
+    if trace.result_ids is None:
+        return SearchTrace.from_iterations(iterations, query_id=trace.query_id)
+    return SearchTrace.from_iterations(
+        iterations,
+        query_id=trace.query_id,
+        result_ids=new_id[trace.result_ids],
+        result_distances=trace.result_distances,
+    )
 
 
 def _trace(rounds, query_id: int = 0) -> SearchTrace:
-    t = SearchTrace(query_id=query_id)
-    for entry, computed in rounds:
-        t.iterations.append(
+    return SearchTrace.from_iterations(
+        [
             IterationRecord(entry=entry, computed=tuple(int(v) for v in computed))
-        )
-    return t
+            for entry, computed in rounds
+        ],
+        query_id=query_id,
+    )
 
 
 def _assert_sets_equal(got, want) -> None:
@@ -221,10 +227,14 @@ class TestTraceRecording:
         trace = _trace(rounds, query_id=data.draw(st.integers(0, 99)))
         if with_result:
             k = data.draw(st.integers(0, 5))
-            trace.result_ids = np.asarray(
-                data.draw(st.lists(vertex, min_size=k, max_size=k)), dtype=np.int64
+            trace = dataclasses.replace(
+                trace,
+                result_ids=np.asarray(
+                    data.draw(st.lists(vertex, min_size=k, max_size=k)),
+                    dtype=np.int64,
+                ),
+                result_distances=np.arange(k, dtype=np.float64),
             )
-            trace.result_distances = np.arange(k, dtype=np.float64)
         new_id = np.asarray(data.draw(st.permutations(range(n))), dtype=np.int64)
         _assert_same_trace(remap_trace(trace, new_id), _remap_oracle(trace, new_id))
 

@@ -9,20 +9,23 @@ from repro.workloads import TraceSet
 
 def _trace_set(n=6, seed=0):
     rng = np.random.default_rng(seed)
-    traces = []
+    iterations = []
     for q in range(n):
-        t = SearchTrace(query_id=q)
+        records = []
         for _ in range(int(rng.integers(1, 5))):
             computed = tuple(int(v) for v in rng.integers(0, 100, size=3))
-            t.iterations.append(
+            records.append(
                 IterationRecord(entry=int(rng.integers(100)), computed=computed)
             )
-        traces.append(t)
+        iterations.append(records)
     ids = rng.integers(0, 100, size=(n, 4)).astype(np.int64)
     dists = rng.random(size=(n, 4))
-    for t, i, d in zip(traces, ids, dists):
-        t.result_ids = i
-        t.result_distances = d
+    traces = [
+        SearchTrace.from_iterations(
+            records, query_id=q, result_ids=i, result_distances=d
+        )
+        for q, (records, i, d) in enumerate(zip(iterations, ids, dists))
+    ]
     return TraceSet(traces=traces, result_ids=ids, result_dists=dists)
 
 
@@ -41,8 +44,7 @@ class TestRoundTrip:
         assert np.allclose(loaded.result_dists, ts.result_dists)
 
     def test_empty_iterations_preserved(self, tmp_path):
-        t = SearchTrace(query_id=0)
-        t.iterations.append(IterationRecord(entry=3, computed=()))
+        t = SearchTrace.from_iterations([IterationRecord(entry=3, computed=())])
         ts = TraceSet(
             traces=[t],
             result_ids=np.zeros((1, 2), dtype=np.int64),
