@@ -22,8 +22,12 @@ import numpy as np
 
 from repro.ann.distance import DistanceMetric, distances_to_query
 from repro.ann.graph import ProximityGraph
-from repro.ann.search import greedy_beam_search, top_k_from_results
-from repro.ann.trace import SearchTrace, TraceRecorder
+from repro.ann.search import (
+    FrozenAdjacency,
+    LockstepIndex,
+    beam_search_batch,
+    greedy_beam_search,
+)
 
 
 @dataclass(frozen=True)
@@ -50,7 +54,7 @@ class DiskANNParams:
             raise ValueError("alpha must be >= 1.0")
 
 
-class DiskANNIndex:
+class DiskANNIndex(LockstepIndex):
     """A built Vamana graph with DiskANN-style beam search."""
 
     def __init__(
@@ -70,6 +74,7 @@ class DiskANNIndex:
         self.adjacency: list[list[int]] = self._random_regular_init()
         self._visit_counts: Counter = Counter()
         self._build()
+        self._frozen = FrozenAdjacency.from_lists(n, self.adjacency)
 
     # ---- construction ------------------------------------------------------
     def _find_medoid(self) -> int:
@@ -165,50 +170,32 @@ class DiskANNIndex:
                             self.adjacency[u] = self._robust_prune(u, cand, alpha)
 
     # ---- search ----------------------------------------------------------------
-    def search(
-        self,
-        query: np.ndarray,
-        k: int,
-        ef: int | None = None,
-        recorder: TraceRecorder | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Beam search of width ``ef`` (DiskANN's L) from the medoid."""
+    def _search_rows(
+        self, queries: np.ndarray, k: int, ef: int | None, record: bool
+    ):
+        """Lockstep beam search of width ``ef`` (DiskANN's L) from the
+        medoid for every row of ``queries``.
+
+        Visits are counted query by query, the medoid then the results,
+        the order :meth:`hot_vertices` breaks count ties by.
+        """
         if ef is None:
             ef = self.params.L
         if ef < k:
             raise ValueError("ef must be >= k")
-        results = greedy_beam_search(
+        results, columns = beam_search_batch(
             self.vectors,
-            lambda v: np.asarray(self.adjacency[v], dtype=np.int64),
-            query,
-            [self.medoid],
+            self._frozen,
+            queries,
+            [[self.medoid]] * queries.shape[0],
             ef,
             self.metric,
-            recorder=recorder,
+            record=record,
         )
-        self._visit_counts[self.medoid] += 1
-        for _, v in results:
-            self._visit_counts[v] += 1
-        ids, dists = top_k_from_results(results, k)
-        if recorder is not None:
-            recorder.record_result(ids, dists)
-        return ids, dists
-
-    def search_batch(
-        self, queries: np.ndarray, k: int, ef: int | None = None, record: bool = True
-    ) -> tuple[np.ndarray, np.ndarray, list[SearchTrace]]:
-        n = queries.shape[0]
-        all_ids = np.full((n, k), -1, dtype=np.int64)
-        all_dists = np.full((n, k), np.inf, dtype=np.float64)
-        traces: list[SearchTrace] = []
-        for i in range(n):
-            recorder = TraceRecorder(query_id=i) if record else None
-            ids, dists = self.search(queries[i], k, ef=ef, recorder=recorder)
-            all_ids[i, : ids.size] = ids
-            all_dists[i, : dists.size] = dists
-            if recorder is not None:
-                traces.append(recorder.finish())
-        return all_ids, all_dists, traces
+        for res in results:
+            self._visit_counts[self.medoid] += 1
+            self._visit_counts.update(v for _, v in res)
+        return results, columns
 
     # ---- export --------------------------------------------------------------------
     def base_graph(self) -> ProximityGraph:

@@ -32,8 +32,11 @@ def distances_to_query(
 ) -> np.ndarray:
     """Distances from ``query`` (d,) to each row of ``vectors`` (m, d).
 
-    This is the batched kernel every search loop calls once per
-    expanded vertex (one call covers all of that vertex's neighbors).
+    The scalar beam search calls it once per expanded vertex (one call
+    covers all of that vertex's neighbors); the lockstep batch kernel
+    calls it once per query and step for ANGULAR and INNER_PRODUCT and
+    shares one row-wise ``einsum`` across the batch for EUCLIDEAN
+    (:func:`repro.ann.search.beam_search_batch`).
     """
     if vectors.ndim != 2:
         raise ValueError(f"vectors must be 2-D, got shape {vectors.shape}")

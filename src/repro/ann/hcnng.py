@@ -19,8 +19,7 @@ import numpy as np
 
 from repro.ann.distance import DistanceMetric, distances_to_query, pairwise_distances
 from repro.ann.graph import ProximityGraph
-from repro.ann.search import greedy_beam_search, top_k_from_results
-from repro.ann.trace import SearchTrace, TraceRecorder
+from repro.ann.search import FrozenAdjacency, LockstepIndex, beam_search_batch
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,7 @@ class HCNNGParams:
             raise ValueError("mst_max_degree must be >= 2")
 
 
-class HCNNGIndex:
+class HCNNGIndex(LockstepIndex):
     """A built HCNNG graph with greedy-traversal search."""
 
     def __init__(
@@ -72,6 +71,7 @@ class HCNNGIndex:
         for a, b in sorted(self._edges):
             self.adjacency[a].append(b)
             self.adjacency[b].append(a)
+        self._frozen = FrozenAdjacency.from_lists(n, self.adjacency)
         self.routing_ids = self._rng.choice(
             n, size=min(self.params.routing_sample, n), replace=False
         ).astype(np.int64)
@@ -143,46 +143,24 @@ class HCNNGIndex:
         dists = distances_to_query(self.vectors[self.routing_ids], query, self.metric)
         return int(self.routing_ids[int(np.argmin(dists))])
 
-    def search(
-        self,
-        query: np.ndarray,
-        k: int,
-        ef: int | None = None,
-        recorder: TraceRecorder | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def _search_rows(
+        self, queries: np.ndarray, k: int, ef: int | None, record: bool
+    ):
+        """Lockstep greedy traversal of every row of ``queries``, each
+        entered from its nearest routing vertex."""
         if ef is None:
             ef = max(32, 2 * k)
         if ef < k:
             raise ValueError("ef must be >= k")
-        results = greedy_beam_search(
+        return beam_search_batch(
             self.vectors,
-            lambda v: np.asarray(self.adjacency[v], dtype=np.int64),
-            query,
-            [self._entry_point(query)],
+            self._frozen,
+            queries,
+            [[self._entry_point(query)] for query in queries],
             ef,
             self.metric,
-            recorder=recorder,
+            record=record,
         )
-        ids, dists = top_k_from_results(results, k)
-        if recorder is not None:
-            recorder.record_result(ids, dists)
-        return ids, dists
-
-    def search_batch(
-        self, queries: np.ndarray, k: int, ef: int | None = None, record: bool = True
-    ) -> tuple[np.ndarray, np.ndarray, list[SearchTrace]]:
-        n = queries.shape[0]
-        all_ids = np.full((n, k), -1, dtype=np.int64)
-        all_dists = np.full((n, k), np.inf, dtype=np.float64)
-        traces: list[SearchTrace] = []
-        for i in range(n):
-            recorder = TraceRecorder(query_id=i) if record else None
-            ids, dists = self.search(queries[i], k, ef=ef, recorder=recorder)
-            all_ids[i, : ids.size] = ids
-            all_dists[i, : dists.size] = dists
-            if recorder is not None:
-                traces.append(recorder.finish())
-        return all_ids, all_dists, traces
 
     def base_graph(self) -> ProximityGraph:
         entry = int(self.routing_ids[0])

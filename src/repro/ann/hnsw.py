@@ -18,8 +18,12 @@ import numpy as np
 
 from repro.ann.distance import DistanceMetric, distances_to_query, pairwise_distances
 from repro.ann.graph import ProximityGraph
-from repro.ann.search import greedy_beam_search, top_k_from_results
-from repro.ann.trace import SearchTrace, TraceRecorder
+from repro.ann.search import (
+    FrozenAdjacency,
+    LockstepIndex,
+    beam_search_batch,
+    greedy_beam_search,
+)
 
 #: Cap on the number of extra layer-0 entry points seeded per search.
 #: Greedy beam search from a single entry can park in a local minimum on
@@ -68,7 +72,7 @@ class HNSWParams:
         return 1.0 / np.log(self.M)
 
 
-class HNSWIndex:
+class HNSWIndex(LockstepIndex):
     """A fully built HNSW index over a dataset."""
 
     def __init__(self, vectors: np.ndarray, params: HNSWParams | None = None,
@@ -80,8 +84,9 @@ class HNSWIndex:
         if n == 0:
             raise ValueError("cannot build an index over an empty dataset")
         self._rng = np.random.default_rng(self.params.seed)
-        # layers[l][v] -> list[int]; vertex present iff level(v) >= l.
-        self.layers: list[dict[int, list[int]]] = [dict()]
+        # Build-time adjacency, _layers[l][v] -> list[int]; vertex
+        # present iff level(v) >= l.  _freeze() replaces it.
+        self._layers: list[dict[int, list[int]]] = [dict()]
         self.levels = np.zeros(n, dtype=np.int32)
         self.entry_point = 0
         self._build()
@@ -94,15 +99,27 @@ class HNSWIndex:
     def _build(self) -> None:
         n = self.vectors.shape[0]
         self.levels[0] = self._sample_level()
-        for _ in range(self.levels[0] + 1 - len(self.layers)):
-            self.layers.append(dict())
+        for _ in range(self.levels[0] + 1 - len(self._layers)):
+            self._layers.append(dict())
         for layer in range(self.levels[0] + 1):
-            self.layers[layer][0] = []
+            self._layers[layer][0] = []
         for v in range(1, n):
             self._insert(v)
         self._ensure_nearest_inlink()
         self._pivots = self._select_pivots()
         self._ensure_reachable()
+        self._freeze()
+
+    def _freeze(self) -> None:
+        """Replace the build-time dict-of-list layers with
+        :class:`FrozenAdjacency` tables: layer 0 with a row per vertex,
+        the upper layers compact (only their own vertices)."""
+        n = self.vectors.shape[0]
+        base = self._layers[0]
+        self._frozen = [
+            FrozenAdjacency.from_lists(n, [base.get(v, ()) for v in range(n)])
+        ] + [FrozenAdjacency.from_mapping(n, layer) for layer in self._layers[1:]]
+        del self._layers
 
     def _ensure_nearest_inlink(self) -> None:
         """Guarantee each vector an in-edge from its true nearest neighbor.
@@ -129,7 +146,7 @@ class HNSWIndex:
         required: dict[int, set[int]] = {}
         for v in range(n):
             required.setdefault(int(nearest[v]), set()).add(v)
-        adj = self.layers[0]
+        adj = self._layers[0]
         cap = self.params.max_degree0
         for w, targets in required.items():
             neigh = adj.setdefault(w, [])
@@ -147,7 +164,7 @@ class HNSWIndex:
         representative of its component to the pivot list (cheapest
         repair: no graph surgery, no degree-cap interactions).
         """
-        adj = self.layers[0]
+        adj = self._layers[0]
         n = self.vectors.shape[0]
         seen = np.zeros(n, dtype=bool)
         stack = sorted({int(self.entry_point), *self._pivots})
@@ -194,7 +211,7 @@ class HNSWIndex:
     def _search_layer(
         self, query: np.ndarray, entries: list[int], ef: int, layer: int
     ) -> list[tuple[float, int]]:
-        adj = self.layers[layer]
+        adj = self._layers[layer]
         return greedy_beam_search(
             self.vectors,
             lambda v: np.asarray(adj.get(v, ()), dtype=np.int64),
@@ -207,8 +224,8 @@ class HNSWIndex:
     def _insert(self, v: int) -> None:
         level = self._sample_level()
         self.levels[v] = level
-        while len(self.layers) <= level:
-            self.layers.append(dict())
+        while len(self._layers) <= level:
+            self._layers.append(dict())
         query = self.vectors[v]
         top = self.levels[self.entry_point]
         entry = self.entry_point
@@ -222,7 +239,7 @@ class HNSWIndex:
             found = self._search_layer(query, entries, self.params.ef_construction, layer)
             m_cap = self.params.max_degree0 if layer == 0 else self.params.max_degree
             selected = self._select_neighbors(query, found, self.params.M)
-            adj = self.layers[layer]
+            adj = self._layers[layer]
             adj[v] = [u for _, u in selected]
             for dist_vu, u in selected:
                 adj.setdefault(u, []).append(v)
@@ -230,7 +247,7 @@ class HNSWIndex:
                     self._shrink(u, layer, m_cap)
             entries = [u for _, u in found]
         for layer in range(int(top) + 1, level + 1):
-            self.layers[layer][v] = []
+            self._layers[layer][v] = []
         if level > top:
             self.entry_point = v
 
@@ -268,7 +285,7 @@ class HNSWIndex:
     def _shrink(
         self, u: int, layer: int, m_cap: int, protect: set[int] | frozenset = frozenset()
     ) -> None:
-        adj = self.layers[layer]
+        adj = self._layers[layer]
         neigh = np.asarray(adj[u], dtype=np.int64)
         dists = distances_to_query(self.vectors[neigh], self.vectors[u], self.metric)
         candidates = [(float(d), int(x)) for d, x in zip(dists, neigh)]
@@ -289,14 +306,12 @@ class HNSWIndex:
         adj[u] = [x for _, x in kept]
 
     # ---- search ----------------------------------------------------------------
-    def search(
-        self,
-        query: np.ndarray,
-        k: int,
-        ef: int | None = None,
-        recorder: TraceRecorder | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Top-k search; optionally records the layer-0 access trace.
+    def _search_rows(
+        self, queries: np.ndarray, k: int, ef: int | None, record: bool
+    ):
+        """Lockstep search of every row of ``queries``: the greedy
+        descent through the upper layers, then the layer-0 beam, whose
+        trace is the one recorded (the flash traffic).
 
         The layer-0 beam is seeded with the greedy-descent entry *plus*
         the index's restart pivots, and ``ef`` is floored at ``Mmax0``
@@ -309,60 +324,45 @@ class HNSWIndex:
         if ef < k:
             raise ValueError("ef must be >= k")
         ef = max(ef, self.params.max_degree0)
-        entry = self.entry_point
+        entries = [self.entry_point] * queries.shape[0]
         for layer in range(int(self.levels[self.entry_point]), 0, -1):
-            nearest = self._search_layer(query, [entry], 1, layer)
-            entry = nearest[0][1]
-        adj = self.layers[0]
-        entries = [entry] + [p for p in self._pivots if p != entry]
-        results = greedy_beam_search(
+            nearest, _ = beam_search_batch(
+                self.vectors, self._frozen[layer], queries,
+                [[e] for e in entries], 1, self.metric,
+            )
+            entries = [res[0][1] for res in nearest]
+        return beam_search_batch(
             self.vectors,
-            lambda v: np.asarray(adj.get(v, ()), dtype=np.int64),
-            query,
-            entries,
+            self._frozen[0],
+            queries,
+            [[e] + [p for p in self._pivots if p != e] for e in entries],
             ef,
             self.metric,
-            recorder=recorder,
+            record=record,
         )
-        ids, dists = top_k_from_results(results, k)
-        if recorder is not None:
-            recorder.record_result(ids, dists)
-        return ids, dists
-
-    def search_batch(
-        self, queries: np.ndarray, k: int, ef: int | None = None, record: bool = True
-    ) -> tuple[np.ndarray, np.ndarray, list[SearchTrace]]:
-        """Batch search returning ids, distances and per-query traces."""
-        n = queries.shape[0]
-        all_ids = np.full((n, k), -1, dtype=np.int64)
-        all_dists = np.full((n, k), np.inf, dtype=np.float64)
-        traces: list[SearchTrace] = []
-        for i in range(n):
-            recorder = TraceRecorder(query_id=i) if record else None
-            ids, dists = self.search(queries[i], k, ef=ef, recorder=recorder)
-            all_ids[i, : ids.size] = ids
-            all_dists[i, : dists.size] = dists
-            if recorder is not None:
-                traces.append(recorder.finish())
-        return all_ids, all_dists, traces
 
     # ---- export --------------------------------------------------------------------
+    @property
+    def layers(self) -> list[dict[int, list[int]]]:
+        """Per layer, ``{vertex: neighbor list}`` (rebuilt on each read)."""
+        return [adjacency.lists() for adjacency in self._frozen]
+
     def base_graph(self) -> ProximityGraph:
         """The layer-0 graph: what NDSearch stores in the flash array."""
-        n = self.vectors.shape[0]
-        adjacency = [self.layers[0].get(v, []) for v in range(n)]
+        adjacency = list(self._frozen[0].lists().values())
         return ProximityGraph.from_adjacency(
             self.vectors, adjacency, metric=self.metric, entry_point=self.entry_point
         )
 
     @property
     def num_layers(self) -> int:
-        return len(self.layers)
+        return len(self._frozen)
 
     def memory_per_vertex_bytes(self) -> float:
         """Average per-vertex footprint (paper: 60-450 B/vertex)."""
-        edge_bytes = sum(
-            4 * len(neigh) for layer in self.layers for neigh in layer.values()
+        n = self.vectors.shape[0]
+        edge_bytes = 4 * sum(
+            int(np.count_nonzero(adjacency.table < n)) for adjacency in self._frozen
         )
         vec_bytes = self.vectors.size * self.vectors.itemsize
-        return (edge_bytes + vec_bytes) / self.vectors.shape[0]
+        return (edge_bytes + vec_bytes) / n

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.ann.distance import DistanceMetric, distances_to_query, pairwise_distances
 from repro.ann.graph import ProximityGraph
+from repro.ann.search import search_each
 from repro.ann.trace import SearchTrace, TraceRecorder
 
 
@@ -149,18 +150,10 @@ class IVFFlatIndex:
     ) -> tuple[np.ndarray, np.ndarray, list[SearchTrace]]:
         """Batch search; ``ef`` is accepted (and ignored) so IVF plugs
         into the same harness slots as the graph indexes."""
-        n = queries.shape[0]
-        all_ids = np.full((n, k), -1, dtype=np.int64)
-        all_dists = np.full((n, k), np.inf, dtype=np.float64)
-        traces: list[SearchTrace] = []
-        for i in range(n):
-            recorder = TraceRecorder(query_id=i) if record else None
-            ids, dists = self.search(queries[i], k, recorder=recorder)
-            all_ids[i, : ids.size] = ids
-            all_dists[i, : dists.size] = dists
-            if recorder is not None:
-                traces.append(recorder.finish())
-        return all_ids, all_dists, traces
+        return search_each(
+            lambda query, recorder: self.search(query, k, recorder=recorder),
+            queries, k, record,
+        )
 
     # ---- export ----------------------------------------------------------------
     def base_graph(self) -> ProximityGraph:

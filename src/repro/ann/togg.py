@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.ann.distance import DistanceMetric, distances_to_query
 from repro.ann.graph import ProximityGraph
-from repro.ann.search import greedy_beam_search, top_k_from_results
+from repro.ann.search import greedy_beam_search, search_each, top_k_from_results
 from repro.ann.trace import SearchTrace, TraceRecorder
 
 
@@ -202,18 +202,10 @@ class TOGGIndex:
     def search_batch(
         self, queries: np.ndarray, k: int, ef: int | None = None, record: bool = True
     ) -> tuple[np.ndarray, np.ndarray, list[SearchTrace]]:
-        n = queries.shape[0]
-        all_ids = np.full((n, k), -1, dtype=np.int64)
-        all_dists = np.full((n, k), np.inf, dtype=np.float64)
-        traces: list[SearchTrace] = []
-        for i in range(n):
-            recorder = TraceRecorder(query_id=i) if record else None
-            ids, dists = self.search(queries[i], k, ef=ef, recorder=recorder)
-            all_ids[i, : ids.size] = ids
-            all_dists[i, : dists.size] = dists
-            if recorder is not None:
-                traces.append(recorder.finish())
-        return all_ids, all_dists, traces
+        return search_each(
+            lambda query, recorder: self.search(query, k, ef=ef, recorder=recorder),
+            queries, k, record,
+        )
 
     def base_graph(self) -> ProximityGraph:
         return ProximityGraph.from_adjacency(

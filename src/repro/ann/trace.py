@@ -144,6 +144,14 @@ class TraceRecorder:
         # A copy: the caller may reuse its buffer before finish().
         self._computed.append(np.array(computed, dtype=np.int64, ndmin=1))
 
+    def record_columns(
+        self, entries: np.ndarray, offsets: np.ndarray, computed: np.ndarray
+    ) -> None:
+        """Append the iterations of a run of trace columns."""
+        bounds = np.asarray(offsets).tolist()
+        for entry, lo, hi in zip(np.asarray(entries).tolist(), bounds, bounds[1:]):
+            self.record_iteration(entry, computed[lo:hi])
+
     def record_result(self, ids: np.ndarray, distances: np.ndarray) -> None:
         self._result = (
             np.asarray(ids, dtype=np.int64),

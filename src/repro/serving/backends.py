@@ -72,11 +72,13 @@ class PlatformBackend:
     def search_batch(
         self, queries: np.ndarray, k: int
     ) -> tuple[np.ndarray, np.ndarray, SimResult]:
-        # Per-query memo over the functional search.  Every index runs
-        # queries through an independent per-query loop, so a row's
-        # (ids, dists, trace) never depends on which batch it arrived
-        # in — only its vector bytes and k.  Serving workloads draw
-        # from a finite Zipfian query pool, so repeats dominate; the
+        # Per-query memo over the functional search.  A row's (ids,
+        # dists, trace columns) never depends on which batch it arrived
+        # in or at which position — only its vector bytes and k — even
+        # though the lockstep kernel searches a batch's rows together
+        # (tests/test_beam_batch.py pins this for every index).
+        # Serving workloads draw from a finite Zipfian query pool, so
+        # repeats dominate; the
         # batch's *timing* is still simulated fresh below because the
         # makespan does depend on batch composition.  Returning the
         # same trace object for a repeated query also lets the timing
