@@ -46,8 +46,8 @@ def precompute_speculative_sets(
     ``sets[q][i]`` is what the Pref Unit would prefetch during query
     ``q``'s iteration ``i`` (second-order neighbors of that iteration's
     computed vertices, ranked by connectivity back into the set).
-    Depends only on the graph and the trace: :meth:`NDSearch._resolve_trace`
-    computes it once per trace and caches it with the remapped trace.
+    Depends only on the graph and the trace: :class:`NDSearch` computes
+    it once per trace, when it compiles the trace's replay.
     Each trace resolves in one :func:`rank_by_round` pass, and its sets
     are slices of one compact array holding only the kept vertices.
     """
@@ -92,7 +92,7 @@ class NDSearch:
     new_id: np.ndarray = field(init=False)
     _model: SearSSDModel = field(init=False, repr=False)
     _device: SearSSDDevice | None = field(default=None, init=False, repr=False)
-    _trace_cache: dict = field(default_factory=dict, init=False, repr=False)
+    _compiled: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         base = self.index.base_graph()
@@ -121,7 +121,6 @@ class NDSearch:
             config=self.config,
             placement=placement,
             dim=self.graph.dim,
-            graph=self.graph,
             ldpc=LDPCModel(hard_failure_prob=self.hard_failure_prob),
             cached_vertices=cached,
         )
@@ -166,31 +165,15 @@ class NDSearch:
         return ids, dists, result
 
     def _resolve_trace(self, trace: SearchTrace):
-        """Remap + speculative sets for one trace, cached by identity.
-
-        Per-query derivations (ID remapping, speculative candidate
-        selection) depend only on the single trace and the immutable
-        graph/config, never on batch composition — so a trace that
-        recurs across batches (the serving layer memoizes per-query
-        searches) resolves once.  The entry pins the trace object, so a
-        keyed id cannot be recycled onto a different object while the
-        entry lives; the ``is`` check makes a stale hit impossible
-        either way.  Returning the *same* remapped trace and spec list
-        on every hit also lets the SearSSD model reuse its compiled
-        replay of the trace.
-        """
-        entry = self._trace_cache.get(id(trace))  # repro-lint: disable=DET001 -- trace pinned in entry
-        if entry is None or entry[0] is not trace:
-            remapped = remap_trace(trace, self.new_id)
-            spec = None
-            if self.config.flags.speculative:
-                spec = precompute_speculative_sets(
-                    [remapped], self.graph, self.config.speculative_width
-                )[0]
-            if len(self._trace_cache) >= 8192:
-                self._trace_cache.pop(next(iter(self._trace_cache)))
-            entry = self._trace_cache[id(trace)] = (trace, remapped, spec)  # repro-lint: disable=DET001
-        return entry
+        """The trace remapped to physical IDs, and its speculative sets
+        (``None`` with speculation off)."""
+        remapped = remap_trace(trace, self.new_id)
+        spec = None
+        if self.config.flags.speculative:
+            spec = precompute_speculative_sets(
+                [remapped], self.graph, self.config.speculative_width
+            )[0]
+        return remapped, spec
 
     def simulate_traces(
         self,
@@ -198,14 +181,31 @@ class NDSearch:
         dataset: str = "synthetic",
         algorithm: str = "hnsw",
     ) -> SimResult:
-        """Replay pre-recorded traces on the SearSSD timing model."""
-        resolved = [self._resolve_trace(t) for t in traces]
-        remapped = [e[1] for e in resolved]
-        spec_sets = (
-            [e[2] for e in resolved] if self.config.flags.speculative else None
-        )
+        """Replay pre-recorded traces on the SearSSD timing model.
+
+        A trace's compiled replay depends only on the single trace and
+        the immutable graph/config, never on batch composition, so it
+        is cached by the trace itself: a trace that recurs across
+        batches (the serving layer memoizes per-query searches)
+        compiles once, and a repeated batch of the same compiled
+        replays is answered from the model's memo.  ``SearchTrace``
+        hashes by identity and the key keeps its trace alive, so an
+        entry can only hit for its own trace.  A batch's new traces are
+        all resolved before any is compiled: resolving walks the graph
+        and compiling the placement, and keeping one phase's arrays
+        warm in cache is faster than alternating them trace by trace.
+        """
+        cache = self._compiled
+        compiled = {t: cache.get(t) for t in traces}
+        fresh = [(t, self._resolve_trace(t))
+                 for t, c in compiled.items() if c is None]
+        for trace, resolved in fresh:
+            compiled[trace] = self._model.compile(*resolved)
+            if len(cache) >= 8192:
+                cache.pop(next(iter(cache)))
+            cache[trace] = compiled[trace]
         result = self._model.run_batch(
-            remapped, speculative_sets=spec_sets,
+            [compiled[t] for t in traces],
             algorithm=algorithm, dataset=dataset,
         )
         EnergyModel.ndsearch().attach(result)

@@ -120,11 +120,12 @@ class _CompiledTrace:
     Everything about a single query's rounds — speculative hits, cache
     hits, per-LUN page keys, load/merge counts, the spec-prefetch
     contribution — is a pure function of the trace content, the
-    speculative sets and the (immutable) model configuration, so it is
-    computed once per trace and reused across every batch the trace
-    appears in.  Only the cross-query aggregation (LUN pooling under
-    dynamic allocation, the ECC fault stream, stage timing) remains
-    batch-coupled and is redone per sub-batch.
+    speculative sets and the (immutable) model configuration, so the
+    owner of the trace compiles it once (:meth:`SearSSDModel.compile`)
+    and reuses it across every batch the trace appears in.  Only the
+    cross-query aggregation (LUN pooling under dynamic allocation, the
+    ECC fault stream, stage timing) remains batch-coupled and is redone
+    per sub-batch.
 
     The replay is columnar, so a sub-batch stacks its traces with one
     ``concatenate`` per field:
@@ -138,20 +139,19 @@ class _CompiledTrace:
     * ``spec_keys`` — every prefetched vertex's page key, tagged alike.
 
     ``serial`` is unique per model and never reused, so a tuple of
-    serials names a batch composition.
+    serials names a batch composition.  A compiled trace keeps no
+    reference to the trace or speculative sets it was built from.
     """
 
     ROUND_FIELDS = ("round", "had", "pairs", "hits", "n_cached",
                     "spec_count", "spec_loads", "spec_merged")
     GROUP_FIELDS = ("round", "lun", "raw", "loads", "merged")
 
-    __slots__ = ("trace", "spec", "rounds", "groups", "keys", "spec_keys",
+    __slots__ = ("rounds", "groups", "keys", "spec_keys",
                  "n_rounds", "trace_length", "serial")
 
-    def __init__(self, trace, spec, rounds, groups, keys, spec_keys,
+    def __init__(self, trace, rounds, groups, keys, spec_keys,
                  serial) -> None:
-        self.trace = trace
-        self.spec = spec
         self.rounds = rounds
         self.groups = groups
         self.keys = keys
@@ -161,7 +161,7 @@ class _CompiledTrace:
         self.serial = serial
 
 
-#: FIFO bound on a model's priced-batch memo (the sibling caches' size).
+#: FIFO bound on a model's priced-batch memo.
 _BATCH_MEMO_LIMIT = 4096
 
 #: Timeline ``(stage, resource)`` labels, shared by every memo entry.
@@ -197,14 +197,12 @@ class SearSSDModel:
         config: NDSearchConfig,
         placement: VertexPlacement,
         dim: int,
-        graph: ProximityGraph | None = None,
         ldpc: LDPCModel | None = None,
         cached_vertices: np.ndarray | None = None,
     ) -> None:
         self.config = config
         self.placement = placement
         self.dim = dim
-        self.graph = graph
         self.ldpc = ldpc or LDPCModel(hard_failure_prob=0.01)
         self.cached = (
             frozenset(int(v) for v in cached_vertices)
@@ -220,13 +218,8 @@ class SearSSDModel:
             if self.cached
             else None
         )
-        # Per-trace compiled replays, keyed by trace identity.  Each
-        # entry pins its trace (and spec list) so a keyed id cannot be
-        # recycled onto a different object while the entry lives; the
-        # `is` checks on lookup make a stale hit impossible either way.
-        self._compiled: dict[int, _CompiledTrace] = {}
         self._next_serial = 0
-        # Priced batches keyed by (spec_enabled, *compiled serials).
+        # Priced batches keyed by their compiled traces' serials.
         # Config, placement and the hot-vertex set are fixed at
         # construction and the LDPC stream restarts every batch, so a
         # batch's price depends on nothing else.
@@ -259,20 +252,18 @@ class SearSSDModel:
     # ---- main entry ----------------------------------------------------------------
     def run_batch(
         self,
-        traces: list[SearchTrace],
-        speculative_sets: list[list[np.ndarray]] | None = None,
+        compiled: list[_CompiledTrace],
         algorithm: str = "hnsw",
         dataset: str = "synthetic",
     ) -> SimResult:
-        """Simulate a full batch, splitting into sub-batches if needed.
+        """Simulate a batch of compiled traces (:meth:`compile`),
+        splitting into sub-batches if needed.
 
         A batch whose compiled traces were priced before is answered
         from the memo; every call returns a freshly built result, so
         callers may mutate it (``EnergyModel.attach`` does).
         """
-        compiled = self._compiled_batch(traces, speculative_sets)
-        spec_enabled = speculative_sets is not None
-        key = (spec_enabled, *(c.serial for c in compiled))
+        key = tuple(c.serial for c in compiled)
         priced = self._batches.get(key)
         if priced is None:
             priced = self._price_batch(compiled)
@@ -284,7 +275,7 @@ class SearSSDModel:
             platform="ndsearch",
             algorithm=algorithm,
             dataset=dataset,
-            batch_size=len(traces),
+            batch_size=len(compiled),
             sim_time_s=makespan,
             counters=Counters(counters),
             component_busy_s=dict(busy),
@@ -327,29 +318,14 @@ class SearSSDModel:
         return makespan, counters, busy, tuple(labels), bounds
 
     # ---- trace compilation -----------------------------------------------------------
-    def _compiled_batch(
-        self,
-        traces: list[SearchTrace],
-        speculative_sets: list[list[np.ndarray]] | None,
-    ) -> list[_CompiledTrace]:
-        """Resolve every trace to its compiled replay (cached)."""
-        out: list[_CompiledTrace] = []
-        cache = self._compiled
-        for i, trace in enumerate(traces):
-            spec = speculative_sets[i] if speculative_sets is not None else None
-            entry = cache.get(id(trace))  # repro-lint: disable=DET001 -- trace pinned in entry
-            if entry is None or entry.trace is not trace or entry.spec is not spec:
-                entry = self._compile_trace(trace, spec)
-                if len(cache) >= 8192:
-                    cache.pop(next(iter(cache)))
-                cache[id(trace)] = entry  # repro-lint: disable=DET001 -- trace pinned in entry
-            out.append(entry)
-        return out
-
-    def _compile_trace(
-        self, trace: SearchTrace, spec: list[np.ndarray] | None
+    def compile(
+        self, trace: SearchTrace, spec: list[np.ndarray] | None = None
     ) -> _CompiledTrace:
         """Pre-resolve one trace's rounds to per-LUN demand work.
+
+        ``spec`` holds the trace's per-iteration speculative sets
+        (ignored unless speculation is enabled).  Every call compiles
+        afresh under a new serial; callers cache the result.
 
         All rounds are resolved together: every vertex is tagged with
         its round (``r * V + v`` for membership tests, ``r * K + key``
@@ -426,8 +402,7 @@ class SearSSDModel:
                            spec_count, spec_loads, spec_merged))
         serial = self._next_serial
         self._next_serial += 1
-        return _CompiledTrace(trace, spec, rounds, groups, keys, spec_keys,
-                              serial)
+        return _CompiledTrace(trace, rounds, groups, keys, spec_keys, serial)
 
     # ---- one sub-batch ---------------------------------------------------------------
     def _run_sub_batch(self, compiled: list[_CompiledTrace]):

@@ -78,7 +78,9 @@ class Workload:
     ground_truth: np.ndarray
     recall: float
     hot_vertices: np.ndarray | None = None
-    _nd_cache: dict = field(default_factory=dict, repr=False)
+    _nd_cache: dict = field(default_factory=dict, init=False, repr=False)
+    _runs: dict = field(default_factory=dict, init=False, repr=False)
+    """:func:`run_platform`'s memo; it lives and dies with the workload."""
 
     def profile(self) -> DatasetProfile:
         d = self.dataset
@@ -97,14 +99,7 @@ class Workload:
         hard_failure_prob: float = 0.01,
     ) -> NDSearch:
         """A cached NDSearch system for this workload."""
-        key = (
-            config.flags,
-            config.geometry,
-            reorder_mode,
-            hard_failure_prob,
-            config.max_queries_per_lun,
-            config.timing.read_page_s,
-        )
+        key = (config, reorder_mode, hard_failure_prob)
         system = self._nd_cache.get(key)
         if system is None:
             system = NDSearch(
@@ -120,21 +115,27 @@ class Workload:
 class _IndexShim:
     """Adapts a cached Workload to the index protocol NDSearch expects
     (``base_graph`` + optional ``hot_vertices``); the searches already
-    happened at trace-generation time."""
+    happened at trace-generation time.
+
+    It keeps the workload's graph and hot vertices, not the workload:
+    the workload caches the NDSearch system holding this shim, and a
+    reference cycle would leave a dropped workload to the cyclic
+    garbage collector instead of freeing it at once."""
 
     def __init__(self, workload: Workload) -> None:
-        self._workload = workload
+        self._graph = workload.graph
+        self._hot = workload.hot_vertices
 
     def base_graph(self) -> ProximityGraph:
-        return self._workload.graph
+        return self._graph
 
     def hot_vertices(self, fraction: float) -> np.ndarray:
-        hot = self._workload.hot_vertices
+        hot = self._hot
         if hot is None:
-            degrees = self._workload.graph.degrees
-            count = max(1, int(self._workload.graph.num_vertices * fraction))
+            degrees = self._graph.degrees
+            count = max(1, int(self._graph.num_vertices * fraction))
             return np.argsort(-degrees)[:count].astype(np.int64)
-        count = max(1, int(self._workload.graph.num_vertices * fraction))
+        count = max(1, int(self._graph.num_vertices * fraction))
         return hot[:count]
 
     def search_batch(self, queries, k, ef=None, record=True):
@@ -258,13 +259,6 @@ def _load_workload(path: Path, dataset: Dataset, algorithm: str) -> Workload:
 # =============================================================================
 # Platform runs
 # =============================================================================
-# Entries pin the workload object alongside the result: the key uses
-# id(workload), which the interpreter recycles after GC, so a hit is
-# honoured only if the pinned object is identical (and pinning it keeps
-# its id from being recycled while the entry lives).
-_run_cache: dict[tuple, tuple["Workload", SimResult]] = {}
-
-
 def run_platform(
     platform: str,
     workload: Workload,
@@ -276,41 +270,18 @@ def run_platform(
 ) -> SimResult:
     """Simulate one batch of this workload on one platform.
 
-    Deterministic, so results are memoised per full parameter tuple —
-    figure drivers that share cells (e.g. Fig. 13 and Fig. 20) reuse
-    each other's simulations within a session.
+    Deterministic, so results are memoised on the workload per full
+    parameter tuple — figure drivers that share cells (e.g. Fig. 13 and
+    Fig. 20) reuse each other's simulations, because
+    :func:`get_workload` hands them the same workload object.
     """
     config = config or NDSearchConfig.scaled()
     if flags is not None:
         config = config.with_flags(flags)
-    cache_key = (
-        id(workload),  # repro-lint: disable=DET001 -- workload pinned in the entry
-        platform,
-        batch,
-        config.flags,
-        config.geometry,
-        config.timing.read_page_s,
-        reorder_mode,
-        hard_failure_prob,
-    )
-    cached = _run_cache.get(cache_key)
-    if cached is not None and cached[0] is workload:
-        return cached[1]
-    result = _run_platform_uncached(
-        platform, workload, config, batch, reorder_mode, hard_failure_prob
-    )
-    _run_cache[cache_key] = (workload, result)
-    return result
-
-
-def _run_platform_uncached(
-    platform: str,
-    workload: Workload,
-    config: NDSearchConfig,
-    batch: int,
-    reorder_mode: str,
-    hard_failure_prob: float,
-) -> SimResult:
+    key = (platform, batch, config, reorder_mode, hard_failure_prob)
+    cached = workload._runs.get(key)
+    if cached is not None:
+        return cached
     traces = workload.trace_set.subset(batch).traces
     profile = workload.profile()
     algorithm = workload.algorithm
@@ -333,10 +304,11 @@ def _run_platform_uncached(
             hard_failure_prob=hard_failure_prob,
         )
     model = platform_registry.get(platform, config, system=system)
-    return model.simulate(
+    result = workload._runs[key] = model.simulate(
         traces,
         profile,
         algorithm=algorithm,
         dataset=profile.name,
         cached_vertices=hot,
     )
+    return result

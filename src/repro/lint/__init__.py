@@ -29,7 +29,7 @@ Usage::
 
 Deliberate exceptions carry a same-line pragma::
 
-    entry = cache[id(trace)]  # repro-lint: disable=DET001
+    memo = {id(obj): obj for obj in shared}  # repro-lint: disable=DET001
 
 and grandfathered findings live in the committed ``lint_baseline.json``
 (matched by rule + path + line content, so they survive line drift but

@@ -114,9 +114,12 @@ class IdAsKey(Rule):
 
     The PR 1 bug class: ``id`` values are reused after garbage
     collection, so an ``id()``-keyed cache can serve one object's entry
-    to a different object.  The safe repo idiom (``NDSearch
-    ._resolve_trace``) pins the keyed object inside the entry and
-    identity-checks it on every hit; sites doing that carry a pragma.
+    to a different object.  The repo idiom keys by the object itself:
+    an object that hashes by identity (a plain class, an ``eq=False``
+    dataclass such as ``SearchTrace``) is kept alive by its own key, so
+    its entry can only hit for it (``NDSearch.simulate_traces``).  Only
+    ``copy.deepcopy``'s memo, whose protocol is ``id``-keyed, carries a
+    pragma.
     """
 
     ID = "DET001"
@@ -125,8 +128,8 @@ class IdAsKey(Rule):
     MSG = (
         "id(x) used as a cache/dict key: ids are recycled after GC, so a "
         "stale entry can hit for a different object (the PR 1 speculative-"
-        "set collision). Key by the object itself, or pin the object in "
-        "the entry and verify identity on hit."
+        "set collision). Key by the object itself: an identity-hashed key "
+        "keeps its object alive, so its entry cannot hit for another."
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:

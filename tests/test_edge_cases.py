@@ -38,7 +38,7 @@ class TestDegenerateInputs:
             IterationRecord(entry=0, computed=()),
             IterationRecord(entry=1, computed=(2, 3)),
         ])
-        result = model.run_batch([trace])
+        result = model.run_batch([model.compile(trace)])
         assert result.sim_time_s > 0
 
     def test_batch_of_one(self, small_hnsw, tiny_config, small_queries):
@@ -60,7 +60,7 @@ class TestFailureInjection:
         trace = SearchTrace.from_iterations(
             [IterationRecord(entry=0, computed=(1, 50, 99))]
         )
-        result = model.run_batch([trace])
+        result = model.run_batch([model.compile(trace)])
         assert result.counters["ecc_soft_decodes"] == result.counters[
             "ecc_hard_decodes"
         ]

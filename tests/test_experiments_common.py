@@ -5,6 +5,9 @@ pipeline — dataset generation, graph construction, trace recording,
 disk caching, platform dispatch — is exercised in seconds.
 """
 
+import dataclasses
+import weakref
+
 import numpy as np
 import pytest
 
@@ -86,6 +89,39 @@ class TestRunPlatform:
         full = common.run_platform("ndsearch", tiny_workload, batch=8)
         assert bare.counters["speculative_page_reads"] == 0
         assert full.sim_time_s <= bare.sim_time_s
+
+    def test_memo_keys_on_the_whole_config(self, tiny_workload):
+        """A config that differs from an earlier one only outside the
+        flags, geometry and page-read time is simulated, not answered
+        with the earlier config's result."""
+        scaled = NDSearchConfig.scaled()
+        narrow = dataclasses.replace(scaled, speculative_width=1)
+        wide = common.run_platform(
+            "ndsearch", tiny_workload, config=scaled, batch=8
+        )
+        got = common.run_platform(
+            "ndsearch", tiny_workload, config=narrow, batch=8
+        )
+        fresh = common.run_platform(
+            "ndsearch", dataclasses.replace(tiny_workload), config=narrow,
+            batch=8,
+        )
+        assert got.counters == fresh.counters
+        assert (got.counters["speculative_page_reads"]
+                != wide.counters["speculative_page_reads"])
+        assert tiny_workload.ndsearch(narrow) is not tiny_workload.ndsearch(
+            scaled
+        )
+
+    def test_memo_dies_with_its_workload(self, tiny_workload):
+        """Nothing outside a workload holds its memo, and nothing in the
+        memo refers back to it, so dropping it frees it at once."""
+        shell = dataclasses.replace(tiny_workload)
+        first = common.run_platform("ndsearch", shell, batch=8)
+        assert common.run_platform("ndsearch", shell, batch=8) is first
+        alive = weakref.ref(shell)
+        del shell
+        assert alive() is None
 
     def test_ndsearch_system_cached_per_flags(self, tiny_workload):
         cfg = NDSearchConfig.scaled()

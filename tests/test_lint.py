@@ -25,7 +25,7 @@ from repro.lint import (
     rule_ids,
 )
 from repro.lint.__main__ import main as lint_main
-from repro.lint.runner import PARSE_ERROR_RULE
+from repro.lint.runner import PARSE_ERROR_RULE, load_config
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -91,6 +91,15 @@ class TestDet001:
         det = [f for f in findings if f.rule == "DET001"]
         assert len(det) == 2
         assert {f.line for f in det} == {5, 8}
+
+    def test_object_key_not_flagged(self):
+        """The repo idiom: key by the object itself, which keeps it alive."""
+        src = (
+            "compiled = cache.get(trace)\n"
+            "if compiled is None:\n"
+            "    cache[trace] = compiled = compile(trace)\n"
+        )
+        assert lint_source(src) == []
 
     def test_identity_comparison_not_flagged(self):
         assert rules_of("same = id(a) == id(b)\n") == []
@@ -548,6 +557,14 @@ class TestSelfRun:
 
     def test_default_paths_come_from_pytest_ini(self):
         assert lint_main(["--root", str(REPO_ROOT)]) == 0
+
+    def test_pragma_suppressed_count_is_pinned(self):
+        """Three deliberate exceptions: deepcopy's id-keyed memo in
+        sim/snapshot.py (DET001) and the module-level tables in
+        sim/energy.py and serving/sharding.py (DET005).  A new pragma
+        must edit this count."""
+        paths = load_config(REPO_ROOT)["paths"].split()
+        assert lint_paths(paths, REPO_ROOT).suppressed == 3
 
     def test_cli_subprocess_smoke(self):
         proc = subprocess.run(

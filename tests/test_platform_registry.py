@@ -149,6 +149,6 @@ class TestExperimentsIntegration:
 
         from repro.experiments import common
 
-        source = inspect.getsource(common._run_platform_uncached)
+        source = inspect.getsource(common.run_platform)
         assert "platform_registry.get" in source
         assert "CPUModel" not in source

@@ -26,6 +26,11 @@ def _make_traces(n_queries, iterations, vertices_per_iter, n_vertices, seed=0):
     return traces
 
 
+def _run(model, traces):
+    """Price ``traces`` as one batch, each compiled without spec sets."""
+    return model.run_batch([model.compile(t) for t in traces])
+
+
 @pytest.fixture()
 def model(tiny_config):
     placement = map_vertices(600, tiny_config.geometry, 64)
@@ -35,25 +40,25 @@ def model(tiny_config):
 class TestBasicRun:
     def test_nonzero_makespan_and_counters(self, model):
         traces = _make_traces(8, 5, 6, 600)
-        result = model.run_batch(traces)
+        result = _run(model, traces)
         assert result.sim_time_s > 0
         assert result.counters["page_reads"] > 0
         assert result.counters["distance_computations"] == 8 * 5 * 6
         assert result.qps > 0
 
     def test_empty_batch(self, model):
-        result = model.run_batch([])
+        result = _run(model, [])
         assert result.sim_time_s == 0.0
 
     def test_busy_components_populated(self, model):
-        result = model.run_batch(_make_traces(4, 3, 4, 600))
+        result = _run(model, _make_traces(4, 3, 4, 600))
         for key in ("nand_read", "vgenerator", "allocator", "fpga_sort",
                     "pcie_host"):
             assert result.component_busy_s[key] > 0
 
     def test_more_queries_more_time(self, model):
-        small = model.run_batch(_make_traces(4, 5, 6, 600, seed=1))
-        large = model.run_batch(_make_traces(32, 5, 6, 600, seed=1))
+        small = _run(model, _make_traces(4, 5, 6, 600, seed=1))
+        large = _run(model, _make_traces(32, 5, 6, 600, seed=1))
         assert large.sim_time_s > small.sim_time_s
 
 
@@ -67,20 +72,20 @@ class TestSchedulingEffects:
             traces.append(
                 SearchTrace.from_iterations(base.iterations, query_id=q)
             )
-        on = SearSSDModel(
+        on = _run(SearSSDModel(
             config=tiny_config.with_flags(
                 SchedulingFlags(True, True, True, False)
             ),
             placement=placement,
             dim=16,
-        ).run_batch(traces)
-        off = SearSSDModel(
+        ), traces)
+        off = _run(SearSSDModel(
             config=tiny_config.with_flags(
                 SchedulingFlags(True, True, False, False)
             ),
             placement=placement,
             dim=16,
-        ).run_batch(traces)
+        ), traces)
         assert on.counters["page_reads"] < off.counters["page_reads"]
         assert on.sim_time_s < off.sim_time_s
 
@@ -92,7 +97,7 @@ class TestSchedulingEffects:
             [IterationRecord(entry=0, computed=(0, vpp))]
         )
         model = SearSSDModel(config=tiny_config, placement=placement, dim=16)
-        result = model.run_batch([t])
+        result = _run(model, [t])
         assert result.counters["multiplane_reads"] == 1
 
     def test_cached_vertices_skip_nand(self, tiny_config):
@@ -103,7 +108,7 @@ class TestSchedulingEffects:
             config=tiny_config, placement=placement, dim=16,
             cached_vertices=cached,
         )
-        result = model.run_batch(traces)
+        result = _run(model, traces)
         # All demand accesses served from internal DRAM.
         demand_reads = (
             result.counters["page_reads"]
@@ -118,8 +123,8 @@ class TestSubBatching:
         placement = map_vertices(600, tiny_config.geometry, 64)
         model = SearSSDModel(config=tiny_config, placement=placement, dim=16)
         capacity = tiny_config.max_batch_capacity
-        single = model.run_batch(_make_traces(capacity, 3, 4, 600, seed=4))
-        double = model.run_batch(_make_traces(2 * capacity, 3, 4, 600, seed=4))
+        single = _run(model, _make_traces(capacity, 3, 4, 600, seed=4))
+        double = _run(model, _make_traces(2 * capacity, 3, 4, 600, seed=4))
         # Two sequential sub-batches: clearly more than one batch's time.
         assert double.sim_time_s > 1.8 * single.sim_time_s
 
@@ -128,14 +133,14 @@ class TestECCInjection:
     def test_soft_decodes_slow_the_batch(self, tiny_config):
         placement = map_vertices(600, tiny_config.geometry, 64)
         traces = _make_traces(8, 5, 6, 600, seed=5)
-        clean = SearSSDModel(
+        clean = _run(SearSSDModel(
             config=tiny_config, placement=placement, dim=16,
             ldpc=LDPCModel(hard_failure_prob=0.0),
-        ).run_batch(traces)
-        faulty = SearSSDModel(
+        ), traces)
+        faulty = _run(SearSSDModel(
             config=tiny_config, placement=placement, dim=16,
             ldpc=LDPCModel(hard_failure_prob=0.3),
-        ).run_batch(traces)
+        ), traces)
         assert faulty.counters["ecc_soft_decodes"] > 0
         assert clean.counters["ecc_soft_decodes"] == 0
         assert faulty.sim_time_s > clean.sim_time_s

@@ -155,11 +155,11 @@ class TestBatchMemo:
         monkeypatch.setattr(searssd, "_BATCH_MEMO_LIMIT", 3)
         placement = map_vertices(64, tiny_config.geometry, 64)
         model = SearSSDModel(config=tiny_config, placement=placement, dim=16)
-        traces = [_trace([(i,)]) for i in range(5)]
-        for t in traces:
-            model.run_batch([t])
+        compiled = [model.compile(_trace([(i,)])) for i in range(5)]
+        for c in compiled:
+            model.run_batch([c])
         assert len(model._batches) == 3
-        assert model.run_batch([traces[0]]).sim_time_s > 0
+        assert model.run_batch([compiled[0]]).sim_time_s > 0
 
 
 # ---- round-vectorized compilation --------------------------------------------
@@ -318,7 +318,7 @@ class TestVectorizedCompile:
             cached_vertices=None if cached is None else np.asarray(cached),
         )
         trace = _trace(rounds)
-        compiled = model._compile_trace(trace, spec)
+        compiled = model.compile(trace, spec)
         _assert_columns(compiled, _compile_oracle(model, trace, spec), model)
 
     def test_empty_and_fully_hit_rounds(self, tiny_config):
@@ -326,7 +326,7 @@ class TestVectorizedCompile:
         model = SearSSDModel(config=tiny_config, placement=placement, dim=16)
         trace = _trace([(1, 2, 3), (), (4, 5), (6,)])
         spec = [np.array([9]), np.array([4, 5, 7]), np.array([], dtype=np.int64)]
-        compiled = model._compile_trace(trace, spec)
+        compiled = model.compile(trace, spec)
         _assert_columns(compiled, _compile_oracle(model, trace, spec), model)
         # Round 1 computed nothing; round 2's demand was all prefetched.
         assert compiled.rounds[1:5, 1].tolist() == [0, 0, 0, 0]
@@ -353,7 +353,7 @@ class TestVectorizedCompile:
         placement = map_vertices(N_VERTICES, tiny_config.geometry, 64)
         model = SearSSDModel(config=tiny_config, placement=placement, dim=16)
         trace = _trace([(1, 2)])
-        serials = {model._compile_trace(trace, None).serial for _ in range(4)}
+        serials = {model.compile(trace).serial for _ in range(4)}
         assert len(serials) == 4
 
 
@@ -613,7 +613,10 @@ def _exact(priced, ldpc):
 
 def _assert_prices_like_oracle(model: SearSSDModel, traces, specs) -> None:
     want = _exact(_price_oracle(model, traces, specs), model.ldpc)
-    compiled = model._compiled_batch(traces, specs)
+    compiled = [
+        model.compile(t, None if specs is None else specs[i])
+        for i, t in enumerate(traces)
+    ]
     got = _exact(model._price_batch(compiled), model.ldpc)
     assert got == want
 
@@ -693,8 +696,8 @@ class TestSubBatchPricing:
         # with their speculative sets, across several sub-batches.
         system = warm[name]
         resolved = [system._resolve_trace(t) for t in trace_pool[name] * 2]
-        traces = [entry[1] for entry in resolved]
-        specs = [entry[2] for entry in resolved]
+        traces = [remapped for remapped, _ in resolved]
+        specs = [spec for _, spec in resolved]
         for n in (1, 5, len(traces)):
             _assert_prices_like_oracle(
                 system._model, traces[:n],

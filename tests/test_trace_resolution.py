@@ -190,7 +190,7 @@ class TestSpeculativeSets:
         system = NDSearch(index=small_hnsw, config=tiny_config)
         traces = small_hnsw.search_batch(small_queries[:4], 5, ef=16)[2]
         for trace in traces:
-            _, remapped, spec = system._resolve_trace(trace)
+            remapped, spec = system._resolve_trace(trace)
             want = _precompute_oracle(
                 [remapped], system.graph, tiny_config.speculative_width
             )
