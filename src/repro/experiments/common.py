@@ -52,7 +52,7 @@ SMALL_DATASET_EF = {"glove-100": 32, "fashion-mnist": 32}
 DEFAULT_BATCH = 512
 TRACE_POOL = 2048
 
-_CACHE_VERSION = 5
+_CACHE_VERSION = 6
 
 
 def search_ef(dataset_name: str, algorithm: str) -> int:
@@ -158,9 +158,11 @@ def _build_index(dataset: Dataset, algorithm: str):
     raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
-def _cache_key(name: str, algorithm: str, scale: float, pool: int) -> Path:
+def _cache_key(
+    name: str, algorithm: str, scale: float, pool: int, k: int
+) -> Path:
     digest = hashlib.sha1(
-        f"{name}|{algorithm}|{scale}|{pool}|v{_CACHE_VERSION}".encode()
+        f"{name}|{algorithm}|{scale}|{pool}|{k}|v{_CACHE_VERSION}".encode()
     ).hexdigest()[:16]
     return cache_dir() / f"workload_{name}_{algorithm}_{digest}.npz"
 
@@ -181,7 +183,7 @@ def get_workload(
     if cached is not None:
         return cached
     dataset = load_dataset(dataset_name, scale=scale, n_queries=pool)
-    path = _cache_key(dataset_name, algorithm, scale, pool)
+    path = _cache_key(dataset_name, algorithm, scale, pool, k)
     if path.exists():
         workload = _load_workload(path, dataset, algorithm)
     else:

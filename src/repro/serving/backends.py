@@ -1,10 +1,10 @@
 """Search backends: what actually serves a dispatched batch.
 
-The frontend is backend-agnostic: anything implementing
-``search_batch(queries, k) -> (ids, dists, SimResult)`` can sit behind
-the shard router.  Since the platform layer unified every device model
-behind :class:`repro.platform.PlatformModel`, a single adapter covers
-them all:
+The frontend is backend-agnostic: anything with a dataset ``profile``
+and ``search_batch(queries, k) -> (ids, dists, SimResult)`` can sit
+behind the shard router.  Since the platform layer unified every
+device model behind :class:`repro.platform.PlatformModel`, a single
+adapter covers them all:
 
 * :class:`PlatformBackend` — a functional index (producing results and
   access traces) paired with any registered platform model (pricing the
@@ -37,6 +37,9 @@ class SearchBackend(Protocol):
     """One device (or device model) serving whole batches."""
 
     name: str
+    profile: DatasetProfile
+    """The served corpus's size; ``footprint_bytes`` is what a replica
+    or cluster occupies on flash and what a migration moves."""
 
     def search_batch(
         self, queries: np.ndarray, k: int

@@ -22,6 +22,10 @@ source/subscriber instead of an inlined branch of a master loop —
   *before* same-instant arrivals; the greedy policy's zero-wait timer
   is scheduled with :data:`~repro.sim.events.AFTER_ARRIVALS` so
   same-instant arrivals join the batch first.
+* **Dispatch** — a closed batch becomes
+  :class:`~repro.serving.sharding.ShardJob` sub-batches (one holding
+  every row in a replicated pool, one per probed cluster in a
+  partitioned pool), and one job loop books them on the devices.
 * **Completions** — every dispatch schedules
   :class:`~repro.sim.events.Completion` events at the batch's join
   times; the handler retires in-service counts and coalescer entries
@@ -40,7 +44,10 @@ source/subscriber instead of an inlined branch of a master loop —
   (:mod:`repro.obs`): an optional span tracer (constructor argument)
   records request/batch/stage/migration lifecycles for Chrome-trace
   export, ``ServingConfig.metrics_window_s`` closes metrics on
-  event-time windows (``report.timeseries``), and the kernel's
+  event-time windows (``report.timeseries``), every terminal outcome
+  (searched, cache hit, coalesced, shed) passes through one
+  ``_retire`` that feeds the collector, its windows and the request
+  span's end, and the kernel's
   per-event-type dispatch counts always land in
   ``report.counters["loop_events_*"]``.  None of it feeds back into
   scheduling — the parity digests pin traced == untraced.
@@ -63,7 +70,8 @@ Event-loop invariants (encoded in the kernel's same-instant ranks):
   (:meth:`~repro.serving.sharding.ShardRouter.search_probed`) and
   completes at the slowest of *its* probed clusters, so requests in
   one batch can have different completion times.
-* Identical in-flight queries coalesce (:class:`Coalescer`): a request
+* Identical in-flight queries coalesce
+  (:class:`~repro.serving.coalesce.Coalescer`): a request
   whose query is already queued (or already dispatched but not yet
   completed) piggybacks on the leader's batch and completes with it —
   one search serves all followers.  Coalescing runs *before* admission
@@ -102,7 +110,6 @@ Event-loop invariants (encoded in the kernel's same-instant ranks):
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,19 +120,19 @@ from repro.serving.admission import AdmissionController, select_victim
 from repro.serving.autoscale import AutoscalePolicy, Autoscaler
 from repro.serving.batcher import GREEDY, SLO, BatchPolicy, DynamicBatcher
 from repro.serving.cache import ResultCache
+from repro.serving.coalesce import Coalescer
 from repro.serving.device import ShardDevice
 from repro.serving.metrics import MetricsCollector, ServingReport
 from repro.serving.rebalance import Migration, RebalancePolicy, Rebalancer
-from repro.serving.request import (
-    CACHE_HIT,
-    COALESCED,
-    COMPLETED,
-    SHED,
-    Request,
+from repro.serving.request import CACHE_HIT, COMPLETED, SHED, Request
+from repro.serving.sharding import (
+    PARTITIONED,
+    REPLICATED,
+    ShardJob,
+    ShardRouter,
 )
-from repro.serving.sharding import PARTITIONED, REPLICATED, ShardRouter
 from repro.serving.slo import ServiceModel
-from repro.serving.storage import FlashBackedStore, FlashConfig
+from repro.serving.storage import FlashBackedStore, FlashConfig, flash_summary
 from repro.sim.events import (
     AFTER_ARRIVALS,
     Arrival,
@@ -145,103 +152,6 @@ from repro.sim.snapshot import (
     restore_loop,
     state_digest,
 )
-
-
-class Coalescer:
-    """Deduplicates identical in-flight queries.
-
-    Tracks two kinds of leaders: *queued* (still in the batcher; their
-    followers resolve at dispatch) and *dispatched* (results priced but
-    not yet back; followers resolve immediately against the pending
-    entry).  Entries retire once their completion time passes — from
-    then on the result cache answers repeats.  ``observe`` (the
-    frontend's metrics tap) is passed to each call that can resolve a
-    follower, so the coalescer itself holds plain data only.
-    """
-
-    def __init__(self) -> None:
-        self._queued_leader: dict[int, Request] = {}
-        self._followers: dict[int, list[Request]] = {}
-        # query_id -> (completion_s, ids_row, dists_row, searched_k)
-        self._inflight: dict[int, tuple[float, np.ndarray, np.ndarray, int]] = {}
-        self._retire_heap: list[tuple[float, int]] = []
-
-    def try_coalesce(self, request: Request, now: float, observe) -> bool:
-        """Piggyback ``request`` on an identical in-flight query, if any.
-
-        A dispatched-but-incomplete search is preferred (it finishes
-        soonest); otherwise the request attaches to a queued leader.
-        The follower must not want more results than the leader's
-        search produces.
-        """
-        entry = self._inflight.get(request.query_id)
-        if entry is not None:
-            completion, _, _, searched_k = entry
-            if completion > now and request.k <= searched_k:
-                self._resolve(request, entry, observe)
-                return True
-        leader = self._queued_leader.get(request.query_id)
-        if leader is not None and request.k <= leader.k:
-            self._followers.setdefault(leader.request_id, []).append(request)
-            return True
-        return False
-
-    def note_queued(self, request: Request) -> None:
-        """``request`` entered the batcher; it can lead followers.
-
-        The widest-k queued request leads: its search covers every
-        narrower duplicate, so later arrivals coalesce instead of
-        re-searching.
-        """
-        leader = self._queued_leader.get(request.query_id)
-        if leader is None or request.k > leader.k:
-            self._queued_leader[request.query_id] = request
-
-    def on_dispatch(
-        self,
-        request: Request,
-        ids_row: np.ndarray,
-        dists_row: np.ndarray,
-        searched_k: int,
-        completion: float,
-        observe,
-    ) -> None:
-        """A batch member's results are priced: resolve its followers
-        and open the dispatched-entry piggyback window."""
-        if self._queued_leader.get(request.query_id) is request:
-            del self._queued_leader[request.query_id]
-        entry = (completion, ids_row, dists_row, searched_k)
-        for follower in self._followers.pop(request.request_id, ()):
-            self._resolve(follower, entry, observe)
-        self._inflight[request.query_id] = entry
-        heapq.heappush(self._retire_heap, (completion, request.query_id))
-
-    def retire(self, now: float) -> None:
-        """Drop dispatched entries whose results have landed."""
-        while self._retire_heap and self._retire_heap[0][0] <= now:
-            completion, query_id = heapq.heappop(self._retire_heap)
-            entry = self._inflight.get(query_id)
-            if entry is not None and entry[0] <= completion:
-                del self._inflight[query_id]
-
-    def has_followers(self, request: Request) -> bool:
-        """Whether ``request`` leads coalesced followers (and so must
-        not be preempted — its followers would dangle unresolved)."""
-        return bool(self._followers.get(request.request_id))
-
-    def forget_queued(self, request: Request) -> None:
-        """``request`` left the batcher without dispatching (preempted);
-        stop offering it as a coalescing leader."""
-        if self._queued_leader.get(request.query_id) is request:
-            del self._queued_leader[request.query_id]
-
-    def _resolve(self, request: Request, entry, observe) -> None:
-        completion, ids, dists, _ = entry
-        request.completion_s = completion
-        request.outcome = COALESCED
-        request.result_ids = ids[: request.k].copy()
-        request.result_dists = dists[: request.k].copy()
-        observe(request)
 
 
 @dataclass(frozen=True)
@@ -355,10 +265,8 @@ class ServingFrontend:
         self.stores: list[FlashBackedStore] | None = None
         if self.config.flash is not None:
             self.stores = [
-                FlashBackedStore(self.config.flash, i)
-                for i in range(len(self.devices))
+                self._make_store(i) for i in range(len(self.devices))
             ]
-            self._seed_flash_placement()
         self.autoscaler: Autoscaler | None = None
         self._active = router.num_shards
         if self.config.autoscale is not None:
@@ -559,7 +467,7 @@ class ServingFrontend:
                 list(self.router.cluster_shard),
             )
         if self.stores is not None:
-            self.metrics.set_flash(self._flash_summary())
+            self.metrics.set_flash(flash_summary(self.stores))
         return self.metrics.report()
 
     @property
@@ -725,11 +633,8 @@ class ServingFrontend:
             self._arrival_pending = False
         if not self._epoch_armed:
             self._arm_epochs(now)
-        depth = len(self.batcher) + self._in_service_count()
+        depth = len(self.batcher) + self._in_service_total
         self.metrics.observe_arrival(request, depth)
-        if self.windows is not None:
-            self.windows.inc("arrivals", now)
-            self.windows.sample("queue_depth", now, float(depth))
         if self.tracer.enabled:
             self.tracer.async_begin(
                 "request", "request", request.request_id, now,
@@ -748,7 +653,7 @@ class ServingFrontend:
         # is to complete *with* it, not to read its future results
         # out of the dispatch-time cache write.
         if self.config.coalesce and self.coalescer.try_coalesce(
-            request, now, self._observe_coalesced
+            request, now, self._retire
         ):
             return
         # The cache precedes admission: a hit is answered from host
@@ -759,23 +664,12 @@ class ServingFrontend:
             request.result_ids, request.result_dists = cached
             request.completion_s = now + self.config.cache_hit_latency_s
             request.outcome = CACHE_HIT
-            self.metrics.observe_cache_hit(request)
-            if self.windows is not None:
-                self.windows.inc("cache_hits", request.completion_s)
-                self.windows.observe(
-                    "latency_s", request.completion_s, request.latency_s
-                )
-            if self.tracer.enabled:
-                self.tracer.async_end(
-                    "request", "request", request.request_id,
-                    request.completion_s, args={"outcome": CACHE_HIT},
-                )
+            self._retire(request, request.completion_s)
             return
         if not self.admission.admit(depth):
             if not self._try_preempt(request):
                 request.outcome = SHED
-                self.metrics.observe_shed(request)
-                self._observe_shed_obs(request, now)
+                self._retire(request, now)
                 return
         if self.config.coalesce:
             self.coalescer.note_queued(request)
@@ -910,36 +804,15 @@ class ServingFrontend:
     # computed.  Nothing here may touch batcher, router, device or
     # admission state — that invariant is what lets the parity suite
     # pin traced runs to the same digests as untraced ones.
-    def _observe_coalesced(self, request: Request) -> None:
-        """Metrics + obs for a follower resolved by the coalescer."""
-        self.metrics.observe_coalesced(request)
-        if self.windows is not None:
-            self.windows.inc("coalesced", request.completion_s)
-            self.windows.observe(
-                "latency_s", request.completion_s, request.latency_s
-            )
-            if request.slo_met is False:
-                self.windows.inc("deadline_misses", request.completion_s)
+    def _retire(self, request: Request, at: float, **trace_args) -> None:
+        """``request`` reached its terminal outcome at ``at``: the one
+        place outcomes reach the collector (and its windows) and close
+        the request's trace span."""
+        self.metrics.observe_outcome(request, at)
         if self.tracer.enabled:
             self.tracer.async_end(
-                "request", "request", request.request_id,
-                request.completion_s, args={"outcome": COALESCED},
-            )
-
-    def _observe_shed_obs(
-        self, request: Request, now: float, preempted: bool = False
-    ) -> None:
-        """Windows/tracer view of a shed (metrics already recorded)."""
-        if self.windows is not None:
-            self.windows.inc("shed", now)
-            if request.slo_met is False:
-                self.windows.inc("deadline_misses", now)
-        if self.tracer.enabled:
-            args = {"outcome": SHED}
-            if preempted:
-                args["preempted"] = True
-            self.tracer.async_end(
-                "request", "request", request.request_id, now, args=args
+                "request", "request", request.request_id, at,
+                args={"outcome": request.outcome, **trace_args},
             )
 
     def _trace_kernel_event(self, event) -> None:
@@ -1007,13 +880,7 @@ class ServingFrontend:
         while len(self.devices) < replicas:
             self.devices.append(self._make_device(len(self.devices)))
             if self.stores is not None:
-                store = FlashBackedStore(
-                    self.config.flash, len(self.stores)
-                )
-                # A grown replica holds a full copy of the corpus; its
-                # placement write is the replica provisioning cost.
-                store.program_cluster(0, self._replica_bytes())
-                self.stores.append(store)
+                self.stores.append(self._make_store(len(self.stores)))
         self.metrics.ensure_shards(len(self.devices))
 
     def _start_migration(self, proposal, now: float) -> None:
@@ -1027,7 +894,9 @@ class ServingFrontend:
         :class:`~repro.sim.events.DataMovement` event commits the flip.
         """
         policy = self.config.rebalance
-        moved_bytes = self._cluster_bytes(proposal.cluster)
+        moved_bytes = int(
+            self.router.backends[proposal.cluster].profile.footprint_bytes
+        )
         duration = moved_bytes / (policy.migration_gbps * 1e9)
         stage = self.service_model.entry_resource
         _, read_done = self.devices[proposal.source].book(
@@ -1071,56 +940,29 @@ class ServingFrontend:
             DataMovement(time=migration.complete_s, payload=migration)
         )
 
-    def _cluster_bytes(self, cluster: int) -> int:
-        """Bytes a cluster migration must move (vectors + graph).
-
-        The cluster backend's dataset profile already totals its
-        vector and CSR-graph footprint; backends without one fall back
-        to the raw vector bytes.
-        """
-        profile = getattr(self.router.backends[cluster], "profile", None)
-        if profile is not None:
-            return int(profile.footprint_bytes)
-        members = self.router.global_ids[cluster]
-        dim = (
-            self.router.centroids.shape[1]
-            if self.router.centroids is not None
-            else self._pool.shape[1]
-        )
-        return int(members.size * dim * 4)
-
     # ---- stateful flash --------------------------------------------------
-    def _replica_bytes(self) -> int:
-        """Corpus footprint one replicated shard holds on flash."""
-        profile = getattr(self.router.backends[0], "profile", None)
-        if profile is not None:
-            return int(profile.footprint_bytes)
-        return self.config.flash.geometry.page_size
+    def _make_store(self, index: int) -> FlashBackedStore:
+        """Build device ``index``'s flash store and program the corpus
+        placement it holds.
 
-    def _seed_flash_placement(self) -> None:
-        """Lay the initial corpus placement onto each device's flash.
-
-        Partitioned pools place each cluster's footprint on its owning
-        device; replicated pools give every replica the full corpus
-        (one whole-corpus "cluster" keyed 0).  The initial programs
-        seed the host side of the write-amplification ledger, so a run
-        that never refreshes reports WA exactly 1.0.
+        A partitioned device holds the footprint of every cluster it
+        owns; a replica holds the full corpus as one whole-corpus
+        "cluster" keyed 0 (for a replica the autoscaler grows, that
+        write is its provisioning cost).  The programs seed the host
+        side of the write-amplification ledger, so a run that never
+        refreshes reports WA exactly 1.0.
         """
+        store = FlashBackedStore(self.config.flash, index)
+        backends = self.router.backends
         if self.router.mode == PARTITIONED:
             for cluster, shard in enumerate(self.router.cluster_shard):
-                profile = getattr(
-                    self.router.backends[cluster], "profile", None
-                )
-                nbytes = (
-                    int(profile.footprint_bytes)
-                    if profile is not None
-                    else self.config.flash.geometry.page_size
-                )
-                self.stores[int(shard)].program_cluster(cluster, nbytes)
+                if shard == index:
+                    store.program_cluster(
+                        cluster, backends[cluster].profile.footprint_bytes
+                    )
         else:
-            nbytes = self._replica_bytes()
-            for store in self.stores:
-                store.program_cluster(0, nbytes)
+            store.program_cluster(0, backends[0].profile.footprint_bytes)
+        return store
 
     def _flash_read(
         self, shard: int, cluster: int, result, rows: int, done: float
@@ -1167,35 +1009,6 @@ class ServingFrontend:
         if self.windows is not None and pages:
             self.windows.inc("flash_page_reads", done, pages)
         return done
-
-    def _flash_summary(self) -> dict:
-        """Fleet-wide flash summary for ``ServingReport.flash``."""
-        devices = [store.summary() for store in self.stores]
-        cluster_reads: dict[str, int] = {}
-        cluster_erases: dict[str, int] = {}
-        for summary in devices:
-            for cluster, n in summary["cluster_page_reads"].items():
-                cluster_reads[cluster] = cluster_reads.get(cluster, 0) + n
-            for cluster, n in summary["cluster_erases"].items():
-                cluster_erases[cluster] = cluster_erases.get(cluster, 0) + n
-        host = sum(s["host_pages_written"] for s in devices)
-        nand = sum(s["nand_pages_written"] for s in devices)
-        return {
-            "page_reads": sum(s["page_reads"] for s in devices),
-            "ecc_soft_decodes": sum(s["ecc_soft_decodes"] for s in devices),
-            "refreshes": sum(s["refreshes"] for s in devices),
-            "total_erases": sum(s["total_erases"] for s in devices),
-            "host_pages_written": host,
-            "nand_pages_written": nand,
-            "write_amplification": nand / host if host else 0.0,
-            "cluster_page_reads": dict(
-                sorted(cluster_reads.items(), key=lambda kv: int(kv[0]))
-            ),
-            "cluster_erases": dict(
-                sorted(cluster_erases.items(), key=lambda kv: int(kv[0]))
-            ),
-            "devices": devices,
-        }
 
     # ---- batcher timers --------------------------------------------------
     def _refresh_deadline_timer(self) -> None:
@@ -1265,8 +1078,7 @@ class ServingFrontend:
         if self.config.coalesce:
             self.coalescer.forget_queued(victim)
         victim.outcome = SHED
-        self.metrics.observe_shed(victim)
-        self._observe_shed_obs(victim, self._loop.now, preempted=True)
+        self._retire(victim, self._loop.now, preempted=True)
         self.admission.preempt()
         return True
 
@@ -1314,10 +1126,8 @@ class ServingFrontend:
         # The batcher does not group by k; search at the batch's widest
         # k and trim per request below.
         k = max(r.k for r in batch)
-        self.metrics.observe_batch(len(batch), timeout_closed=timeout_closed)
         n = len(batch)
-        if self.windows is not None:
-            self.windows.sample("batch_size", close_time, float(n))
+        self.metrics.observe_batch(n, close_time, timeout_closed)
         batch_span = None
         if self.tracer.enabled:
             batch_span = self._batch_seq
@@ -1328,8 +1138,9 @@ class ServingFrontend:
             )
 
         if self.router.mode == REPLICATED:
-            # Dispatch only to the active replicas (the autoscaler may
-            # have shrunk the pool; drained replicas take no traffic).
+            # The whole batch goes to one active replica (the
+            # autoscaler may have shrunk the pool; drained replicas
+            # take no traffic): the one that can start earliest.
             shard = min(
                 range(self._active),
                 key=lambda s: (
@@ -1338,50 +1149,37 @@ class ServingFrontend:
                 ),
             )
             ids, dists, result = self.router.search_on(shard, queries, k)
-            start, completion = self.devices[shard].serve(
-                result, close_time, self.tracer
-            )
-            if self.stores is not None:
-                completion = self._flash_read(shard, 0, result, n, completion)
-            self.service_model.observe(n, result.pipeline_stages())
-            self.metrics.observe_shard_service(shard, result)
-            self.metrics.observe_probes(shard, n)
-            starts = np.full(n, start)
-            completions = np.full(n, completion)
+            jobs = [ShardJob(shard, np.arange(n), result, cluster=0)]
         else:
             # PARTITIONED: fan out per IVF cluster (all clusters for
-            # broadcast, each query's nprobe nearest otherwise); every
-            # cluster's sub-batch books on its owning device's
-            # timeline, and a query joins on the slowest of *its*
-            # clusters — under broadcast that is the whole pool, under
-            # selective probing just the clusters it probed.
+            # broadcast, each query's nprobe nearest otherwise).
             ids, dists, jobs = self.router.search_probed(
                 queries, k, self.config.nprobe
             )
-            starts = np.full(n, close_time)
-            completions = np.full(n, close_time)
-            for job in jobs:
-                shard_start, shard_done = self.devices[job.shard].serve(
-                    job.result, close_time, self.tracer
+        # Every job's sub-batch books on its device's timeline, and a
+        # query joins on the slowest of *its* jobs: the one replica, the
+        # whole pool under broadcast, or the clusters it probed.  A
+        # device never starts a job before close_time.
+        starts = np.full(n, close_time)
+        completions = np.full(n, close_time)
+        for job in jobs:
+            rows = int(job.rows.size)
+            shard_start, shard_done = self.devices[job.shard].serve(
+                job.result, close_time, self.tracer
+            )
+            if self.stores is not None:
+                shard_done = self._flash_read(
+                    job.shard, job.cluster, job.result, rows, shard_done
                 )
-                if self.stores is not None:
-                    shard_done = self._flash_read(
-                        job.shard, job.cluster, job.result,
-                        int(job.rows.size), shard_done,
-                    )
-                self.service_model.observe(
-                    int(job.rows.size), job.result.pipeline_stages()
-                )
-                self.metrics.observe_shard_service(job.shard, job.result)
-                self.metrics.observe_probes(job.shard, int(job.rows.size))
-                if self.rebalancer is not None:
-                    self.rebalancer.observe_cluster_queries(
-                        job.cluster, int(job.rows.size)
-                    )
-                starts[job.rows] = np.maximum(starts[job.rows], shard_start)
-                completions[job.rows] = np.maximum(
-                    completions[job.rows], shard_done
-                )
+            self.service_model.observe(rows, job.result.pipeline_stages())
+            self.metrics.observe_shard_service(job.shard, job.result)
+            self.metrics.observe_probes(job.shard, rows)
+            if self.rebalancer is not None:
+                self.rebalancer.observe_cluster_queries(job.cluster, rows)
+            starts[job.rows] = np.maximum(starts[job.rows], shard_start)
+            completions[job.rows] = np.maximum(
+                completions[job.rows], shard_done
+            )
 
         if batch_span is not None:
             self.tracer.async_end(
@@ -1415,24 +1213,9 @@ class ServingFrontend:
                 request.query_id, request.k, request.result_ids,
                 request.result_dists,
             )
-            self.metrics.observe_completion(request)
-            if self.windows is not None:
-                self.windows.inc("completions", completion)
-                self.windows.observe(
-                    "latency_s", completion, request.latency_s
-                )
-                if request.slo_met is False:
-                    self.windows.inc("deadline_misses", completion)
-            if self.tracer.enabled:
-                self.tracer.async_end(
-                    "request", "request", request.request_id, completion,
-                    args={"outcome": COMPLETED, "batched_s": close_time},
-                )
+            self._retire(request, completion, batched_s=close_time)
             if self.config.coalesce:
                 self.coalescer.on_dispatch(
                     request, ids[i].copy(), dists[i].copy(), k, completion,
-                    self._observe_coalesced,
+                    self._retire,
                 )
-
-    def _in_service_count(self) -> int:
-        return self._in_service_total

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.analysis.reporting import format_table
-from repro.serving.request import Request
+from repro.serving.request import CACHE_HIT, COMPLETED, SHED, Request
 from repro.sim.stats import Counters, SimResult
 
 
@@ -314,8 +314,9 @@ class MetricsCollector:
         self.num_shards = num_shards
         self.windows = windows
         """Optional :class:`~repro.obs.windows.WindowedMetrics` whose
-        series lands in ``ServingReport.timeseries`` (the frontend
-        feeds it; the collector only reduces it at report time)."""
+        series lands in ``ServingReport.timeseries``.  The collector
+        feeds it the arrival, batch and outcome counts itself; devices
+        and the flash glue add utilization and flash counters."""
         self.latencies_s: list[float] = []
         self.cache_hits = 0
         self.coalesced = 0
@@ -345,43 +346,81 @@ class MetricsCollector:
 
     # ---- observations ---------------------------------------------------
     def observe_arrival(self, request: Request, queue_depth: int) -> None:
+        """An arrival, with the system depth it found (queued + in
+        service)."""
         if self.first_arrival_s is None:
             self.first_arrival_s = request.arrival_s
         self.queue_depths.append(queue_depth)
         self._priority(request.priority)[0] += 1
+        if self.windows is not None:
+            self.windows.inc("arrivals", request.arrival_s)
+            self.windows.sample(
+                "queue_depth", request.arrival_s, float(queue_depth)
+            )
 
     def _priority(self, priority: int) -> list[int]:
         return self.priority_counts.setdefault(priority, [0, 0, 0, 0, 0, 0])
 
-    def observe_completion(self, request: Request) -> None:
-        self.completed += 1
-        self._observe_done(request)
+    def observe_outcome(self, request: Request, at: float) -> None:
+        """``request`` reached its terminal outcome at time ``at``.
 
-    def observe_cache_hit(self, request: Request) -> None:
-        self.cache_hits += 1
-        self._observe_done(request)
-
-    def observe_coalesced(self, request: Request) -> None:
-        """A follower that piggybacked on an identical in-flight query."""
-        self.coalesced += 1
-        self._observe_done(request)
-
-    def observe_shed(self, request: Request) -> None:
-        self.shed += 1
+        The one path for every terminal outcome: searched
+        (``COMPLETED``), answered from the cache, coalesced onto a
+        leader, or shed (a preempted victim is shed too).  Served
+        requests add a latency sample; a deadline-carrying request that
+        was shed or answered late counts as a deadline miss.  The
+        windowed series, when on, gets the same counts in the window
+        holding ``at``.
+        """
         counts = self._priority(request.priority)
-        counts[2] += 1
-        if request.slo_met is not None:
-            # Request.slo_met: an unanswered deadline is a missed one.
+        outcome = request.outcome
+        if outcome == SHED:
+            self.shed += 1
+            counts[2] += 1
+            counter = "shed"
+        else:
+            if outcome == COMPLETED:
+                self.completed += 1
+                counter = "completions"
+            elif outcome == CACHE_HIT:
+                self.cache_hits += 1
+                counter = "cache_hits"
+            else:
+                self.coalesced += 1
+                counter = "coalesced"
+            self.latencies_s.append(request.latency_s)
+            self.last_completion_s = max(
+                self.last_completion_s, request.completion_s
+            )
+            counts[1] += 1
+        met = request.slo_met  # a shed request's deadline is missed
+        if met is not None:
             self.deadline_total += 1
-            self.deadline_misses += 1
             counts[3] += 1
-            counts[5] += 1
+            if met:
+                self.deadline_met += 1
+                counts[4] += 1
+            else:
+                self.deadline_misses += 1
+                if outcome == SHED:
+                    counts[5] += 1
+        windows = self.windows
+        if windows is not None:
+            windows.inc(counter, at)
+            if outcome != SHED:
+                windows.observe("latency_s", at, request.latency_s)
+            if met is False:
+                windows.inc("deadline_misses", at)
 
-    def observe_batch(self, size: int, timeout_closed: bool = False) -> None:
-        """One logical batch closed by the batcher."""
+    def observe_batch(
+        self, size: int, at: float, timeout_closed: bool = False
+    ) -> None:
+        """One logical batch of ``size`` closed by the batcher at ``at``."""
         self.batch_sizes.append(size)
         if timeout_closed:
             self.timeout_closes += 1
+        if self.windows is not None:
+            self.windows.sample("batch_size", at, float(size))
 
     def observe_shard_service(self, shard: int, result: SimResult) -> None:
         """One shard device serving (its slice of) a batch.
@@ -455,21 +494,6 @@ class MetricsCollector:
             self.counters[f"loop_events_{name}"] += n
             total += n
         self.counters["loop_events_total"] += total
-
-    def _observe_done(self, request: Request) -> None:
-        self.latencies_s.append(request.latency_s)
-        self.last_completion_s = max(self.last_completion_s, request.completion_s)
-        counts = self._priority(request.priority)
-        counts[1] += 1
-        met = request.slo_met
-        if met is not None:
-            self.deadline_total += 1
-            counts[3] += 1
-            if met:
-                self.deadline_met += 1
-                counts[4] += 1
-            else:
-                self.deadline_misses += 1
 
     # ---- reduction ------------------------------------------------------
     def report(self) -> ServingReport:

@@ -31,7 +31,7 @@ generalisation).  The router keeps the k-means centroids it split the
 corpus with; :meth:`ShardRouter.probe` routes each query to its
 ``nprobe`` nearest clusters, and :meth:`ShardRouter.search_probed`
 regroups the batch into per-cluster sub-batches, serves each through
-:meth:`ShardRouter.search_selected` and merges the partial top-k lists
+:meth:`ShardRouter.search_on` and merges the partial top-k lists
 (per-query cluster masks: a query only contributes candidates from the
 clusters it probed).  ``nprobe = num_clusters`` — or
 ``search_probed(..., nprobe=None)`` — reproduces the broadcast results
@@ -63,19 +63,20 @@ SHARD_MODES = (REPLICATED, PARTITIONED)
 
 @dataclass(frozen=True)
 class ShardJob:
-    """One shard device's slice of a fanned-out batch.
+    """One shard device's slice of a dispatched batch.
 
     ``rows`` are the batch-row indices routed to ``cluster``
     (ascending), ``shard`` the device that owns the cluster at dispatch
     time, ``result`` the cluster's :class:`~repro.sim.stats.SimResult`
     for that sub-batch — what the frontend books onto the shard's
-    device timeline.
+    device timeline.  A replicated batch is one job holding every row,
+    on cluster 0 (the whole corpus).
     """
 
     shard: int
     rows: np.ndarray
     result: SimResult
-    cluster: int = -1
+    cluster: int
 
 
 @dataclass
@@ -232,19 +233,6 @@ class ShardRouter:
         )
         return np.argsort(dmat, axis=1, kind="stable")[:, :nprobe]
 
-    def search_selected(
-        self, cluster: int, subbatch: np.ndarray, k: int
-    ) -> tuple[np.ndarray, np.ndarray, SimResult]:
-        """Serve a probed sub-batch on one cluster (corpus-ID results).
-
-        The selective-probing leg of :meth:`search_probed`; results are
-        identical to :meth:`search_on` because per-query searches are
-        independent of batch composition — only the *timing* (the
-        returned :class:`~repro.sim.stats.SimResult`) reflects the
-        sub-batch size.
-        """
-        return self.search_on(cluster, subbatch, k)
-
     def search_probed(
         self, queries: np.ndarray, k: int, nprobe: int | None
     ) -> tuple[np.ndarray, np.ndarray, list[ShardJob]]:
@@ -285,7 +273,9 @@ class ShardRouter:
             ids = np.full((batch, k), -1, dtype=np.int64)
             dists = np.full((batch, k), np.inf, dtype=np.float64)
             if rows.size:
-                sub_ids, sub_dists, result = self.search_selected(
+                # Per-query searches do not depend on batch composition,
+                # so only the timing reflects the sub-batch size.
+                sub_ids, sub_dists, result = self.search_on(
                     cluster, queries[rows], k
                 )
                 ids[rows, : sub_ids.shape[1]] = sub_ids

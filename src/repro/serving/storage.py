@@ -352,3 +352,34 @@ class FlashBackedStore:
                 str(c): n for c, n in sorted(self.cluster_erases.items())
             },
         }
+
+
+def flash_summary(stores: list[FlashBackedStore]) -> dict:
+    """Fleet-wide flash summary for ``ServingReport.flash``: the
+    per-device summaries, their totals and per-cluster sums."""
+    devices = [store.summary() for store in stores]
+    cluster_reads: dict[str, int] = {}
+    cluster_erases: dict[str, int] = {}
+    for summary in devices:
+        for cluster, n in summary["cluster_page_reads"].items():
+            cluster_reads[cluster] = cluster_reads.get(cluster, 0) + n
+        for cluster, n in summary["cluster_erases"].items():
+            cluster_erases[cluster] = cluster_erases.get(cluster, 0) + n
+    host = sum(s["host_pages_written"] for s in devices)
+    nand = sum(s["nand_pages_written"] for s in devices)
+    return {
+        "page_reads": sum(s["page_reads"] for s in devices),
+        "ecc_soft_decodes": sum(s["ecc_soft_decodes"] for s in devices),
+        "refreshes": sum(s["refreshes"] for s in devices),
+        "total_erases": sum(s["total_erases"] for s in devices),
+        "host_pages_written": host,
+        "nand_pages_written": nand,
+        "write_amplification": nand / host if host else 0.0,
+        "cluster_page_reads": dict(
+            sorted(cluster_reads.items(), key=lambda kv: int(kv[0]))
+        ),
+        "cluster_erases": dict(
+            sorted(cluster_erases.items(), key=lambda kv: int(kv[0]))
+        ),
+        "devices": devices,
+    }

@@ -50,6 +50,18 @@ class TestWorkloadGeneration:
         b = common.get_workload("sift-1b", "hnsw", scale=0.05, pool=16)
         assert a is b
 
+    def test_disk_cache_keys_on_k(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        common._memory_cache.clear()
+        common.get_workload("sift-1b", "hnsw", scale=0.05, pool=16, k=10)
+        common._memory_cache.clear()
+        narrow = common.get_workload(
+            "sift-1b", "hnsw", scale=0.05, pool=16, k=5
+        )
+        common._memory_cache.clear()
+        assert narrow.ground_truth.shape == (16, 5)
+        assert narrow.trace_set.result_ids.shape == (16, 5)
+
     def test_profile_consistency(self, tiny_workload):
         profile = tiny_workload.profile()
         assert profile.dim == tiny_workload.dataset.dim

@@ -429,3 +429,45 @@ class TestReportSerialization:
         # Restored reports still compute and format.
         assert restored.served == report.served
         assert restored.format()
+
+
+class TestWindowedCounters:
+    def test_window_counters_sum_to_report_scalars(self):
+        """Every terminal outcome feeds the windowed series once.
+
+        A windowed run with cache hits, coalesced followers, sheds and
+        (mostly missed) deadlines: each window counter summed over the
+        windows equals the report's scalar of the same name.
+        """
+        from dataclasses import replace
+
+        from repro.serving.scenario import SCENARIOS
+
+        cell = SCENARIOS["coalesce-zipf-bursty"]
+        scenario = replace(
+            cell,
+            slo_s=1e-5,
+            serving=replace(
+                cell.serving,
+                cache_capacity=64,
+                admission_capacity=4,
+                metrics_window_s=1e-3,
+            ),
+        )
+        report, _ = scenario.run()
+        assert report.cache_hits and report.coalesced and report.shed
+        assert report.deadline_misses
+        windows = report.timeseries["windows"]
+        expected = {
+            "arrivals": report.offered,
+            "completions": report.completed,
+            "cache_hits": report.cache_hits,
+            "coalesced": report.coalesced,
+            "shed": report.shed,
+            "deadline_misses": report.deadline_misses,
+        }
+        got = {
+            name: sum(w["counters"].get(name, 0.0) for w in windows)
+            for name in expected
+        }
+        assert got == expected

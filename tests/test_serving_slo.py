@@ -325,7 +325,7 @@ class TestSloServing:
         request = Request(0, 0, 0.0, priority=1, deadline_s=1e-3)
         collector.observe_arrival(request, 0)
         request.outcome = SHED
-        collector.observe_shed(request)
+        collector.observe_outcome(request, 0.0)
         report = collector.report()
         assert report.priority_stats[1]["attainment"] == 0.0
         assert report.deadline_miss_rate == 1.0

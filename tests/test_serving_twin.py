@@ -51,6 +51,7 @@ from repro.sim.events import DataMovement, FlashMaintenance
 from repro.sim.snapshot import SNAPSHOT_VERSION, state_digest
 
 from test_serving_parity import GOLDEN, _digest
+from test_serving_surface import EVERYTHING_ON
 
 #: The skewed partitioned cell the flash and rebalance suites serve.
 SKEWED = SCENARIOS["partitioned-skewed-flash"]
@@ -310,20 +311,7 @@ class TestSnapshotCoversSession:
         return reference, resumed
 
     def test_partitioned_flash_rebalance_windows_traced(self, pool):
-        scenario = replace(
-            SKEWED,
-            slo_s=None,
-            serving=replace(
-                SKEWED.serving,
-                cache_capacity=64,
-                coalesce=True,
-                rebalance=RebalancePolicy(
-                    interval_s=2e-3, skew_threshold=0.05,
-                    min_window_queries=1,
-                ),
-                metrics_window_s=1e-3,
-            ),
-        )
+        scenario = EVERYTHING_ON["everything-partitioned"]
         reference, _ = self._check(scenario, pool, traced=True)
         # Every component the guard claims to cover did work.
         assert reference.rebalance_events
@@ -334,19 +322,7 @@ class TestSnapshotCoversSession:
     def test_replicated_autoscale_slo_priority(self, pool):
         # The autoscaled overload cell with the two-class deadline
         # stream, the slo policy and priority admission.
-        overload = SCENARIOS["autoscale-overload"]
-        slo = SCENARIOS["slo-deadline-4ms"]
-        scenario = replace(
-            overload,
-            priorities=slo.priorities,
-            priority_weights=slo.priority_weights,
-            slo_s=slo.slo_s,
-            serving=replace(
-                overload.serving,
-                policy=replace(slo.serving.policy, max_batch_size=4),
-                priority_admission=True,
-            ),
-        )
+        scenario = EVERYTHING_ON["everything-replicated"]
         reference, resumed = self._check(scenario, pool)
         assert reference.scale_events
         assert resumed.admission.preemptions > 0
