@@ -17,6 +17,8 @@ model.  We formalise that record here:
   oracles; no simulator reads them.
 * :class:`TraceRecorder` — the hook object search kernels call.  It
   appends to lists and builds the columns once, in :meth:`finish`.
+* :func:`stack_traces` — a batch of traces as the same three columns
+  over one global round numbering, the form the batch compilers read.
 """
 
 from __future__ import annotations
@@ -170,6 +172,32 @@ class TraceRecorder:
             result_ids=self._result[0],
             result_distances=self._result[1],
         )
+
+
+def stack_traces(
+    traces: list[SearchTrace],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stack traces' columns over one global round numbering.
+
+    Returns ``(computed, offsets, trace_rounds)``: iteration ``i`` of
+    trace ``t`` is global round ``g = trace_rounds[t] + i``, and it
+    computed ``computed[offsets[g]:offsets[g + 1]]``.  All three are
+    int64; each column costs one ``concatenate``.
+    """
+    n_iters = np.fromiter(
+        (t.entries.size for t in traces), dtype=np.int64, count=len(traces)
+    )
+    trace_rounds = np.zeros(len(traces) + 1, dtype=np.int64)
+    np.cumsum(n_iters, out=trace_rounds[1:])
+    empty = np.empty(0, dtype=np.int64)
+    computed = np.concatenate([empty, *(t.computed for t in traces)])
+    lengths = np.fromiter(
+        (t.computed.size for t in traces), dtype=np.int64, count=len(traces)
+    )
+    offsets = np.zeros(trace_rounds[-1] + 1, dtype=np.int64)
+    offsets[1:] = np.concatenate([empty, *(t.offsets[1:] for t in traces)])
+    offsets[1:] += np.repeat(np.cumsum(lengths) - lengths, n_iters)
+    return computed, offsets, trace_rounds
 
 
 def remap_trace(trace: SearchTrace, new_id: np.ndarray) -> SearchTrace:

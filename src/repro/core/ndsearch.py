@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.ann.graph import ProximityGraph
-from repro.ann.trace import SearchTrace, remap_trace
+from repro.ann.trace import SearchTrace, stack_traces
 from repro.core.config import NDSearchConfig
 from repro.core.placement import map_vertices
 from repro.core.processing_model import NDPProcessingModel
@@ -39,27 +39,45 @@ from repro.sim.stats import SimResult
 
 
 def precompute_speculative_sets(
-    traces: list[SearchTrace], graph: ProximityGraph, width: int
-) -> list[list[np.ndarray]]:
-    """Per-query, per-iteration speculative candidate sets.
+    graph: ProximityGraph,
+    computed: np.ndarray,
+    offsets: np.ndarray,
+    trace_rounds: np.ndarray,
+    width: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Speculative candidate sets of a batch of traces, as columns.
 
-    ``sets[q][i]`` is what the Pref Unit would prefetch during query
-    ``q``'s iteration ``i`` (second-order neighbors of that iteration's
-    computed vertices, ranked by connectivity back into the set).
-    Depends only on the graph and the trace: :class:`NDSearch` computes
-    it once per trace, when it compiles the trace's replay.
-    Each trace resolves in one :func:`rank_by_round` pass, and its sets
-    are slices of one compact array holding only the kept vertices.
+    The traces come stacked as :func:`~repro.ann.trace.stack_traces`
+    stacks them, with ``computed`` in ``graph``'s vertex numbering.
+    Returns ``(ids, bounds)`` over the global rounds:
+    ``ids[bounds[g]:bounds[g + 1]]`` is what the Pref Unit would
+    prefetch during round ``g`` (second-order neighbors of that
+    round's computed vertices, ranked by connectivity back into the
+    set).  Depends only on the graph and the traces: :class:`NDSearch`
+    computes it for a batch's new traces when it compiles their replays.
+
+    Ranking runs one :func:`rank_by_round` pass per trace.  One pass
+    over the whole batch gives the same sets but is slower: its sorts
+    grow as n log n and fall out of cache.
     """
-    out: list[list[np.ndarray]] = []
-    for trace in traces:
-        n_rounds = trace.num_iterations
-        ids, bounds = rank_by_round(
-            graph, trace.computed, trace.rounds, n_rounds, width
+    n_iters = np.diff(trace_rounds)
+    local = np.arange(trace_rounds[-1]) - np.repeat(trace_rounds[:-1], n_iters)
+    rounds = np.repeat(local, np.diff(offsets))
+    bounds = np.zeros(trace_rounds[-1] + 1, dtype=np.int64)
+    parts = [np.empty(0, dtype=np.int64)]
+    kept = 0
+    cuts = trace_rounds.tolist()
+    vertex_cuts = offsets[trace_rounds].tolist()
+    for lo, hi, n_rounds, v_lo, v_hi in zip(
+        cuts, cuts[1:], n_iters.tolist(), vertex_cuts, vertex_cuts[1:]
+    ):
+        ids, own = rank_by_round(
+            graph, computed[v_lo:v_hi], rounds[v_lo:v_hi], n_rounds, width
         )
-        b = bounds.tolist()
-        out.append([ids[b[r]:b[r + 1]] for r in range(n_rounds)])
-    return out
+        bounds[lo + 1:hi + 1] = own[1:] + kept
+        kept += ids.size
+        parts.append(ids)
+    return np.concatenate(parts), bounds
 
 
 @dataclass
@@ -164,17 +182,6 @@ class NDSearch:
         )
         return ids, dists, result
 
-    def _resolve_trace(self, trace: SearchTrace):
-        """The trace remapped to physical IDs, and its speculative sets
-        (``None`` with speculation off)."""
-        remapped = remap_trace(trace, self.new_id)
-        spec = None
-        if self.config.flags.speculative:
-            spec = precompute_speculative_sets(
-                [remapped], self.graph, self.config.speculative_width
-            )[0]
-        return remapped, spec
-
     def simulate_traces(
         self,
         traces: list[SearchTrace],
@@ -190,20 +197,35 @@ class NDSearch:
         compiles once, and a repeated batch of the same compiled
         replays is answered from the model's memo.  ``SearchTrace``
         hashes by identity and the key keeps its trace alive, so an
-        entry can only hit for its own trace.  A batch's new traces are
-        all resolved before any is compiled: resolving walks the graph
-        and compiling the placement, and keeping one phase's arrays
-        warm in cache is faster than alternating them trace by trace.
+        entry can only hit for its own trace.
+
+        A batch's new traces are resolved and compiled together: their
+        ``computed`` columns are stacked over one global round
+        numbering and remapped to physical IDs in one gather, their
+        speculative sets come back as one pair of columns, and
+        :meth:`SearSSDModel.compile_batch` compiles them all in one
+        pass and cuts out each trace's replay.
         """
         cache = self._compiled
         compiled = {t: cache.get(t) for t in traces}
-        fresh = [(t, self._resolve_trace(t))
-                 for t, c in compiled.items() if c is None]
-        for trace, resolved in fresh:
-            compiled[trace] = self._model.compile(*resolved)
-            if len(cache) >= 8192:
-                cache.pop(next(iter(cache)))
-            cache[trace] = compiled[trace]
+        fresh = [t for t, c in compiled.items() if c is None]
+        if fresh:
+            computed, offsets, trace_rounds = stack_traces(fresh)
+            computed = self.new_id[computed]
+            spec = None
+            if self.config.flags.speculative:
+                spec = precompute_speculative_sets(
+                    self.graph, computed, offsets, trace_rounds,
+                    self.config.speculative_width,
+                )
+            pieces = self._model.compile_batch(
+                computed, offsets, trace_rounds, spec
+            )
+            for trace, piece in zip(fresh, pieces):
+                compiled[trace] = piece
+                if len(cache) >= 8192:
+                    cache.pop(next(iter(cache)))
+                cache[trace] = piece
         result = self._model.run_batch(
             [compiled[t] for t in traces],
             algorithm=algorithm, dataset=dataset,

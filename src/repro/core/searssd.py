@@ -24,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ann.graph import ProximityGraph
-from repro.ann.trace import SearchTrace
 from repro.core.allocator import Allocator
 from repro.core.config import NDSearchConfig
 from repro.core.luncsr import LUNCSR
@@ -120,14 +119,16 @@ class _CompiledTrace:
     Everything about a single query's rounds — speculative hits, cache
     hits, per-LUN page keys, load/merge counts, the spec-prefetch
     contribution — is a pure function of the trace content, the
-    speculative sets and the (immutable) model configuration, so the
-    owner of the trace compiles it once (:meth:`SearSSDModel.compile`)
-    and reuses it across every batch the trace appears in.  Only the
-    cross-query aggregation (LUN pooling under dynamic allocation, the
-    ECC fault stream, stage timing) remains batch-coupled and is redone
-    per sub-batch.
+    speculative sets and the (immutable) model configuration.  The
+    owner of the traces compiles each one once and reuses it across
+    every batch it appears in; :meth:`SearSSDModel.compile_batch`
+    compiles all of a batch's new traces in one pass and cuts this
+    replay out of the result.  Only the cross-query aggregation (LUN
+    pooling under dynamic allocation, the ECC fault stream, stage
+    timing) remains batch-coupled and is redone per sub-batch.
 
-    The replay is columnar, so a sub-batch stacks its traces with one
+    The replay is columnar over the trace's own rounds ``0 ..
+    n_rounds - 1``, so a sub-batch stacks its traces with one
     ``concatenate`` per field:
 
     * ``rounds`` — int64 ``(len(ROUND_FIELDS), n_rounds)``, one row per
@@ -139,8 +140,9 @@ class _CompiledTrace:
     * ``spec_keys`` — every prefetched vertex's page key, tagged alike.
 
     ``serial`` is unique per model and never reused, so a tuple of
-    serials names a batch composition.  A compiled trace keeps no
-    reference to the trace or speculative sets it was built from.
+    serials names a batch composition.  A compiled trace owns its
+    arrays: it keeps no reference to the trace, the speculative sets or
+    the batch arrays it was cut from.
     """
 
     ROUND_FIELDS = ("round", "had", "pairs", "hits", "n_cached",
@@ -150,14 +152,14 @@ class _CompiledTrace:
     __slots__ = ("rounds", "groups", "keys", "spec_keys",
                  "n_rounds", "trace_length", "serial")
 
-    def __init__(self, trace, rounds, groups, keys, spec_keys,
-                 serial) -> None:
+    def __init__(self, rounds, groups, keys, spec_keys, n_rounds,
+                 trace_length, serial) -> None:
         self.rounds = rounds
         self.groups = groups
         self.keys = keys
         self.spec_keys = spec_keys
-        self.n_rounds = trace.num_iterations
-        self.trace_length = trace.trace_length
+        self.n_rounds = n_rounds
+        self.trace_length = trace_length
         self.serial = serial
 
 
@@ -204,20 +206,16 @@ class SearSSDModel:
         self.placement = placement
         self.dim = dim
         self.ldpc = ldpc or LDPCModel(hard_failure_prob=0.01)
-        self.cached = (
-            frozenset(int(v) for v in cached_vertices)
-            if cached_vertices is not None
-            else frozenset()
-        )
         g = config.geometry
         self._plane_span = g.blocks_per_plane * g.pages_per_block
         self._lun_span = self._plane_span * g.planes_per_lun
         self._key_space = g.total_luns * self._lun_span
-        self._cached_arr = (
-            np.fromiter(sorted(self.cached), dtype=np.int64, count=len(self.cached))
-            if self.cached
-            else None
-        )
+        # Hot-vertex membership (DiskANN's internal-DRAM cache) as a
+        # lookup table over the vertices.
+        self._hot = None
+        if cached_vertices is not None:
+            self._hot = np.zeros(placement.num_vertices, dtype=bool)
+            self._hot[np.asarray(cached_vertices, dtype=np.int64)] = True
         self._next_serial = 0
         # Priced batches keyed by their compiled traces' serials.
         # Config, placement and the hot-vertex set are fixed at
@@ -256,7 +254,7 @@ class SearSSDModel:
         algorithm: str = "hnsw",
         dataset: str = "synthetic",
     ) -> SimResult:
-        """Simulate a batch of compiled traces (:meth:`compile`),
+        """Simulate a batch of compiled traces (:meth:`compile_batch`),
         splitting into sub-batches if needed.
 
         A batch whose compiled traces were priced before is answered
@@ -318,59 +316,80 @@ class SearSSDModel:
         return makespan, counters, busy, tuple(labels), bounds
 
     # ---- trace compilation -----------------------------------------------------------
-    def compile(
-        self, trace: SearchTrace, spec: list[np.ndarray] | None = None
-    ) -> _CompiledTrace:
-        """Pre-resolve one trace's rounds to per-LUN demand work.
+    def compile_batch(
+        self,
+        computed: np.ndarray,
+        offsets: np.ndarray,
+        trace_rounds: np.ndarray,
+        spec: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> list[_CompiledTrace]:
+        """Pre-resolve a batch of traces' rounds to per-LUN demand work.
 
-        ``spec`` holds the trace's per-iteration speculative sets
-        (ignored unless speculation is enabled).  Every call compiles
-        afresh under a new serial; callers cache the result.
+        The traces come stacked over one global round numbering
+        (:func:`~repro.ann.trace.stack_traces`): trace ``t`` owns rounds
+        ``trace_rounds[t]`` to ``trace_rounds[t + 1] - 1``, and round
+        ``g`` computed the physical vertices
+        ``computed[offsets[g]:offsets[g + 1]]``.  ``spec`` holds the
+        speculative sets as ``(ids, bounds)`` columns over the same
+        rounds (ignored unless speculation is enabled).  Returns one
+        compiled trace per trace, in batch order, each under a new
+        serial; callers cache them.
 
-        All rounds are resolved together: every vertex is tagged with
-        its round (``r * V + v`` for membership tests, ``r * K + key``
-        for page keys, ``K`` the device's page-key space), so one
-        ``isin``/``unique`` over the whole trace replaces one per
-        round, and each ``(round, LUN)`` slice is found by bisecting
-        the sorted tagged keys.
+        Every vertex is tagged with its global round (``g * V + v`` for
+        speculative hits, ``g * K + key`` for page keys; ``V`` is the
+        vertex count, ``K`` the device's page-key space), so one pass of
+        sorts and bisections resolves every round of every trace.  Each
+        trace's piece is then cut out at its round offsets and re-based
+        to its own rounds.
         """
         flags = self.config.flags
-        n_iter = trace.num_iterations
-        sizes = trace.sizes
-        flat = trace.computed
-        rid = trace.rounds
-        hits = n_cached = np.zeros(n_iter, dtype=np.int64)
-        # spec[j] is prefetched in round j (never on the last round) and
-        # can hit in round j + 1.
-        spec_rounds = 0
-        if flags.speculative and spec is not None:
-            spec_rounds = max(min(len(spec), n_iter - 1), 0)
-        if spec_rounds:
-            spec_sizes = np.fromiter(
-                (spec[j].size for j in range(spec_rounds)),
-                dtype=np.int64, count=spec_rounds,
+        key_space = self._key_space
+        n_vertices = self.placement.num_vertices
+        trace_rounds = np.asarray(trace_rounds, dtype=np.int64)
+        n_total = int(trace_rounds[-1])
+        if n_total * key_space >= 2**63 or (n_total + 1) * n_vertices >= 2**63:
+            raise ValueError(
+                f"{n_total} rounds overflow the int64 round tags of a "
+                f"{key_space}-page device; compile fewer traces at once"
             )
-            spec_flat = np.concatenate(
-                [np.asarray(spec[j], dtype=np.int64) for j in range(spec_rounds)]
-            )
-            spec_rid = np.repeat(np.arange(spec_rounds, dtype=np.int64), spec_sizes)
+        n_iters = np.diff(trace_rounds)
+        all_rounds = np.arange(n_total, dtype=np.int64)
+        # The global number of each round's trace's round 0.
+        base = np.repeat(trace_rounds[:-1], n_iters)
+        sizes = np.diff(offsets)
+        flat = computed
+        rid = np.repeat(all_rounds, sizes)
+        hits = n_cached = np.zeros(n_total, dtype=np.int64)
+        spec_flat = spec_rid = rid[:0]
+        spec_on = flags.speculative and spec is not None
+        if spec_on:
+            spec_ids, spec_bounds = spec
+            spec_rid = np.repeat(all_rounds, np.diff(spec_bounds))
+            # The set of round g is prefetched in g and can hit in
+            # g + 1; a trace's last-round set is never prefetched (it
+            # would otherwise credit the next trace's round 0).
+            live = np.ones(n_total, dtype=bool)
+            live[trace_rounds[1:][n_iters > 0] - 1] = False
+            keep = live[spec_rid]
+            spec_flat, spec_rid = spec_ids[keep], spec_rid[keep]
             # Speculative hits: vertices the previous round's overlap
             # window already computed.
-            span = int(max(flat.max(initial=0), spec_flat.max(initial=0))) + 1
-            mask = np.isin(rid * span + flat, (spec_rid + 1) * span + spec_flat)
-            hits = np.bincount(rid[mask], minlength=n_iter)
-            flat, rid = flat[~mask], rid[~mask]
+            prefetched = np.sort((spec_rid + 1) * n_vertices + spec_flat)
+            if prefetched.size:
+                tags = rid * n_vertices + flat
+                pos = np.searchsorted(prefetched, tags)
+                mask = prefetched[np.minimum(pos, prefetched.size - 1)] == tags
+                hits = np.bincount(rid[mask], minlength=n_total)
+                flat, rid = flat[~mask], rid[~mask]
         # Internal-DRAM cache (DiskANN hot vertices).
-        if self._cached_arr is not None:
-            mask = np.isin(flat, self._cached_arr)
-            n_cached = np.bincount(rid[mask], minlength=n_iter)
+        if self._hot is not None:
+            mask = self._hot[flat]
+            n_cached = np.bincount(rid[mask], minlength=n_total)
             flat, rid = flat[~mask], rid[~mask]
-        pairs = np.bincount(rid, minlength=n_iter)
+        pairs = np.bincount(rid, minlength=n_total)
 
         # Demand pages per (round, LUN): tagged keys sort round-major,
         # then LUN, so each group is one contiguous range.
-        n_luns = self.config.geometry.total_luns
-        key_space = self._key_space
         tagged = rid * key_space + self._page_keys(flat)
         lun_tags = np.sort(tagged // self._lun_span)
         heads = np.flatnonzero(run_heads(lun_tags))
@@ -380,29 +399,51 @@ class SearSSDModel:
         keys, starts, stops, merged = self._tagged_loads(
             tagged, lo, lo + self._lun_span
         )
-        groups = np.stack((group_ids // n_luns, group_ids % n_luns, raw,
+        group_round, group_lun = np.divmod(
+            group_ids, self.config.geometry.total_luns
+        )
+        groups = np.stack((group_round - base[group_round], group_lun, raw,
                            stops - starts, merged))
 
         # Each round's prefetch contribution (overlaps the next round's
         # scheduling window).  spec_loads/spec_merged pre-resolve the
         # common case of a single query prefetching in a round;
         # multi-query rounds must still pool the keys at batch time.
-        spec_count = spec_loads = spec_merged = np.zeros(n_iter, dtype=np.int64)
+        spec_count = spec_loads = spec_merged = np.zeros(n_total, dtype=np.int64)
         spec_keys = tagged[:0]
-        if spec_rounds:
+        if spec_on:
             spec_keys = spec_rid * key_space + self._page_keys(spec_flat)
-            edges = np.arange(n_iter + 1, dtype=np.int64) * key_space
+            edges = np.arange(n_total + 1, dtype=np.int64) * key_space
             _, starts, stops, spec_merged = self._tagged_loads(
                 spec_keys, edges[:-1], edges[1:]
             )
-            spec_count = np.bincount(spec_rid, minlength=n_iter)
+            spec_count = np.bincount(spec_rid, minlength=n_total)
             spec_loads = stops - starts
-
-        rounds = np.stack((np.arange(n_iter), sizes > 0, pairs, hits, n_cached,
+        rounds = np.stack((all_rounds - base, sizes > 0, pairs, hits, n_cached,
                            spec_count, spec_loads, spec_merged))
-        serial = self._next_serial
-        self._next_serial += 1
-        return _CompiledTrace(trace, rounds, groups, keys, spec_keys, serial)
+
+        # Cut each trace's piece out at its round offsets, re-based to
+        # its own rounds.  Pieces are copies, so a cached piece never
+        # keeps the batch arrays alive.
+        round_cut = trace_rounds.tolist()
+        group_cut = np.searchsorted(group_round, trace_rounds).tolist()
+        key_cut = np.searchsorted(keys, trace_rounds * key_space).tolist()
+        spec_cut = np.searchsorted(spec_rid, trace_rounds).tolist()
+        key_base = base * key_space
+        keys = keys - key_base[keys // key_space]
+        spec_keys = spec_keys - key_base[spec_rid]
+        lengths = np.diff(offsets[trace_rounds]).tolist()
+        pieces = []
+        for t, (n_rounds, length) in enumerate(zip(n_iters.tolist(), lengths)):
+            pieces.append(_CompiledTrace(
+                rounds[:, round_cut[t]:round_cut[t + 1]].copy(),
+                groups[:, group_cut[t]:group_cut[t + 1]].copy(),
+                keys[key_cut[t]:key_cut[t + 1]].copy(),
+                spec_keys[spec_cut[t]:spec_cut[t + 1]].copy(),
+                n_rounds, length, self._next_serial,
+            ))
+            self._next_serial += 1
+        return pieces
 
     # ---- one sub-batch ---------------------------------------------------------------
     def _run_sub_batch(self, compiled: list[_CompiledTrace]):

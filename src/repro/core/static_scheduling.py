@@ -27,25 +27,39 @@ from collections import deque
 import numpy as np
 
 from repro.ann.graph import ProximityGraph
+from repro.core.rounds import distinct
 
 
-def _undirected_adjacency(graph: ProximityGraph) -> list[np.ndarray]:
-    """Symmetrised neighbor lists (reordering treats edges both ways)."""
+def _undirected_adjacency(graph: ProximityGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetrised neighbor lists (reordering treats edges both ways).
+
+    Returns CSR ``(indptr, indices)``: vertex ``v``'s list is its own
+    neighbors as stored, then every vertex that links to ``v`` but is
+    not among them, once each and in ascending order.
+    """
     n = graph.num_vertices
-    extra: list[list[int]] = [[] for _ in range(n)]
-    present: list[set[int]] = [set(graph.neighbors(v).tolist()) for v in range(n)]
-    for v in range(n):
-        for u in graph.neighbors(v):
-            u = int(u)
-            if v not in present[u]:
-                extra[u].append(v)
-                present[u].add(v)
-    return [
-        np.concatenate([graph.neighbors(v), np.asarray(extra[v], dtype=np.int32)])
-        if extra[v]
-        else graph.neighbors(v)
-        for v in range(n)
-    ]
+    degrees = graph.degrees
+    src = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    dst = graph.indices.astype(np.int64)
+    # Reverse edges v -> u as (u, v) tags, sorted and distinct, minus
+    # the ones u already stores.
+    stored = np.sort(src * n + dst)
+    reverse = distinct(dst * n + src)
+    if stored.size:
+        pos = np.minimum(np.searchsorted(stored, reverse), stored.size - 1)
+        reverse = reverse[stored[pos] != reverse]
+    row, extra = np.divmod(reverse, n)
+    n_extra = np.bincount(row, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degrees + n_extra, out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=graph.indices.dtype)
+    # Stored neighbors keep their place at the head of each list; the
+    # reverse edges fill the tail in ascending order.
+    shift = indptr[:-1] - graph.indptr[:-1]
+    indices[np.arange(src.size) + shift[src]] = graph.indices
+    tail = indptr[:-1] + degrees - (np.cumsum(n_extra) - n_extra)
+    indices[np.arange(row.size) + tail[row]] = extra
+    return indptr, indices
 
 
 def bandwidth_beta(graph: ProximityGraph, order: np.ndarray | None = None) -> float:
@@ -65,13 +79,15 @@ def bandwidth_beta(graph: ProximityGraph, order: np.ndarray | None = None) -> fl
             raise ValueError("order must be a permutation of all vertex IDs")
         label = np.empty(n, dtype=np.int64)
         label[order] = np.arange(n)
-    adjacency = _undirected_adjacency(graph)
-    total = 0.0
-    for v in range(n):
-        neigh = adjacency[v]
-        if neigh.size:
-            total += float(np.abs(label[neigh] - label[v]).max())
-    return total / n
+    indptr, indices = _undirected_adjacency(graph)
+    sizes = np.diff(indptr)
+    gaps = np.abs(label[indices] - np.repeat(label, sizes))
+    if gaps.size == 0:
+        return 0.0
+    # Each non-empty list's widest gap; integer gaps add exactly in
+    # any order.
+    widest = np.maximum.reduceat(gaps, indptr[:-1][sizes > 0])
+    return float(widest.sum()) / n
 
 
 def degree_ascending_bfs(graph: ProximityGraph) -> np.ndarray:
@@ -85,8 +101,9 @@ def degree_ascending_bfs(graph: ProximityGraph) -> np.ndarray:
     Returns ``order``: old vertex IDs in new-label order.
     """
     n = graph.num_vertices
-    adjacency = _undirected_adjacency(graph)
-    degrees = np.asarray([a.size for a in adjacency], dtype=np.int64)
+    indptr, indices = _undirected_adjacency(graph)
+    degrees = np.diff(indptr)
+    bounds = indptr.tolist()
     visited = np.zeros(n, dtype=bool)
     order: list[int] = []
     # Stable min-degree scan order for roots.
@@ -101,7 +118,7 @@ def degree_ascending_bfs(graph: ProximityGraph) -> np.ndarray:
         order.append(root)
         while queue:
             v = queue.popleft()
-            neigh = adjacency[v]
+            neigh = indices[bounds[v]:bounds[v + 1]]
             fresh = neigh[~visited[neigh]]
             if fresh.size == 0:
                 continue
@@ -120,7 +137,8 @@ def random_bfs(graph: ProximityGraph, seed: int = 0) -> np.ndarray:
     """Random-BFS reordering baseline (random root, shuffled neighbors)."""
     n = graph.num_vertices
     rng = np.random.default_rng(seed)
-    adjacency = _undirected_adjacency(graph)
+    indptr, indices = _undirected_adjacency(graph)
+    bounds = indptr.tolist()
     visited = np.zeros(n, dtype=bool)
     order: list[int] = []
     candidates = rng.permutation(n)
@@ -134,7 +152,8 @@ def random_bfs(graph: ProximityGraph, seed: int = 0) -> np.ndarray:
         queue: deque[int] = deque([root])
         while queue:
             v = queue.popleft()
-            fresh = [int(u) for u in adjacency[v] if not visited[u]]
+            fresh = [int(u) for u in indices[bounds[v]:bounds[v + 1]]
+                     if not visited[u]]
             rng.shuffle(fresh)
             for u in fresh:
                 if not visited[u]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ann import HNSWIndex, HNSWParams
-from repro.ann.trace import IterationRecord, SearchTrace
+from repro.ann.trace import IterationRecord, SearchTrace, stack_traces
 from repro.core import NDSearch, NDSearchConfig, SchedulingFlags
 from repro.core.placement import map_vertices
 from repro.core.searssd import SearSSDModel
@@ -38,7 +38,7 @@ class TestDegenerateInputs:
             IterationRecord(entry=0, computed=()),
             IterationRecord(entry=1, computed=(2, 3)),
         ])
-        result = model.run_batch([model.compile(trace)])
+        result = model.run_batch(model.compile_batch(*stack_traces([trace])))
         assert result.sim_time_s > 0
 
     def test_batch_of_one(self, small_hnsw, tiny_config, small_queries):
@@ -60,7 +60,7 @@ class TestFailureInjection:
         trace = SearchTrace.from_iterations(
             [IterationRecord(entry=0, computed=(1, 50, 99))]
         )
-        result = model.run_batch([model.compile(trace)])
+        result = model.run_batch(model.compile_batch(*stack_traces([trace])))
         assert result.counters["ecc_soft_decodes"] == result.counters[
             "ecc_hard_decodes"
         ]

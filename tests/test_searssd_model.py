@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ann.trace import IterationRecord, SearchTrace
+from repro.ann.trace import IterationRecord, SearchTrace, stack_traces
 from repro.core.config import SchedulingFlags
 from repro.core.placement import map_vertices
 from repro.core.searssd import SearSSDModel
@@ -27,8 +27,8 @@ def _make_traces(n_queries, iterations, vertices_per_iter, n_vertices, seed=0):
 
 
 def _run(model, traces):
-    """Price ``traces`` as one batch, each compiled without spec sets."""
-    return model.run_batch([model.compile(t) for t in traces])
+    """Price ``traces`` as one batch, compiled without spec sets."""
+    return model.run_batch(model.compile_batch(*stack_traces(traces)))
 
 
 @pytest.fixture()

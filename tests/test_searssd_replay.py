@@ -1,6 +1,6 @@
-"""SearSSD batch replay: the priced-batch memo, round-vectorized trace
+"""SearSSD batch replay: the priced-batch memo, one-pass batch trace
 compilation and one-pass sub-batch pricing must reproduce the
-straightforward per-round replay exactly."""
+straightforward per-trace and per-round code exactly."""
 
 from __future__ import annotations
 
@@ -12,11 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ann import DiskANNIndex, DiskANNParams
-from repro.ann.trace import IterationRecord, SearchTrace
+from repro.ann.trace import IterationRecord, SearchTrace, remap_trace, stack_traces
 from repro.core import NDSearch
 from repro.core.config import HostConfig, NDSearchConfig, SchedulingFlags
 from repro.core.placement import map_vertices
+from repro.core.rounds import run_heads
 from repro.core.searssd import SearSSDModel, _CompiledTrace
+from repro.core.speculative import rank_by_round
+from repro.flash.geometry import SSDGeometry
 from repro.flash.ecc import LDPCModel
 from repro.flash.timing import FlashTiming
 from repro.sim.stats import Counters
@@ -25,6 +28,8 @@ from repro.sorting.fpga import FPGASorter
 #: Systems priced by the memo tests: speculation on, speculation off,
 #: and a DiskANN index whose hot vertices sit in the internal DRAM.
 SYSTEMS = ("hnsw", "hnsw-nospec", "diskann")
+#: ... plus speculation on with an empty prefetch set every round.
+COMPILED_SYSTEMS = SYSTEMS + ("hnsw-width0",)
 
 
 def _config(geometry, flags=SchedulingFlags()) -> NDSearchConfig:
@@ -45,7 +50,8 @@ def _config(geometry, flags=SchedulingFlags()) -> NDSearchConfig:
 @pytest.fixture(scope="module")
 def indexes(small_hnsw, small_vectors):
     diskann = DiskANNIndex(small_vectors, DiskANNParams(R=8, L=16))
-    return {"hnsw": small_hnsw, "hnsw-nospec": small_hnsw, "diskann": diskann}
+    return {"hnsw": small_hnsw, "hnsw-nospec": small_hnsw, "diskann": diskann,
+            "hnsw-width0": small_hnsw}
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +62,9 @@ def builders(indexes, tiny_geometry):
             tiny_geometry, SchedulingFlags(True, True, True, False)
         ),
         "diskann": _config(tiny_geometry),
+        "hnsw-width0": dataclasses.replace(
+            _config(tiny_geometry), speculative_width=0
+        ),
     }
 
     def build(name: str) -> NDSearch:
@@ -155,7 +164,7 @@ class TestBatchMemo:
         monkeypatch.setattr(searssd, "_BATCH_MEMO_LIMIT", 3)
         placement = map_vertices(64, tiny_config.geometry, 64)
         model = SearSSDModel(config=tiny_config, placement=placement, dim=16)
-        compiled = [model.compile(_trace([(i,)])) for i in range(5)]
+        compiled = _compile_batch(model, [_trace([(i,)]) for i in range(5)])
         for c in compiled:
             model.run_batch([c])
         assert len(model._batches) == 3
@@ -168,6 +177,120 @@ def _trace(rounds) -> SearchTrace:
         IterationRecord(entry=0, computed=tuple(int(v) for v in computed))
         for computed in rounds
     ])
+
+
+def _spec_columns(traces, specs):
+    """Per-trace lists of per-round speculative sets (``None`` for a
+    trace without any) as the ``(ids, bounds)`` columns
+    :meth:`SearSSDModel.compile_batch` reads, over the traces' global
+    rounds.  Missing rounds get empty sets; sets past a trace's last
+    round are dropped."""
+    if specs is None:
+        return None
+    empty = np.empty(0, dtype=np.int64)
+    sets = [
+        np.asarray(spec[r], dtype=np.int64)
+        if spec is not None and r < len(spec) else empty
+        for trace, spec in zip(traces, specs, strict=True)
+        for r in range(trace.num_iterations)
+    ]
+    bounds = np.zeros(len(sets) + 1, dtype=np.int64)
+    np.cumsum([s.size for s in sets], out=bounds[1:])
+    return np.concatenate([empty, *sets]), bounds
+
+
+def _compile_batch(model: SearSSDModel, traces, specs=None):
+    """Compile ``traces`` (physical IDs) in one batch."""
+    return model.compile_batch(*stack_traces(traces),
+                               _spec_columns(traces, specs))
+
+
+def _hot_vertices(model: SearSSDModel):
+    """The model's hot (DRAM-cached) vertices, or ``None``."""
+    return None if model._hot is None else np.flatnonzero(model._hot)
+
+
+def _compile_trace_oracle(model: SearSSDModel, trace, spec):
+    """One trace's compiled columns, compiled on their own: every round
+    of the trace is resolved together, but no other trace is.  Returns
+    ``(rounds, groups, keys, spec_keys)``."""
+    flags = model.config.flags
+    n_iter = trace.num_iterations
+    sizes = trace.sizes
+    flat = trace.computed
+    rid = trace.rounds
+    hits = n_cached = np.zeros(n_iter, dtype=np.int64)
+    # spec[j] is prefetched in round j (never on the last round) and
+    # can hit in round j + 1.
+    spec_rounds = 0
+    if flags.speculative and spec is not None:
+        spec_rounds = max(min(len(spec), n_iter - 1), 0)
+    if spec_rounds:
+        spec_sizes = np.fromiter(
+            (spec[j].size for j in range(spec_rounds)),
+            dtype=np.int64, count=spec_rounds,
+        )
+        spec_flat = np.concatenate(
+            [np.asarray(spec[j], dtype=np.int64) for j in range(spec_rounds)]
+        )
+        spec_rid = np.repeat(np.arange(spec_rounds, dtype=np.int64), spec_sizes)
+        span = int(max(flat.max(initial=0), spec_flat.max(initial=0))) + 1
+        mask = np.isin(rid * span + flat, (spec_rid + 1) * span + spec_flat)
+        hits = np.bincount(rid[mask], minlength=n_iter)
+        flat, rid = flat[~mask], rid[~mask]
+    hot = _hot_vertices(model)
+    if hot is not None:
+        mask = np.isin(flat, hot)
+        n_cached = np.bincount(rid[mask], minlength=n_iter)
+        flat, rid = flat[~mask], rid[~mask]
+    pairs = np.bincount(rid, minlength=n_iter)
+
+    n_luns = model.config.geometry.total_luns
+    key_space = model._key_space
+    tagged = rid * key_space + model._page_keys(flat)
+    lun_tags = np.sort(tagged // model._lun_span)
+    heads = np.flatnonzero(run_heads(lun_tags))
+    group_ids = lun_tags[heads]
+    raw = np.append(heads[1:], lun_tags.size) - heads
+    lo = group_ids * model._lun_span
+    keys, starts, stops, merged = model._tagged_loads(
+        tagged, lo, lo + model._lun_span
+    )
+    groups = np.stack((group_ids // n_luns, group_ids % n_luns, raw,
+                       stops - starts, merged))
+
+    spec_count = spec_loads = spec_merged = np.zeros(n_iter, dtype=np.int64)
+    spec_keys = tagged[:0]
+    if spec_rounds:
+        spec_keys = spec_rid * key_space + model._page_keys(spec_flat)
+        edges = np.arange(n_iter + 1, dtype=np.int64) * key_space
+        _, starts, stops, spec_merged = model._tagged_loads(
+            spec_keys, edges[:-1], edges[1:]
+        )
+        spec_count = np.bincount(spec_rid, minlength=n_iter)
+        spec_loads = stops - starts
+
+    rounds = np.stack((np.arange(n_iter), sizes > 0, pairs, hits, n_cached,
+                       spec_count, spec_loads, spec_merged))
+    return rounds, groups, keys, spec_keys
+
+
+def _assert_like_trace_oracle(model, pieces, traces, specs) -> None:
+    """Each batch piece equals its trace compiled alone, array for
+    array, and the serials are fresh and in batch order."""
+    assert len(pieces) == len(traces)
+    for i, (piece, trace) in enumerate(zip(pieces, traces)):
+        spec = None if specs is None else specs[i]
+        got = (piece.rounds, piece.groups, piece.keys, piece.spec_keys)
+        want = _compile_trace_oracle(model, trace, spec)
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert np.array_equal(g, w)
+        assert piece.n_rounds == trace.num_iterations
+        assert piece.trace_length == trace.trace_length
+    # Distinct and in batch order.
+    serials = [piece.serial for piece in pieces]
+    assert serials == sorted(set(serials))
 
 
 def _loads_and_merges(model: SearSSDModel, keys) -> tuple[int, int]:
@@ -195,8 +318,9 @@ def _compile_oracle(model: SearSSDModel, trace, spec):
                     hits = int(np.count_nonzero(mask))
                     if hits:
                         computed = computed[~mask]
-            if model._cached_arr is not None and computed.size:
-                mask = np.isin(computed, model._cached_arr)
+            hot = _hot_vertices(model)
+            if hot is not None and computed.size:
+                mask = np.isin(computed, hot)
                 n_cached = int(np.count_nonzero(mask))
                 if n_cached:
                     computed = computed[~mask]
@@ -270,7 +394,11 @@ def _assert_columns(compiled, rounds, model) -> None:
 
 
 N_VERTICES = 600
-vertex_sets = st.lists(st.integers(0, N_VERTICES - 1), max_size=12)
+#: A round's computed vertices: spread over the device, or drawn from a
+#: few vertices so that one round computes a vertex more than once.
+vertex_sets = st.lists(st.integers(0, N_VERTICES - 1), max_size=12) | st.lists(
+    st.integers(0, 7), min_size=2, max_size=8
+)
 
 
 @st.composite
@@ -318,7 +446,8 @@ class TestVectorizedCompile:
             cached_vertices=None if cached is None else np.asarray(cached),
         )
         trace = _trace(rounds)
-        compiled = model.compile(trace, spec)
+        (compiled,) = _compile_batch(model, [trace],
+                                     None if spec is None else [spec])
         _assert_columns(compiled, _compile_oracle(model, trace, spec), model)
 
     def test_empty_and_fully_hit_rounds(self, tiny_config):
@@ -326,7 +455,7 @@ class TestVectorizedCompile:
         model = SearSSDModel(config=tiny_config, placement=placement, dim=16)
         trace = _trace([(1, 2, 3), (), (4, 5), (6,)])
         spec = [np.array([9]), np.array([4, 5, 7]), np.array([], dtype=np.int64)]
-        compiled = model.compile(trace, spec)
+        (compiled,) = _compile_batch(model, [trace], [spec])
         _assert_columns(compiled, _compile_oracle(model, trace, spec), model)
         # Round 1 computed nothing; round 2's demand was all prefetched.
         assert compiled.rounds[1:5, 1].tolist() == [0, 0, 0, 0]
@@ -353,8 +482,9 @@ class TestVectorizedCompile:
         placement = map_vertices(N_VERTICES, tiny_config.geometry, 64)
         model = SearSSDModel(config=tiny_config, placement=placement, dim=16)
         trace = _trace([(1, 2)])
-        serials = {model.compile(trace).serial for _ in range(4)}
-        assert len(serials) == 4
+        serials = [c.serial for _ in range(2)
+                   for c in _compile_batch(model, [trace, trace])]
+        assert serials == sorted(set(serials)) and len(serials) == 4
 
 
 # ---- one-pass sub-batch pricing ----------------------------------------------
@@ -613,10 +743,7 @@ def _exact(priced, ldpc):
 
 def _assert_prices_like_oracle(model: SearSSDModel, traces, specs) -> None:
     want = _exact(_price_oracle(model, traces, specs), model.ldpc)
-    compiled = [
-        model.compile(t, None if specs is None else specs[i])
-        for i, t in enumerate(traces)
-    ]
+    compiled = _compile_batch(model, traces, specs)
     got = _exact(model._price_batch(compiled), model.ldpc)
     assert got == want
 
@@ -695,7 +822,7 @@ class TestSubBatchPricing:
         # Real HNSW and DiskANN (hot vertices in DRAM) search traces
         # with their speculative sets, across several sub-batches.
         system = warm[name]
-        resolved = [system._resolve_trace(t) for t in trace_pool[name] * 2]
+        resolved = [_resolve_oracle(system, t) for t in trace_pool[name] * 2]
         traces = [remapped for remapped, _ in resolved]
         specs = [spec for _, spec in resolved]
         for n in (1, 5, len(traces)):
@@ -703,3 +830,149 @@ class TestSubBatchPricing:
                 system._model, traces[:n],
                 specs[:n] if system.config.flags.speculative else None,
             )
+
+
+# ---- one-pass batch compilation ----------------------------------------------
+def _resolve_oracle(system: NDSearch, trace):
+    """The trace remapped to physical IDs, and its per-round
+    speculative sets (``None`` with speculation off), resolved on its
+    own."""
+    remapped = remap_trace(trace, system.new_id)
+    if not system.config.flags.speculative:
+        return remapped, None
+    n_rounds = remapped.num_iterations
+    ids, bounds = rank_by_round(
+        system.graph, remapped.computed, remapped.rounds, n_rounds,
+        system.config.speculative_width,
+    )
+    b = bounds.tolist()
+    return remapped, [ids[b[r]:b[r + 1]] for r in range(n_rounds)]
+
+
+@st.composite
+def compile_batch_cases(draw):
+    """A batch over a small pool of traces (0 and 1 iterations, empty
+    rounds and repeated vertices included), with or without sets."""
+    pool = draw(st.lists(trace_cases(), min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), max_size=8))
+    traces = [_trace(rounds) for rounds, _ in pool]
+    specs = [pool[i][1] for i in picks] if draw(st.booleans()) else None
+    return (
+        [traces[i] for i in picks], specs,
+        draw(st.sampled_from(ALL_FLAGS)),
+        draw(st.sampled_from(("multiplane", "interleaved"))),
+        draw(st.none() | st.lists(st.integers(0, N_VERTICES - 1),
+                                  min_size=1, max_size=60)),
+    )
+
+
+def _model(geometry, flags=SchedulingFlags(), scheme="multiplane",
+           cached=None) -> SearSSDModel:
+    return SearSSDModel(
+        config=_config(geometry, flags),
+        placement=map_vertices(N_VERTICES, geometry, 64, scheme=scheme),
+        dim=16,
+        cached_vertices=None if cached is None else np.asarray(cached),
+    )
+
+
+HITS = _CompiledTrace.ROUND_FIELDS.index("hits")
+PAIRS = _CompiledTrace.ROUND_FIELDS.index("pairs")
+SPEC_COUNT = _CompiledTrace.ROUND_FIELDS.index("spec_count")
+
+
+class TestBatchCompile:
+    @settings(max_examples=200, deadline=None)
+    @given(case=compile_batch_cases())
+    def test_matches_per_trace_compile(self, tiny_geometry, case):
+        traces, specs, flags, scheme, cached = case
+        model = _model(tiny_geometry, flags, scheme, cached)
+        pieces = _compile_batch(model, traces, specs)
+        _assert_like_trace_oracle(model, pieces, traces, specs)
+
+    @pytest.mark.parametrize("flags", ALL_FLAGS, ids=lambda f: f.label())
+    @pytest.mark.parametrize("cached", (None, [3, 8, 40]),
+                             ids=("no-cache", "hot-cache"))
+    def test_every_flag_combination(self, tiny_geometry, flags, cached):
+        # Unequal lengths, an empty round, repeated vertices, a fully
+        # prefetched round, cached vertices, traces of 0 and 1
+        # iterations and repeated traces.
+        a = _trace([(1, 2, 3, 40), (), (4, 5, 5), (6, 300, 301)])
+        b = _trace([(7, 8, 1, 1), (4, 5, 9, 41)])
+        one = _trace([(2, 2)])
+        empty = _trace([])
+        spec_a = [np.array([9, 1]), np.array([4, 5, 7]), np.array([300]),
+                  np.array([7])]
+        spec_b = [np.array([4, 5, 9, 41]), np.array([2])]
+        traces = [a, empty, b, one, a, b]
+        specs = [spec_a, [], spec_b, [np.array([7])], spec_a, None]
+        for with_spec in (specs, None):
+            model = _model(tiny_geometry, flags, cached=cached)
+            pieces = _compile_batch(model, traces, with_spec)
+            _assert_like_trace_oracle(model, pieces, traces, with_spec)
+
+    def test_last_round_set_never_hits_the_next_trace(self, tiny_geometry):
+        # a's last-round set holds vertex 5, which b computes in its
+        # round 0: in the stacked batch that is the very next round.
+        model = _model(tiny_geometry)
+        a = _trace([(1, 2), (3,)])
+        b = _trace([(5, 6), (7,)])
+        specs = [[np.array([3]), np.array([5])],
+                 [np.array([7]), np.array([9])]]
+        piece_a, piece_b = _compile_batch(model, [a, b], specs)
+        assert piece_a.rounds[HITS].tolist() == [0, 1]
+        assert piece_a.rounds[SPEC_COUNT].tolist() == [1, 0]
+        assert piece_b.rounds[HITS].tolist() == [0, 1]
+        assert piece_b.rounds[PAIRS].tolist() == [2, 0]
+        _assert_like_trace_oracle(model, [piece_a, piece_b], [a, b], specs)
+
+    def test_round_tags_that_overflow_int64_are_refused(self, tiny_config):
+        # 2**61 page keys and only 16 vertices: three rounds tag below
+        # 2**63, four would wrap.  No array scales with the key space.
+        geometry = SSDGeometry(
+            channels=1, chips_per_channel=1, luns_per_chip=1,
+            planes_per_lun=2, blocks_per_plane=2**40, pages_per_block=2**20,
+            page_size=1024,
+        )
+        model = SearSSDModel(
+            config=dataclasses.replace(tiny_config, geometry=geometry),
+            placement=map_vertices(16, geometry, 64), dim=16,
+        )
+        assert model._key_space == 2**61
+        three = _trace([(0, 1), (2,), (15,)])
+        (piece,) = _compile_batch(model, [three], [[np.array([2])]])
+        assert piece.rounds[HITS].tolist() == [0, 1, 0]
+        _assert_like_trace_oracle(model, [piece], [three], [[np.array([2])]])
+        with pytest.raises(ValueError, match="overflow"):
+            _compile_batch(model, [three, _trace([(4,)])])
+
+    def test_pieces_own_their_arrays(self, tiny_geometry):
+        model = _model(tiny_geometry)
+        traces = [_trace([(1, 2), (3,)]), _trace([(5, 6), (7, 8)])]
+        specs = [[np.array([3]), np.array([4])], [np.array([7]), []]]
+        for piece in _compile_batch(model, traces, specs):
+            for arr in (piece.rounds, piece.groups, piece.keys,
+                        piece.spec_keys):
+                assert arr.base is None
+
+    @pytest.mark.parametrize("name", COMPILED_SYSTEMS)
+    def test_simulate_traces_mixes_cached_and_new(self, builders, trace_pool,
+                                                   name):
+        pool = trace_pool[name]
+        system = builders(name)
+        system.simulate_traces(pool[:4])
+        before = {t: system._compiled[t] for t in pool[:4]}
+        # Two cached traces, two new ones, one of them twice.
+        batch = [pool[2], pool[5], pool[6], pool[5], pool[0]]
+        result = system.simulate_traces(batch)
+        assert all(system._compiled[t] is c for t, c in before.items())
+        new = [pool[5], pool[6]]
+        resolved = [_resolve_oracle(system, t) for t in new]
+        pieces = [system._compiled[t] for t in new]
+        _assert_like_trace_oracle(
+            system._model, pieces, [r for r, _ in resolved],
+            [spec for _, spec in resolved],
+        )
+        assert pieces[0].serial > max(c.serial for c in before.values())
+        fresh = builders(name).simulate_traces(batch)
+        assert _snapshot(result) == _snapshot(fresh)

@@ -1,14 +1,158 @@
 """Tests for reordering and the beta bandwidth metric (Section VI-A)."""
 
+from collections import deque
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.ann.graph import ProximityGraph
 from repro.core.static_scheduling import (
+    _undirected_adjacency,
     bandwidth_beta,
     degree_ascending_bfs,
     figure10_example_graph,
     random_bfs,
 )
+
+
+# ---- oracles: the per-edge symmetrisation and the code built on it -------------
+def _undirected_oracle(graph: ProximityGraph) -> list[np.ndarray]:
+    """Symmetrised neighbor lists, one Python edge at a time."""
+    n = graph.num_vertices
+    extra: list[list[int]] = [[] for _ in range(n)]
+    present: list[set[int]] = [set(graph.neighbors(v).tolist()) for v in range(n)]
+    for v in range(n):
+        for u in graph.neighbors(v):
+            u = int(u)
+            if v not in present[u]:
+                extra[u].append(v)
+                present[u].add(v)
+    return [
+        np.concatenate([graph.neighbors(v), np.asarray(extra[v], dtype=np.int32)])
+        if extra[v]
+        else graph.neighbors(v)
+        for v in range(n)
+    ]
+
+
+def _beta_oracle(graph: ProximityGraph, order) -> float:
+    n = graph.num_vertices
+    if n == 0:
+        return 0.0
+    label = np.empty(n, dtype=np.int64)
+    label[np.asarray(order, dtype=np.int64)] = np.arange(n)
+    total = 0.0
+    for v, neigh in enumerate(_undirected_oracle(graph)):
+        if neigh.size:
+            total += float(np.abs(label[neigh] - label[v]).max())
+    return total / n
+
+
+def _degree_bfs_oracle(graph: ProximityGraph) -> np.ndarray:
+    n = graph.num_vertices
+    adjacency = _undirected_oracle(graph)
+    degrees = np.asarray([a.size for a in adjacency], dtype=np.int64)
+    visited = np.zeros(n, dtype=bool)
+    order: list[int] = []
+    roots_by_degree = np.lexsort((np.arange(n), degrees))
+    root_cursor = 0
+    while len(order) < n:
+        while root_cursor < n and visited[roots_by_degree[root_cursor]]:
+            root_cursor += 1
+        root = int(roots_by_degree[root_cursor])
+        visited[root] = True
+        queue: deque[int] = deque([root])
+        order.append(root)
+        while queue:
+            neigh = adjacency[queue.popleft()]
+            fresh = neigh[~visited[neigh]]
+            for u in fresh[np.lexsort((fresh, degrees[fresh]))]:
+                u = int(u)
+                if not visited[u]:
+                    visited[u] = True
+                    order.append(u)
+                    queue.append(u)
+    return np.asarray(order, dtype=np.int64)
+
+
+def _random_bfs_oracle(graph: ProximityGraph, seed: int) -> np.ndarray:
+    n = graph.num_vertices
+    rng = np.random.default_rng(seed)
+    adjacency = _undirected_oracle(graph)
+    visited = np.zeros(n, dtype=bool)
+    order: list[int] = []
+    candidates = rng.permutation(n)
+    cursor = 0
+    while len(order) < n:
+        while cursor < n and visited[candidates[cursor]]:
+            cursor += 1
+        root = int(candidates[cursor])
+        visited[root] = True
+        order.append(root)
+        queue: deque[int] = deque([root])
+        while queue:
+            fresh = [int(u) for u in adjacency[queue.popleft()] if not visited[u]]
+            rng.shuffle(fresh)
+            for u in fresh:
+                if not visited[u]:
+                    visited[u] = True
+                    order.append(u)
+                    queue.append(u)
+    return np.asarray(order, dtype=np.int64)
+
+
+@st.composite
+def graphs(draw):
+    """Random CSR graphs with self-loops, duplicate edges and isolated
+    vertices."""
+    n = draw(st.integers(0, 30))
+    if n == 0:
+        adjacency = []
+    else:
+        vertex = st.integers(0, n - 1)
+        adjacency = draw(st.lists(
+            st.lists(vertex, max_size=6) | st.just([]),
+            min_size=n, max_size=n,
+        ))
+        # A self-loop and a repeated edge on one drawn vertex.
+        v = draw(vertex)
+        adjacency[v] = adjacency[v] + [v, v]
+    vectors = np.zeros((n, 2), dtype=np.float32)
+    return ProximityGraph.from_adjacency(vectors, adjacency)
+
+
+class TestUndirectedAdjacency:
+    @settings(max_examples=200, deadline=None)
+    @given(graph=graphs())
+    def test_matches_per_edge_loop(self, graph):
+        indptr, indices = _undirected_adjacency(graph)
+        assert indptr.dtype == np.int64
+        assert indptr.shape == (graph.num_vertices + 1,)
+        for v, want in enumerate(_undirected_oracle(graph)):
+            got = indices[indptr[v]:indptr[v + 1]]
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(graph=graphs(), seed=st.integers(0, 3))
+    def test_orders_and_beta_are_unchanged(self, graph, seed):
+        ours = degree_ascending_bfs(graph)
+        assert np.array_equal(ours, _degree_bfs_oracle(graph))
+        rand = random_bfs(graph, seed=seed)
+        assert np.array_equal(rand, _random_bfs_oracle(graph, seed))
+        for order in (ours, rand):
+            assert repr(bandwidth_beta(graph, order)) == repr(
+                _beta_oracle(graph, order)
+            )
+
+    def test_small_graph_orders_are_unchanged(self, small_graph):
+        assert np.array_equal(degree_ascending_bfs(small_graph),
+                              _degree_bfs_oracle(small_graph))
+        assert np.array_equal(random_bfs(small_graph, seed=5),
+                              _random_bfs_oracle(small_graph, 5))
+        order = np.arange(small_graph.num_vertices)
+        assert bandwidth_beta(small_graph) == _beta_oracle(small_graph, order)
 
 
 class TestBeta:

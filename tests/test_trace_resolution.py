@@ -1,6 +1,6 @@
-"""Cold-trace resolution: the round-tagged speculative sets, the
-vectorized trace remap and trace recording must reproduce the
-per-iteration code they replace exactly."""
+"""Cold-trace resolution: the batch's speculative sets as columns, the
+vectorized trace remap, trace stacking and trace recording must
+reproduce the per-trace and per-iteration code they replace exactly."""
 
 from __future__ import annotations
 
@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ann.graph import ProximityGraph
-from repro.ann.trace import IterationRecord, SearchTrace, TraceRecorder, remap_trace
+import repro.core.ndsearch as ndsearch
+from repro.ann.trace import (
+    IterationRecord,
+    SearchTrace,
+    TraceRecorder,
+    remap_trace,
+    stack_traces,
+)
 from repro.core import NDSearch
 from repro.core.ndsearch import precompute_speculative_sets
 from repro.core.speculative import rank_by_round, select_speculative_candidates
@@ -40,6 +47,39 @@ def _precompute_oracle(traces, graph, width) -> list[list[np.ndarray]]:
         [_select_oracle(graph, it.computed, width) for it in trace.iterations]
         for trace in traces
     ]
+
+
+def _precompute_lists(traces, graph, width) -> list[list[np.ndarray]]:
+    """One list of per-iteration sets per trace: one round-tagged pass
+    per trace, sliced into a view per iteration."""
+    out: list[list[np.ndarray]] = []
+    for trace in traces:
+        n_rounds = trace.num_iterations
+        ids, bounds = rank_by_round(
+            graph, trace.computed, trace.rounds, n_rounds, width
+        )
+        b = bounds.tolist()
+        out.append([ids[b[r]:b[r + 1]] for r in range(n_rounds)])
+    return out
+
+
+def _columns(traces, graph, width) -> tuple[np.ndarray, np.ndarray]:
+    """The batch's sets as columns over its global rounds."""
+    computed, offsets, trace_rounds = stack_traces(traces)
+    return precompute_speculative_sets(
+        graph, computed, offsets, trace_rounds, width
+    )
+
+
+def _sets_by_trace(traces, ids, bounds) -> list[list[np.ndarray]]:
+    """Column-form sets split back into one list per trace."""
+    b = bounds.tolist()
+    out, g = [], 0
+    for trace in traces:
+        n = trace.num_iterations
+        out.append([ids[b[g + r]:b[g + r + 1]] for r in range(n)])
+        g += n
+    return out
 
 
 def _remap_oracle(trace: SearchTrace, new_id: np.ndarray) -> SearchTrace:
@@ -129,8 +169,12 @@ class TestSpeculativeSets:
     @given(case=graph_and_traces())
     def test_round_tagged_sets_match_per_iteration_loop(self, case):
         graph, traces, width = case
-        got = precompute_speculative_sets(traces, graph, width)
-        _assert_sets_equal(got, _precompute_oracle(traces, graph, width))
+        lists = _precompute_lists(traces, graph, width)
+        _assert_sets_equal(lists, _precompute_oracle(traces, graph, width))
+        ids, bounds = _columns(traces, graph, width)
+        assert ids.dtype == bounds.dtype == np.int64
+        assert bounds.shape == (sum(t.num_iterations for t in traces) + 1,)
+        _assert_sets_equal(_sets_by_trace(traces, ids, bounds), lists)
 
     @settings(max_examples=200, deadline=None)
     @given(case=graph_and_traces())
@@ -147,23 +191,21 @@ class TestSpeculativeSets:
     @settings(max_examples=100, deadline=None)
     @given(case=graph_and_traces())
     def test_sets_are_compact(self, case):
-        """A trace's sets pin no more elements than they return."""
+        """The columns hold the kept vertices and nothing else."""
         graph, traces, width = case
-        for sets in precompute_speculative_sets(traces, graph, width):
-            owners: list[np.ndarray] = []
-            for arr in sets:
-                owner = arr if arr.base is None else arr.base
-                if not any(owner is o for o in owners):
-                    owners.append(owner)
-            assert sum(o.size for o in owners) <= sum(a.size for a in sets)
+        ids, bounds = _columns(traces, graph, width)
+        assert ids.base is None
+        assert ids.size == bounds[-1]
+        assert bounds[0] == 0 and (np.diff(bounds) >= 0).all()
 
     def test_count_ties_break_by_id(self):
         # First-order {0, 1}: 2 and 3 are each linked twice, 4 and 5
         # once; ties rank by ascending id.
         graph = _graph([[5, 3, 2], [2, 3, 4], [], [], [], []])
         trace = _trace([(0, [1, 0, 1]), (0, []), (0, [0])])
-        sets = precompute_speculative_sets([trace], graph, 3)[0]
-        assert [s.tolist() for s in sets] == [[2, 3, 4], [], [2, 3, 5]]
+        ids, bounds = _columns([trace, trace], graph, 3)
+        assert ids.tolist() == [2, 3, 4, 2, 3, 5] * 2
+        assert bounds.tolist() == [0, 3, 3, 6, 9, 9, 12]
         ids, bounds = rank_by_round(
             graph, np.array([1, 0, 0], dtype=np.int64),
             np.array([0, 0, 2], dtype=np.int64), 3, 1,
@@ -173,28 +215,46 @@ class TestSpeculativeSets:
 
     def test_zero_degree_and_empty_trace(self):
         graph = _graph([[], [], [0]])
-        assert precompute_speculative_sets([SearchTrace(0)], graph, 4) == [[]]
-        sets = precompute_speculative_sets([_trace([(0, [0, 1])])], graph, 4)
-        assert [s.tolist() for s in sets[0]] == [[]]
-        assert sets[0][0].dtype == np.int64
+        ids, bounds = _columns([SearchTrace(0)], graph, 4)
+        assert ids.dtype == np.int64 and ids.size == 0
+        assert bounds.tolist() == [0]
+        ids, bounds = _columns(
+            [SearchTrace(0), _trace([(0, [0, 1])]), SearchTrace(1)], graph, 4
+        )
+        assert ids.dtype == np.int64 and ids.size == 0
+        assert bounds.tolist() == [0, 0]
 
     @pytest.mark.parametrize("width", [0, 1, 3, 8, 16, 64])
     def test_hnsw_traces_match_oracle(self, small_hnsw, small_graph,
                                       small_queries, width):
         traces = small_hnsw.search_batch(small_queries, 5, ef=16)[2]
-        got = precompute_speculative_sets(traces, small_graph, width)
-        _assert_sets_equal(got, _precompute_oracle(traces, small_graph, width))
+        ids, bounds = _columns(traces, small_graph, width)
+        _assert_sets_equal(_sets_by_trace(traces, ids, bounds),
+                           _precompute_oracle(traces, small_graph, width))
 
     def test_resolve_trace_uses_round_tagged_sets(self, small_hnsw,
-                                                  small_queries, tiny_config):
+                                                  small_queries, tiny_config,
+                                                  monkeypatch):
+        """A batch's new traces are remapped to physical IDs and their
+        sets resolved in one column-form call; cached traces make none."""
         system = NDSearch(index=small_hnsw, config=tiny_config)
         traces = small_hnsw.search_batch(small_queries[:4], 5, ef=16)[2]
-        for trace in traces:
-            remapped, spec = system._resolve_trace(trace)
-            want = _precompute_oracle(
-                [remapped], system.graph, tiny_config.speculative_width
-            )
-            _assert_sets_equal([spec], want)
+        calls = []
+
+        def spy(*args):
+            calls.append(precompute_speculative_sets(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(ndsearch, "precompute_speculative_sets", spy)
+        system.simulate_traces(traces + traces[:2])
+        ((ids, bounds),) = calls
+        remapped = [remap_trace(t, system.new_id) for t in traces]
+        want = _precompute_oracle(
+            remapped, system.graph, tiny_config.speculative_width
+        )
+        _assert_sets_equal(_sets_by_trace(remapped, ids, bounds), want)
+        system.simulate_traces(traces[::-1])
+        assert len(calls) == 1
 
 
 # ---- trace recording -----------------------------------------------------------
@@ -263,3 +323,24 @@ class TestTraceRecording:
         assert type(record.computed) is tuple
         assert record.computed == tuple(int(c) for c in computed)
         assert all(type(c) is int for c in record.computed)
+
+
+# ---- trace stacking ------------------------------------------------------------
+class TestStackTraces:
+    @settings(max_examples=100, deadline=None)
+    @given(case=graph_and_traces())
+    def test_global_rounds_follow_trace_order(self, case):
+        _, traces, _ = case
+        computed, offsets, trace_rounds = stack_traces(traces)
+        for arr in (computed, offsets, trace_rounds):
+            assert arr.dtype == np.int64
+        assert trace_rounds.tolist() == np.cumsum(
+            [0] + [t.num_iterations for t in traces]
+        ).tolist()
+        rounds = [
+            computed[offsets[g]:offsets[g + 1]].tolist()
+            for g in range(trace_rounds[-1])
+        ]
+        assert rounds == [
+            list(it.computed) for t in traces for it in t.iterations
+        ]
