@@ -1,10 +1,14 @@
 """The assembled SSD device: chips + FTL + ECC + internal DRAM model.
 
-Functional container used both by SearSSD (which adds in-LUN compute)
-and by the baseline platform timing models (which read whole pages out
-of it).  All addressing through this class uses *logical* block numbers
-— the FTL translates to physical blocks, so block-level refreshing is
-transparent to readers, exactly as Section II-B2 describes.
+Functional container behind the functional SearSSD device
+(:class:`~repro.core.searssd.SearSSDDevice`, which adds in-LUN
+compute).  The platform timing models price page reads analytically
+and never touch it; serving's stateful flash
+(:mod:`repro.serving.storage`) keeps its own FTL and ECC models
+without the chip and plane page buffers.  All addressing through this
+class uses *logical* block numbers — the FTL translates to physical
+blocks, so block-level refreshing is transparent to readers, exactly
+as Section II-B2 describes.
 """
 
 from __future__ import annotations

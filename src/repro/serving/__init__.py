@@ -30,11 +30,12 @@ platform models:
   :mod:`repro.platform` (NDSearch, CPU/CPU-T/GPU/SmartSSD, DS-c/DS-cp)
   behind one interface, so serving comparisons are apples-to-apples.
 * :mod:`repro.serving.device` — pipelined shard devices: consecutive
-  batches overlap on a device's phase-timeline stages.
-* :mod:`repro.serving.storage` — stateful flash under serving: each
-  device couples to a live FTL + ECC, so reads accumulate disturb,
-  GC refresh pauses inject tail latency and migrations charge
-  program/erase (opt-in via ``ServingConfig.flash``).
+  batches overlap on a device's phase-timeline stages; with flash on,
+  each device owns its flash store and does its flash work.
+* :mod:`repro.serving.storage` — stateful flash under serving: a
+  device's live FTL + ECC, so reads accumulate disturb, GC refresh
+  pauses inject tail latency and migrations charge program/erase
+  (opt-in via ``ServingConfig.flash``).
 * :mod:`repro.serving.frontend` — composable handlers over the
   discrete-event kernel (:mod:`repro.sim.events`) tying it together,
   including coalescing of identical in-flight queries.

@@ -25,12 +25,19 @@ stage FIFO for a fixed duration, which is how partitioned-mode
 rebalancing charges a cluster migration's data movement to the source
 and destination devices — the migration read/write contends with query
 batches on the same entry-stage FIFO instead of being free.
+
+With ``ServingConfig.flash`` set, a device owns its flash ``store``
+(:mod:`repro.serving.storage`), as the FTL, block refresh and ECC path
+are parts of the paper's SSD: :meth:`read_flash` runs a served
+sub-batch's page reads through it and :meth:`refresh` performs the
+refreshes those reads made due, booking the GC pause.
 """
 
 from __future__ import annotations
 
 from repro.obs.trace import Tracer
 from repro.obs.windows import WindowedMetrics
+from repro.serving.storage import FlashBackedStore, FlashConfig
 from repro.sim.engine import Resource
 from repro.sim.stats import SimResult
 
@@ -48,7 +55,7 @@ class ShardDevice:
     span tracer that :meth:`serve` and :meth:`book` receive per call.
     ``windows``, when set, receives each *clipped* busy increment (the
     disjoint intervals whose union is ``busy_s``) as the
-    ``shard<index>`` utilization series.
+    ``shard<index>`` utilization series and the flash counts.
     """
 
     def __init__(
@@ -56,10 +63,14 @@ class ShardDevice:
         pipelined: bool = True,
         index: int = 0,
         windows: WindowedMetrics | None = None,
+        flash: FlashConfig | None = None,
     ) -> None:
         self.pipelined = pipelined
         self.index = index
         self.windows = windows
+        self.store = (
+            FlashBackedStore(flash, index) if flash is not None else None
+        )
         self._stages: dict[str, Resource] = {}
         self._serial = Resource("device")
         """The whole-device timeline used in blocking mode."""
@@ -236,6 +247,88 @@ class ShardDevice:
                 start = stage_start
             t = stage_end
         return start, t
+
+    # ---- stateful flash --------------------------------------------------
+    def read_flash(
+        self,
+        cluster: int,
+        result: SimResult,
+        rows: int,
+        done: float,
+        resource: str | None,
+        tracer: Tracer | None = None,
+    ) -> tuple[float, list[tuple[int, int, int]]]:
+        """Route one served sub-batch's page reads through the store.
+
+        The batch's page reads (from the platform model's counters;
+        host-side models report ``ssd_page_reads``, and a model with no
+        page accounting falls back to one page per routed query) heat
+        the cluster's blocks; ECC hard-decode failures book their
+        soft-decode stall on ``resource``.  Returns the (possibly later)
+        completion and the blocks now due for refresh.
+        """
+        store = self.store
+        if store is None:
+            return done, []
+        pages = int(
+            result.counters["page_reads"]
+            or result.counters["ssd_page_reads"]
+            or rows
+        )
+        before = store.ecc_soft_decodes
+        delay = store.ecc_delay_s(cluster, pages)
+        if delay > 0.0:
+            _, done = self.book(
+                done, delay, resource=resource, label="ecc retry",
+                category="flash", tracer=tracer,
+            )
+            if self.windows is not None:
+                self.windows.inc(
+                    "ecc_soft_decodes", done, store.ecc_soft_decodes - before
+                )
+        due = store.record_reads(cluster, pages)
+        if self.windows is not None and pages:
+            self.windows.inc("flash_page_reads", done, pages)
+        return done, due
+
+    def refresh(
+        self,
+        at: float,
+        triples: list[tuple[int, int, int]],
+        resource: str | None,
+        tracer: Tracer | None = None,
+    ) -> None:
+        """Perform due read-disturb refreshes and book the GC pause
+        (read + program each valid page, erase the old block) on
+        ``resource``: queries dispatched behind it wait it out — this is
+        where GC-pause tail latency comes from."""
+        pause = self.store.perform_refreshes(triples)
+        if pause <= 0.0:
+            return
+        self.book(
+            at, pause, resource=resource, label="flash refresh",
+            category="maintenance", tracer=tracer,
+        )
+        if self.windows is not None:
+            self.windows.inc("flash_refreshes", at, len(triples))
+
+    def receive_cluster(self, cluster: int, nbytes: int) -> None:
+        """Host-program a cluster onto the store (initial placement or
+        a migration's commit)."""
+        if self.store is not None:
+            self.store.program_cluster(cluster, nbytes)
+
+    def release_cluster(self, cluster: int) -> None:
+        """A cluster migrated away: the store erases its blocks."""
+        if self.store is not None:
+            self.store.release_cluster(cluster)
+
+    def program_floor_s(self, nbytes: int) -> float:
+        """NAND program time for ``nbytes`` (0.0 without a store)."""
+        store = self.store
+        if store is None:
+            return 0.0
+        return store.program_time_s(store.pages_for(nbytes))
 
     def _acquire_chain(
         self,

@@ -18,94 +18,70 @@ source/subscriber instead of an inlined branch of a master loop —
 * **Batch deadlines** — the batcher's close deadline is a
   :class:`~repro.sim.events.BatchDeadline` timer with lazy
   invalidation: any change to the queued batch bumps a generation
-  counter, stale timers no-op on delivery.  Timed policies fire
-  *before* same-instant arrivals; the greedy policy's zero-wait timer
-  is scheduled with :data:`~repro.sim.events.AFTER_ARRIVALS` so
-  same-instant arrivals join the batch first.
+  counter, stale timers no-op on delivery.  A deadline expiring at
+  ``t`` closes its batch before an arrival at ``t`` is offered; the
+  greedy policy's zero-wait timer rides
+  :data:`~repro.sim.events.AFTER_ARRIVALS`, so same-instant arrivals
+  join the batch first.
 * **Dispatch** — a closed batch becomes
   :class:`~repro.serving.sharding.ShardJob` sub-batches (one holding
   every row in a replicated pool, one per probed cluster in a
-  partitioned pool), and one job loop books them on the devices.
+  partitioned pool), and one job loop books them on the
+  :class:`~repro.serving.device.ShardDevice` pipelines: a batch closed
+  at ``t`` enters a device's first stage no earlier than
+  ``max(t, entry-stage free)`` and each stage queues FIFO per resource
+  (``pipelined=False`` restores one batch at a time).  Replicated
+  pools pick the replica that can start earliest; partitioned pools
+  fan out to IVF clusters (all of them, or each query's ``nprobe``
+  nearest) and a query completes at the slowest of *its* clusters.
 * **Completions** — every dispatch schedules
   :class:`~repro.sim.events.Completion` events at the batch's join
   times; the handler retires in-service counts and coalescer entries
   at their exact simulated moment.
-* **Epochs** — the autoscaler (replicated pools) or the rebalancer
-  (partitioned pools) evaluates on
+* **Epochs** — the autoscaler (replicated pools: grown replicas share
+  the corpus index, shrunk ones leave the rotation while their devices
+  drain) or the rebalancer (partitioned pools: migrate IVF clusters
+  from hot to cold devices) evaluates on
   :class:`~repro.sim.events.EpochTick` boundaries anchored at the
   first arrival.
 * **Data movement** — a cluster migration books its read/write on the
-  source/destination device timelines and commits the routing flip
-  when its :class:`~repro.sim.events.DataMovement` event fires.
+  source/destination device timelines (it queues behind, and delays,
+  query batches) and commits the routing flip when its
+  :class:`~repro.sim.events.DataMovement` event fires.
+* **Stateful flash** — with ``ServingConfig.flash`` each device owns a
+  flash store (:mod:`repro.serving.storage`).  The device runs a
+  sub-batch's page reads through it and hands back the blocks due for
+  refresh; the frontend only schedules their
+  :class:`~repro.sim.events.FlashMaintenance` event, whose handler has
+  the device refresh them and book the GC pause.
 * **Stream end** — a :class:`~repro.sim.events.StreamEnd` event after
   the last arrival flushes stragglers at the pending deadline's real
   time and stops the epoch clocks.
 * **Observability** — strictly observe-only taps
-  (:mod:`repro.obs`): an optional span tracer (constructor argument)
-  records request/batch/stage/migration lifecycles for Chrome-trace
-  export, ``ServingConfig.metrics_window_s`` closes metrics on
-  event-time windows (``report.timeseries``), every terminal outcome
-  (searched, cache hit, coalesced, shed) passes through one
-  ``_retire`` that feeds the collector, its windows and the request
-  span's end, and the kernel's
-  per-event-type dispatch counts always land in
-  ``report.counters["loop_events_*"]``.  None of it feeds back into
-  scheduling — the parity digests pin traced == untraced.
+  (:mod:`repro.obs`): an optional span tracer, event-time metrics
+  windows (``ServingConfig.metrics_window_s``), one ``_retire`` that
+  every terminal outcome passes through, and the kernel's
+  per-event-type dispatch counts (``report.counters``).  None of it
+  feeds back into scheduling — the parity digests pin traced ==
+  untraced.
 
-Event-loop invariants (encoded in the kernel's same-instant ranks):
+Ordering rules the handlers keep:
 
-* A batcher deadline expiring at time ``t`` closes its batch before an
-  arrival at ``t`` is offered (timeout closes happen at their exact
-  simulated time); under greedy, arrivals at exactly ``t`` join first.
-* Shard devices are :class:`~repro.serving.device.ShardDevice`
-  pipelines: a batch closed at time ``t`` enters the device's first
-  stage no earlier than ``max(t, entry-stage free)`` and each stage
-  queues FIFO per resource, so batch N+1's read/MAC work overlaps
-  batch N's sort/output drain.  ``ServingConfig(pipelined=False)``
-  restores the classic one-batch-at-a-time device.  Replicated mode
-  picks the shard that can start earliest; partitioned mode fans out
-  to IVF clusters and joins per query — a broadcast batch completes at
-  the slowest cluster, and with ``ServingConfig(nprobe=n)`` each query
-  goes only to its ``n`` nearest clusters
-  (:meth:`~repro.serving.sharding.ShardRouter.search_probed`) and
-  completes at the slowest of *its* probed clusters, so requests in
-  one batch can have different completion times.
 * Identical in-flight queries coalesce
-  (:class:`~repro.serving.coalesce.Coalescer`): a request
-  whose query is already queued (or already dispatched but not yet
-  completed) piggybacks on the leader's batch and completes with it —
-  one search serves all followers.  Coalescing runs *before* admission
-  and the cache: followers are answered work, not queue load, so they
-  are never shed, and while a search is in flight repeats complete
-  with it rather than reading its future results out of the cache (the
-  cache is written at dispatch time, so an in-flight entry holds
-  results that do not causally exist yet).
-* The result cache is consulted *before* admission: a hit is answered
-  from host DRAM and never enters the system, so it neither consumes
-  admission capacity nor can be shed.
-* Admission counts the whole system — batcher queue plus dispatched
-  but incomplete requests — so shedding reflects true backlog, not
-  just the waiting room.  With ``priority_admission=True`` a rejected
-  arrival that is more urgent than the least urgent *queued* request
-  preempts it instead (the victim is shed in its place).
-* Under the ``slo`` batch policy, the batcher's close deadline comes
-  from drain-time prediction: a :class:`~repro.serving.slo.ServiceModel`
-  calibrated on every dispatched batch estimates a candidate batch's
-  stage chain, and the shard devices dry-run it against their FIFO
-  state (:meth:`~repro.serving.device.ShardDevice.predict`).
-* With ``autoscale=AutoscalePolicy(...)`` (replicated mode only) an
-  :class:`~repro.serving.autoscale.Autoscaler` re-evaluates the active
-  replica count at every epoch tick; grown replicas share the corpus
-  index (:meth:`~repro.serving.sharding.ShardRouter.add_replica`),
-  shrunk ones leave the routing rotation explicitly
-  (:meth:`~repro.serving.sharding.ShardRouter.remove_replica`) while
-  their device timelines drain.
-* With ``rebalance=RebalancePolicy(...)`` (partitioned mode only) a
-  :class:`~repro.serving.rebalance.Rebalancer` watches per-device load
-  skew and migrates IVF clusters from hot to cold devices: the data
-  movement is booked on both device timelines (it queues behind, and
-  delays, query batches) and the cluster→device map flips atomically
-  at the migration-complete event.
+  (:class:`~repro.serving.coalesce.Coalescer`) *before* admission and
+  the cache: followers are answered work, not queue load, so they are
+  never shed, and while a search is in flight repeats complete with it
+  rather than reading its future results out of the dispatch-time
+  cache write.
+* The result cache precedes admission: a hit is answered from host
+  DRAM, so it neither consumes admission capacity nor can be shed.
+* Admission counts the whole system (queued plus dispatched but
+  incomplete), and with ``priority_admission=True`` a rejected arrival
+  more urgent than the least urgent queued request preempts it.
+* Under the ``slo`` batch policy the close deadline comes from
+  drain-time prediction: a :class:`~repro.serving.slo.ServiceModel`
+  estimates a candidate batch's stage chain and the devices dry-run
+  it (:meth:`~repro.serving.device.ShardDevice.predict`).
 """
 
 from __future__ import annotations
@@ -132,7 +108,7 @@ from repro.serving.sharding import (
     ShardRouter,
 )
 from repro.serving.slo import ServiceModel
-from repro.serving.storage import FlashBackedStore, FlashConfig, flash_summary
+from repro.serving.storage import FlashConfig, flash_summary
 from repro.sim.events import (
     AFTER_ARRIVALS,
     Arrival,
@@ -198,9 +174,9 @@ class ServingConfig:
     static."""
 
     flash: FlashConfig | None = None
-    """Serve through stateful NAND: every shard device gets a live
-    :class:`~repro.serving.storage.FlashBackedStore` (FTL + ECC +
-    timing).  Cluster reads accumulate read-disturb and schedule
+    """Serve through stateful NAND: every shard device owns a live
+    flash store (FTL + ECC + timing, :mod:`repro.serving.storage`).
+    Cluster reads accumulate read-disturb and schedule
     :class:`~repro.sim.events.FlashMaintenance` refreshes whose GC
     pauses are booked on the device FIFOs, ECC retry storms stretch
     completions, and rebalance migrations charge program/erase through
@@ -260,13 +236,6 @@ class ServingFrontend:
         self.devices = [
             self._make_device(i) for i in range(router.num_shards)
         ]
-        # Stateful flash: one live store per device, frontend-owned
-        # (the router's cached artifacts stay immutable under serving).
-        self.stores: list[FlashBackedStore] | None = None
-        if self.config.flash is not None:
-            self.stores = [
-                self._make_store(i) for i in range(len(self.devices))
-            ]
         self.autoscaler: Autoscaler | None = None
         self._active = router.num_shards
         if self.config.autoscale is not None:
@@ -284,10 +253,9 @@ class ServingFrontend:
                     f"max_replicas or build a smaller pool"
                 )
             self.autoscaler = Autoscaler(self.config.autoscale)
-            self._active = max(
-                router.num_shards, self.config.autoscale.min_replicas
+            self._scale_to(
+                max(router.num_shards, self.config.autoscale.min_replicas)
             )
-            self._grow_pool(self._active)
         self.rebalancer: Rebalancer | None = None
         if self.config.rebalance is not None:
             if router.mode != PARTITIONED:
@@ -315,9 +283,31 @@ class ServingFrontend:
         chain the rest of ``_arrival_queue`` (see stream_extend)."""
 
     def _make_device(self, index: int) -> ShardDevice:
-        """Build shard device ``index`` and name its trace process."""
+        """Build shard device ``index`` and name its trace process.
+
+        With flash on, the device's store comes with the corpus
+        placement it holds programmed: a partitioned device the
+        footprint of every cluster it owns, a replica the full corpus
+        as one whole-corpus "cluster" keyed 0 (for a replica the
+        autoscaler grows, that write is its provisioning cost).  The
+        programs seed the host side of the write-amplification ledger,
+        so a run that never refreshes reports WA exactly 1.0.
+        """
         self._name_device_process(index)
-        return ShardDevice(self.config.pipelined, index, self.windows)
+        device = ShardDevice(
+            self.config.pipelined, index, self.windows, self.config.flash
+        )
+        router = self.router
+        owned = [0]
+        if router.mode == PARTITIONED:
+            owned = [
+                c for c, s in enumerate(router.cluster_shard) if s == index
+            ]
+        for cluster in owned:
+            device.receive_cluster(
+                cluster, router.backends[cluster].profile.footprint_bytes
+            )
+        return device
 
     def _name_device_process(self, index: int) -> None:
         if self.tracer.enabled:
@@ -384,8 +374,6 @@ class ServingFrontend:
         loop.subscribe(Completion, self._on_completion)
         loop.subscribe(EpochTick, self._on_epoch_tick)
         loop.subscribe(DataMovement, self._on_data_movement)
-        # Subscribed unconditionally (harmless: the events are only
-        # ever scheduled when ServingConfig.flash is set).
         loop.subscribe(FlashMaintenance, self._on_flash_maintenance)
         loop.subscribe(StreamEnd, self._on_stream_end)
         self._arrival_queue = []
@@ -466,8 +454,10 @@ class ServingFrontend:
                 [m.to_dict() for m in self.rebalancer.migrations],
                 list(self.router.cluster_shard),
             )
-        if self.stores is not None:
-            self.metrics.set_flash(flash_summary(self.stores))
+        if self.config.flash is not None:
+            self.metrics.set_flash(
+                flash_summary([d.store for d in self.devices])
+            )
         return self.metrics.report()
 
     @property
@@ -509,8 +499,8 @@ class ServingFrontend:
         the router's mutable placement (replica count / cluster→shard
         map) and the session: every attribute not declared wiring —
         batcher queue, coalescer tables, cache, admission ledger,
-        service model, windowed metrics, collector, device stage FIFOs,
-        flash stores, epoch controllers and the frontend's own
+        service model, windowed metrics, collector, devices (stage FIFOs
+        and flash stores), epoch controllers and the frontend's own
         counters.  It is one :func:`~repro.sim.snapshot.clone_state`
         pass, so objects shared across those structures (a request in
         the batcher *and* in a pending heap event, the windowed metrics
@@ -584,7 +574,8 @@ class ServingFrontend:
                 f"snapshot router mode {frozen['mode']!r} != "
                 f"this router's {self.router.mode!r}"
             )
-        if (frozen["session"]["stores"] is None) != (self.stores is None):
+        flash_on = frozen["session"]["devices"][0].store is not None
+        if flash_on != (self.devices[0].store is not None):
             raise ValueError(
                 "flash configuration mismatch: snapshot and frontend "
                 "must both (or neither) serve through stateful flash"
@@ -602,10 +593,7 @@ class ServingFrontend:
         vars(self).update(state["session"])
         router_state = state["router"]
         if self.router.mode == REPLICATED:
-            while len(self.router.backends) < router_state["num_backends"]:
-                self.router.add_replica()
-            while len(self.router.backends) > router_state["num_backends"]:
-                self.router.remove_replica()
+            self._scale_to(router_state["num_backends"])
         elif len(self.router.backends) != router_state["num_backends"]:
             raise ValueError(
                 f"snapshot has {router_state['num_backends']} clusters; "
@@ -723,7 +711,11 @@ class ServingFrontend:
             return  # the stream ended; let the epoch clock stop
         now = event.time
         if self.autoscaler is not None:
-            self._apply_scaling(now)
+            self._scale_to(
+                self.autoscaler.decide(
+                    now, self._active, [d.busy_s for d in self.devices]
+                )
+            )
             if self.windows is not None:
                 self.windows.sample("replicas", now, float(self._active))
             if self.tracer.enabled:
@@ -746,42 +738,23 @@ class ServingFrontend:
         # work on the destination device.
         self.router.reassign_cluster(migration.cluster, migration.dest)
         self.rebalancer.finish(migration)
-        if self.stores is not None:
-            # Flash accounting commits with the routing flip: the
-            # destination hosts the cluster's pages (host programs),
-            # the source frees its blocks (in-place erases).
-            self.stores[migration.dest].program_cluster(
-                migration.cluster, migration.bytes
-            )
-            self.stores[migration.source].release_cluster(migration.cluster)
+        # Flash programs and erases commit with the routing flip.
+        self.devices[migration.dest].receive_cluster(
+            migration.cluster, migration.bytes
+        )
+        self.devices[migration.source].release_cluster(migration.cluster)
         if self.tracer.enabled:
             self.tracer.async_end(
                 "migration", "migration", migration.cluster, event.time
             )
 
     def _on_flash_maintenance(self, event: FlashMaintenance) -> None:
-        """Perform due read-disturb refreshes and book the GC pause.
-
-        The refresh (read + program each valid page, erase the old
-        block) occupies the device's entry-stage FIFO exactly like a
-        migration's data movement: queries dispatched behind it wait it
-        out — this is where GC-pause tail latency comes from.
-        """
+        # The GC pause queues on the entry stage, like a migration.
         shard, triples = event.payload
-        store = self.stores[shard]
-        pause = store.perform_refreshes(triples)
-        if pause <= 0.0:
-            return
-        self.devices[shard].book(
-            event.time,
-            pause,
-            resource=self.service_model.entry_resource,
-            label="flash refresh",
-            category="maintenance",
-            tracer=self.tracer,
+        self.devices[shard].refresh(
+            event.time, triples, self.service_model.entry_resource,
+            self.tracer,
         )
-        if self.windows is not None:
-            self.windows.inc("flash_refreshes", event.time, len(triples))
 
     def _on_stream_end(self, event: StreamEnd) -> None:
         # End of stream: let a pending deadline close at its real time,
@@ -858,30 +831,37 @@ class ServingFrontend:
             self.rebalancer.arm(now, [d.busy_s for d in self.devices])
             self._loop.schedule(EpochTick(time=self.rebalancer.epoch_end))
 
-    def _apply_scaling(self, now: float) -> None:
-        new_active = self.autoscaler.decide(
-            now, self._active, [d.busy_s for d in self.devices]
+    def enable_rebalance(self, policy: RebalancePolicy) -> None:
+        """Switch hot-cluster migration on mid-session in a partitioned
+        pool (a what-if fork restored from a snapshot that carried no
+        rebalancer).  Once the epoch grid is anchored the first-arrival
+        hook will not fire again, so the new controller arms here."""
+        self.rebalancer = Rebalancer(
+            policy, self.router.num_shards, self.router.num_clusters
         )
-        # The router pool tracks the active count exactly: growth adds
-        # shared-index replicas, shrink removes them from the rotation
-        # (their devices stay, draining, for occupancy accounting).
-        if new_active > len(self.devices):
-            self._grow_pool(new_active)
-        while self.router.num_shards < new_active:
-            self.router.add_replica()
-        while self.router.num_shards > new_active:
-            self.router.remove_replica()
-        self._active = new_active
+        if self._epoch_armed:
+            self._arm_epochs(self._loop.now)
 
-    def _grow_pool(self, replicas: int) -> None:
-        """Add shared-index replicas (devices + router + metrics)."""
+    def add_replicas(self, count: int) -> None:
+        """Grow a replicated pool by ``count`` active replicas now."""
+        if self.router.mode != REPLICATED:
+            raise ValueError("add_replicas requires a replicated router")
+        self._scale_to(self._active + count)
+
+    def _scale_to(self, replicas: int) -> None:
+        """Set the active replica count.  The router pool tracks it
+        exactly: growth adds shared-index replicas (and devices, when
+        the pool is larger than ever before), shrink removes them from
+        the rotation (their devices stay, draining, for occupancy
+        accounting)."""
         while self.router.num_shards < replicas:
             self.router.add_replica()
+        while self.router.num_shards > replicas:
+            self.router.remove_replica()
         while len(self.devices) < replicas:
             self.devices.append(self._make_device(len(self.devices)))
-            if self.stores is not None:
-                self.stores.append(self._make_store(len(self.stores)))
         self.metrics.ensure_shards(len(self.devices))
+        self._active = replicas
 
     def _start_migration(self, proposal, now: float) -> None:
         """Book a cluster migration's data movement and schedule its
@@ -902,17 +882,12 @@ class ServingFrontend:
         _, read_done = self.devices[proposal.source].book(
             now, duration, resource=stage, tracer=self.tracer
         )
-        write_duration = duration
-        if self.stores is not None:
-            # NAND programs are slower than the link: the destination
-            # write cannot finish before its pages are programmed.
-            dest_store = self.stores[proposal.dest]
-            write_duration = max(
-                duration,
-                dest_store.program_time_s(dest_store.pages_for(moved_bytes)),
-            )
-        _, write_done = self.devices[proposal.dest].book(
-            now, write_duration, resource=stage, tracer=self.tracer
+        # NAND programs can be slower than the link: the destination
+        # write cannot finish before its pages are programmed.
+        dest = self.devices[proposal.dest]
+        _, write_done = dest.book(
+            now, max(duration, dest.program_floor_s(moved_bytes)),
+            resource=stage, tracer=self.tracer,
         )
         migration = Migration(
             cluster=proposal.cluster,
@@ -939,76 +914,6 @@ class ServingFrontend:
         self._loop.schedule(
             DataMovement(time=migration.complete_s, payload=migration)
         )
-
-    # ---- stateful flash --------------------------------------------------
-    def _make_store(self, index: int) -> FlashBackedStore:
-        """Build device ``index``'s flash store and program the corpus
-        placement it holds.
-
-        A partitioned device holds the footprint of every cluster it
-        owns; a replica holds the full corpus as one whole-corpus
-        "cluster" keyed 0 (for a replica the autoscaler grows, that
-        write is its provisioning cost).  The programs seed the host
-        side of the write-amplification ledger, so a run that never
-        refreshes reports WA exactly 1.0.
-        """
-        store = FlashBackedStore(self.config.flash, index)
-        backends = self.router.backends
-        if self.router.mode == PARTITIONED:
-            for cluster, shard in enumerate(self.router.cluster_shard):
-                if shard == index:
-                    store.program_cluster(
-                        cluster, backends[cluster].profile.footprint_bytes
-                    )
-        else:
-            store.program_cluster(0, backends[0].profile.footprint_bytes)
-        return store
-
-    def _flash_read(
-        self, shard: int, cluster: int, result, rows: int, done: float
-    ) -> float:
-        """Route one served sub-batch through the shard's flash state.
-
-        The batch's page reads (from the platform model's counters;
-        host-side models report ``ssd_page_reads``, and a model with no
-        page accounting falls back to one page per routed query) heat
-        the cluster's blocks; ECC hard-decode failures book their
-        soft-decode stall on the device and push the sub-batch's
-        completion; blocks crossing the disturb threshold schedule a
-        :class:`~repro.sim.events.FlashMaintenance` at the adjusted
-        completion.  Returns the (possibly later) completion time.
-        """
-        store = self.stores[shard]
-        pages = int(
-            result.counters["page_reads"]
-            or result.counters["ssd_page_reads"]
-            or rows
-        )
-        before = store.ecc_soft_decodes
-        delay = store.ecc_delay_s(cluster, pages)
-        if delay > 0.0:
-            _, done = self.devices[shard].book(
-                done,
-                delay,
-                resource=self.service_model.entry_resource,
-                label="ecc retry",
-                category="flash",
-                tracer=self.tracer,
-            )
-            if self.windows is not None:
-                self.windows.inc(
-                    "ecc_soft_decodes", done, store.ecc_soft_decodes - before
-                )
-        due = store.record_reads(cluster, pages)
-        if due:
-            self._loop.schedule(
-                FlashMaintenance(
-                    time=max(done, self._loop.now), payload=(shard, due)
-                )
-            )
-        if self.windows is not None and pages:
-            self.windows.inc("flash_page_reads", done, pages)
-        return done
 
     # ---- batcher timers --------------------------------------------------
     def _refresh_deadline_timer(self) -> None:
@@ -1088,10 +993,9 @@ class ServingFrontend:
         has observed a batch.
 
         The prediction mirrors the dispatch rule: replicated pools
-        predict on the device ``_dispatch`` will pick (its
-        earliest-entry / earliest-drain key — not the device with the
-        soonest predicted *completion*, which dispatch does not
-        consult); partitioned broadcast joins on the slowest device.
+        predict on the replica :meth:`_pick_replica` chooses (not the
+        one with the soonest predicted *completion*); partitioned
+        broadcast joins on the slowest device.
         Selective probing is approximated: each device's load is
         estimated at the *expected* per-device sub-batch size
         (``n * nprobe / num_shards`` — the exact per-cluster regrouping
@@ -1107,13 +1011,20 @@ class ServingFrontend:
         chain = self.service_model.estimate_chain(batch_size)
         if chain is None:
             return None
+        devices = self.devices
         if self.router.mode == REPLICATED:
-            device = min(
-                self.devices[: self._active],
-                key=lambda d: (d.earliest_start(at), d.drain_at),
-            )
-            return device.predict(chain, at)[1]
-        return max(device.predict(chain, at)[1] for device in self.devices)
+            devices = [devices[self._pick_replica(at)]]
+        return max(device.predict(chain, at)[1] for device in devices)
+
+    def _pick_replica(self, at: float) -> int:
+        """The active replica a batch closed at ``at`` goes to: the one
+        that can start earliest, then drain earliest (replicas the
+        autoscaler shrank away take no traffic)."""
+        devices = self.devices
+        return min(
+            range(self._active),
+            key=lambda s: (devices[s].earliest_start(at), devices[s].drain_at),
+        )
 
     def _dispatch(
         self,
@@ -1138,16 +1049,8 @@ class ServingFrontend:
             )
 
         if self.router.mode == REPLICATED:
-            # The whole batch goes to one active replica (the
-            # autoscaler may have shrunk the pool; drained replicas
-            # take no traffic): the one that can start earliest.
-            shard = min(
-                range(self._active),
-                key=lambda s: (
-                    self.devices[s].earliest_start(close_time),
-                    self.devices[s].drain_at,
-                ),
-            )
+            # The whole batch goes to one active replica.
+            shard = self._pick_replica(close_time)
             ids, dists, result = self.router.search_on(shard, queries, k)
             jobs = [ShardJob(shard, np.arange(n), result, cluster=0)]
         else:
@@ -1164,12 +1067,20 @@ class ServingFrontend:
         completions = np.full(n, close_time)
         for job in jobs:
             rows = int(job.rows.size)
-            shard_start, shard_done = self.devices[job.shard].serve(
+            device = self.devices[job.shard]
+            shard_start, shard_done = device.serve(
                 job.result, close_time, self.tracer
             )
-            if self.stores is not None:
-                shard_done = self._flash_read(
-                    job.shard, job.cluster, job.result, rows, shard_done
+            # With flash on, ECC stalls push the sub-batch's completion
+            # and blocks past the disturb threshold come back due.
+            shard_done, due = device.read_flash(
+                job.cluster, job.result, rows, shard_done,
+                self.service_model.entry_resource, self.tracer,
+            )
+            if due:
+                at = max(shard_done, self._loop.now)
+                self._loop.schedule(
+                    FlashMaintenance(time=at, payload=(job.shard, due))
                 )
             self.service_model.observe(rows, job.result.pipeline_stages())
             self.metrics.observe_shard_service(job.shard, job.result)
@@ -1189,11 +1100,8 @@ class ServingFrontend:
         # broadcast batches collapse to a single event, selective
         # probing adds one per fan-out join group.
         for value, count in zip(*np.unique(completions, return_counts=True)):
-            self._loop.schedule(
-                Completion(
-                    time=max(float(value), self._loop.now), payload=int(count)
-                )
-            )
+            at = max(float(value), self._loop.now)
+            self._loop.schedule(Completion(time=at, payload=int(count)))
         self._in_service_total += len(batch)
 
         for i, request in enumerate(batch):

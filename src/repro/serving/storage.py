@@ -1,4 +1,4 @@
-"""Stateful flash under serving: each shard device gets a live SSD.
+"""Stateful flash under serving: each shard device owns a live SSD.
 
 The platform timing models price a batch's storage work analytically —
 the same batch always costs the same time.  Real NAND is stateful: every
@@ -9,35 +9,36 @@ stall on the soft decoder.  Under a Zipfian serving load these effects
 concentrate exactly where the traffic does: hot clusters literally wear
 out their blocks and their readers eat the refresh pauses.
 
-:class:`FlashBackedStore` couples one
-:class:`~repro.serving.device.ShardDevice` to a live
+:class:`FlashBackedStore` is the flash half of one
+:class:`~repro.serving.device.ShardDevice` (its ``store``): a live
 :class:`~repro.flash.ftl.FlashTranslationLayer`,
 :class:`~repro.flash.ecc.BERModel` / :class:`~repro.flash.ecc.LDPCModel`
-and :class:`~repro.flash.timing.FlashTiming`:
+and :class:`~repro.flash.timing.FlashTiming`, each built from its own
+defaults except the two :class:`FlashConfig` knobs:
 
-* IVF clusters are laid out across the device's planes at construction
-  (block-granular, striped across (LUN, plane) pairs so multi-plane
-  parallelism matches the paper's static mapping).
+* IVF clusters are laid out across the device's planes when the device
+  is built (block-granular, striped across (LUN, plane) pairs so
+  multi-plane parallelism matches the paper's static mapping).
 * Cluster reads translate through the FTL and accumulate read-disturb
   (:meth:`FlashTranslationLayer.record_reads`); blocks crossing
-  ``read_disturb_threshold`` are returned to the frontend, which
-  schedules a :class:`~repro.sim.events.FlashMaintenance` event and
-  books the refresh latency on the device's stage FIFOs — GC pauses
-  delay queries exactly like rebalance migrations.
+  ``read_disturb_threshold`` go back through the device to the
+  frontend, which schedules a :class:`~repro.sim.events.FlashMaintenance`
+  event; the device then books the refresh latency on its stage FIFOs
+  — GC pauses delay queries exactly like rebalance migrations.
 * Rebalance migrations charge host programs (destination) and in-place
   erases (source) through the FTL, so erase counts and write
   amplification are honest.
 * ECC retry storms (hard-decode failures falling back to the soft
   decoder) add per-read latency scaled by the cluster's plane BER.
 
-Everything is opt-in via ``ServingConfig.flash``; with it unset the
-serving stack never touches this module and stays byte-identical to the
+Everything is opt-in via ``ServingConfig.flash``; with it unset no
+device has a store and the serving stack stays byte-identical to the
 pinned parity digests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,62 +47,56 @@ from repro.flash.ftl import FlashTranslationLayer
 from repro.flash.geometry import SSDGeometry
 from repro.flash.timing import FlashTiming
 
+#: Base seed of the per-device flash streams: device ``i`` seeds its
+#: FTL, BER and LDPC models with ``SEED + 31*i``, ``SEED + 97*i`` and
+#: ``SEED + 193*i``, so runs are seed-stable and devices decorrelated.
+SEED = 1117
+
 
 @dataclass(frozen=True)
 class FlashConfig:
-    """Knobs for the per-device flash substrate (``ServingConfig.flash``).
+    """The knobs of the per-device flash substrate
+    (``ServingConfig.flash``).
 
-    The default geometry is the benchmark-scale preset; the default
-    disturb threshold matches the FTL's.  Serving sweeps lower the
-    threshold so refreshes fire at benchmark request counts the way
-    they would at production read volumes on the real threshold.
+    Serving sweeps lower the disturb threshold so refreshes fire at
+    benchmark request counts the way they would at production read
+    volumes on the FTL's real threshold.
     """
 
-    geometry: SSDGeometry = field(default_factory=SSDGeometry.scaled)
-    timing: FlashTiming = field(default_factory=FlashTiming)
     read_disturb_threshold: int = 100_000
-    reserved_per_plane: int = 2
     ecc_hard_failure_prob: float = 0.01
-    mean_ber: float = 1e-6
-    ber_sigma: float = 0.45
-    seed: int = 1117
-    """Base seed; each device derives its FTL/BER/LDPC streams from
-    ``seed`` + its device index, so runs are seed-stable and devices
-    are decorrelated."""
 
 
 class FlashBackedStore:
-    """Live flash state for one shard device.
+    """Live flash state for one shard device (``ShardDevice.store``).
 
     Owns the device's FTL, plane BER distribution and LDPC decoder, and
-    the cluster → block layout.  The frontend drives it from the event
-    handlers: reads accumulate disturb, due blocks come back as
-    ``(lun, plane, logical_block)`` triples for the maintenance event,
-    migrations program/erase through it.  All mutable flash state lives
-    here (never in the router's cached immutable artifacts).
+    the cluster → block layout.  The device drives it: reads accumulate
+    disturb, due blocks come back as ``(lun, plane, logical_block)``
+    triples for the maintenance event, migrations program/erase through
+    it.  All mutable flash state lives here (never in the router's
+    cached immutable artifacts).
     """
 
+    #: Shared by every store.  Both are frozen, so a snapshot copies the
+    #: geometry (the FTL holds it) once and the timing not at all.
+    geometry = SSDGeometry.scaled()
+    timing = FlashTiming()
+
     def __init__(self, config: FlashConfig, device_index: int) -> None:
-        self.config = config
         self.device_index = device_index
-        geometry = config.geometry
-        self.geometry = geometry
-        self.timing = config.timing
         self.ftl = FlashTranslationLayer(
-            geometry,
-            reserved_per_plane=config.reserved_per_plane,
-            seed=config.seed + 31 * device_index,
+            self.geometry,
+            seed=SEED + 31 * device_index,
             read_disturb_threshold=config.read_disturb_threshold,
         )
         self.ber = BERModel(
-            n_planes=geometry.total_planes,
-            mean_ber=config.mean_ber,
-            sigma=config.ber_sigma,
-            seed=config.seed + 97 * device_index,
+            n_planes=self.geometry.total_planes,
+            seed=SEED + 97 * device_index,
         )
         self.ldpc = LDPCModel(
             hard_failure_prob=config.ecc_hard_failure_prob,
-            seed=config.seed + 193 * device_index,
+            seed=SEED + 193 * device_index,
         )
         self._median_ber = float(np.median(self.ber.plane_ber))
         # Cluster layout: parallel arrays of (lun, plane, block) per
@@ -120,7 +115,8 @@ class FlashBackedStore:
         # FIFO before the cursor advances.
         self._next_plane = 0
         self._plane_next_block = np.zeros(
-            (geometry.total_luns, geometry.planes_per_lun), dtype=np.int64
+            (self.geometry.total_luns, self.geometry.planes_per_lun),
+            dtype=np.int64,
         )
         self._released: list[tuple[int, int, int]] = []
         # Counters (device-lifetime, folded into ServingReport.flash).

@@ -48,10 +48,9 @@ import numpy as np
 from repro.obs.trace import NullTracer, Tracer
 from repro.serving.frontend import ServingConfig, ServingFrontend
 from repro.serving.metrics import ServingReport
-from repro.serving.rebalance import RebalancePolicy, Rebalancer
+from repro.serving.rebalance import RebalancePolicy
 from repro.serving.request import Request
-from repro.serving.sharding import REPLICATED, ShardRouter
-from repro.sim.events import EpochTick
+from repro.serving.sharding import ShardRouter
 from repro.sim.snapshot import Snapshot
 
 
@@ -344,29 +343,9 @@ class ServingTwin:
         """Mutations a config replace cannot express: pool growth and a
         rebalancer the restored snapshot did not carry."""
         if add_replicas:
-            if fork.router.mode != REPLICATED:
-                raise ValueError(
-                    "add_replicas requires a replicated router"
-                )
-            new_active = fork._active + add_replicas
-            fork._grow_pool(new_active)
-            fork._active = new_active
+            fork.add_replicas(add_replicas)
         if fork_config.rebalance is not None and fork.rebalancer is None:
-            fork.rebalancer = Rebalancer(
-                fork_config.rebalance,
-                fork.router.num_shards,
-                fork.router.num_clusters,
-            )
-            if fork._epoch_armed:
-                # The base run armed its epoch grid long ago, so the
-                # first-arrival hook will not fire again — arm the new
-                # controller here and start its tick chain.
-                fork.rebalancer.arm(
-                    fork._loop.now, [d.busy_s for d in fork.devices]
-                )
-                fork._loop.schedule(
-                    EpochTick(time=fork.rebalancer.epoch_end)
-                )
+            fork.enable_rebalance(fork_config.rebalance)
 
 
 def _delta_key_config(

@@ -8,7 +8,8 @@ events, the counters and the trace spans, and they do not cover
 :data:`~repro.serving.scenario.SCENARIOS` entry run with a
 :class:`~repro.obs.trace.SpanTracer` and 1 ms metrics windows, plus the
 two everything-on configurations :class:`TestSnapshotCoversSession`
-(:mod:`test_serving_twin`) freezes mid-stream.
+(:mod:`test_serving_twin`) freezes mid-stream, plus the autoscaled
+replicated pool served through stateful flash.
 
 Each digest hashes ``json.dumps(report.to_dict(), sort_keys=True)``,
 every request's ``(request_id, outcome, batched_s, start_s,
@@ -35,6 +36,7 @@ import pytest
 from repro.obs import SpanTracer
 from repro.serving.rebalance import RebalancePolicy
 from repro.serving.scenario import SCENARIOS
+from repro.serving.storage import FlashConfig
 
 
 def _everything_on() -> dict:
@@ -87,17 +89,38 @@ def _windowed(scenario):
     )
 
 
+#: A replicated pool served through stateful flash: the autoscaler
+#: grows it from one device to four, so grown replicas program their
+#: whole-corpus cluster 0, and the pool runs 7 refreshes and 620 ECC
+#: soft decodes.
+REPLICATED_FLASH = {
+    "autoscale-overload-flash": replace(
+        SCENARIOS["autoscale-overload"],
+        serving=replace(
+            SCENARIOS["autoscale-overload"].serving,
+            flash=FlashConfig(
+                read_disturb_threshold=200, ecc_hard_failure_prob=0.05
+            ),
+        ),
+    ),
+}
+
 #: Every pinned configuration, traced with 1 ms windows.
 SURFACES = {
     **{name: _windowed(s) for name, s in SCENARIOS.items()},
     **{name: _windowed(s) for name, s in EVERYTHING_ON.items()},
+    **{name: _windowed(s) for name, s in REPLICATED_FLASH.items()},
 }
 
 #: Digests recorded before the frontend's outcome, dispatch and flash
-#: footprint paths were merged; the merge had to keep every one.
+#: footprint paths were merged, and (``autoscale-overload-flash``)
+#: before the flash stores moved into the shard devices; both moves had
+#: to keep every one.
 GOLDEN = {
     "autoscale-overload":
         "969c9b5f559464d07f113f43184e0e9b83fb48766476cda824bd8a2b3a1bf73a",
+    "autoscale-overload-flash":
+        "161be6b4ba6b425b7ea341e43b83d9e12ae96b46d067b9eade1ced4632850ab7",
     "batch-x1-hi":
         "6dc947be3c7289d67d93b9e25fe474d6ef87dd66c4bfd0381d86ff1de160d8d6",
     "batch-x4-lo":

@@ -190,6 +190,32 @@ class TestSnapshotRestoreParity:
         with pytest.raises(ValueError, match="mode"):
             partitioned.restore(snapshot, pool)
 
+    @staticmethod
+    def _assert_opt_in_guarded(pool, on, off, match):
+        """A snapshot of ``on`` refuses to restore into ``off`` and the
+        reverse, before the target frontend is touched."""
+        for source, target in ((on, off), (off, on)):
+            snapshot = _paused(source, pool, at=10)[0].snapshot()
+            frontend = target.frontend()
+            with pytest.raises(ValueError, match=match):
+                frontend.restore(snapshot, pool)
+            assert frontend._loop is None
+
+    def test_restore_rejects_flash_mismatch(self, pool):
+        # The flash opt-in is read off the devices' stores.
+        off = replace(TWIN_CELL, num_shards=2)
+        on = replace(
+            off, serving=replace(off.serving, flash=SKEWED.serving.flash)
+        )
+        self._assert_opt_in_guarded(pool, on, off, "flash configuration")
+
+    def test_restore_rejects_metrics_window_mismatch(self, pool):
+        off = TWIN_CELL
+        on = replace(
+            off, serving=replace(off.serving, metrics_window_s=1e-3)
+        )
+        self._assert_opt_in_guarded(pool, on, off, "metrics-window")
+
 
 # ---- checkpoints inside multi-event transactions -------------------------
 
