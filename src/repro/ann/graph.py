@@ -122,16 +122,24 @@ class ProximityGraph:
         """
         n = self.num_vertices
         order = np.asarray(order, dtype=np.int64)
-        if sorted(order.tolist()) != list(range(n)):
+        if (
+            order.shape != (n,)
+            or (n and (order.min() < 0 or order.max() >= n))
+            or (np.bincount(order, minlength=n) != 1).any()
+        ):
             raise ValueError("order must be a permutation of all vertex IDs")
         new_id = np.empty(n, dtype=np.int64)
         new_id[order] = np.arange(n)
-        adjacency: list[np.ndarray] = [
-            new_id[self.neighbors(old)].astype(np.int32) for old in order
-        ]
-        return ProximityGraph.from_adjacency(
+        # One CSR gather: new row i is old row order[i], renumbered.
+        degrees = self.degrees[order]
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degrees, out=indptr[1:])
+        gather = np.repeat(self.indptr[order] - indptr[:-1], degrees)
+        gather += np.arange(indptr[-1], dtype=np.int64)
+        return ProximityGraph(
             self.vectors[order],
-            adjacency,
+            indptr,
+            new_id[self.indices[gather]].astype(np.int32),
             metric=self.metric,
             entry_point=int(new_id[self.entry_point]),
         )

@@ -98,6 +98,7 @@ class DeepStoreModel:
         profile: DatasetProfile,
         algorithm: str = "hnsw",
         cached_vertices: np.ndarray | None = None,
+        new_id: np.ndarray | None = None,
     ) -> SimResult:
         """Price one batch, every round and accelerator group at once.
 
@@ -112,6 +113,11 @@ class DeepStoreModel:
         then by the first trace touching the group, then by group) and
         every float is added in that order, so the result is bit-exact
         with such a loop.
+
+        ``new_id``, when given, maps the traces' vertex IDs to the
+        placement's (an :class:`~repro.core.ndsearch.NDSearch` system's
+        relabel map); it is applied once, to the batch's concatenated
+        computed column.  ``cached_vertices`` are placement IDs.
         """
         timing = self.config.timing
         geometry = self.config.geometry
@@ -127,6 +133,8 @@ class DeepStoreModel:
         )
         n_rounds = int(n_iters.max())
         vertex = np.concatenate([t.computed for t in traces])
+        if new_id is not None:
+            vertex = new_id[vertex]
         rnd = np.concatenate([t.rounds for t in traces])
         owner = np.repeat(np.arange(batch), [t.trace_length for t in traces])
         # Traces still searching in each round.

@@ -21,6 +21,7 @@ offers two execution paths:
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,25 @@ from repro.core.static_scheduling import degree_ascending_bfs, random_bfs
 from repro.flash.ecc import LDPCModel
 from repro.sim.energy import EnergyModel
 from repro.sim.stats import SimResult
+
+
+#: Neighbour entries (the sum of ``graph.degrees`` over the computed
+#: vertices) that :func:`precompute_speculative_sets` ranks in one
+#: :func:`~repro.core.speculative.rank_by_round` call.  Swept on the
+#: captured inputs of the e2e benchmark's paper-fig13 (128 traces of
+#: about 7k entries each) and cold-unique-batch (11 batches of about
+#: 62k entries) workloads at seed 31, median ms per repetition on a
+#: 2-vCPU x86-64 VM:
+#:
+#: ==============  ===========  =================
+#: budget          paper-fig13  cold-unique-batch
+#: ==============  ===========  =================
+#: one trace       37           52
+#: 8k entries      38           32
+#: 16k–64k         33–35        28–31
+#: whole batch     69           33
+#: ==============  ===========  =================
+SPECULATIVE_GROUP_ENTRIES = 1 << 15
 
 
 def precompute_speculative_sets(
@@ -56,27 +76,44 @@ def precompute_speculative_sets(
     set).  Depends only on the graph and the traces: :class:`NDSearch`
     computes it for a batch's new traces when it compiles their replays.
 
-    Ranking runs one :func:`rank_by_round` pass per trace.  One pass
-    over the whole batch gives the same sets but is slower: its sorts
-    grow as n log n and fall out of cache.
+    The traces are cut at trace boundaries into groups of consecutive
+    traces, each ranked by one :func:`rank_by_round` call over its
+    rounds (numbered from the group's first round, so every round keeps
+    its own set and the cut cannot change one).  A group takes traces
+    while their neighbour entries stay within
+    :data:`SPECULATIVE_GROUP_ENTRIES`; a trace larger than that is a
+    group of its own.  The bound is a measured middle: a call per trace
+    pays numpy's fixed per-call cost hundreds of times, and one call
+    over the whole batch runs its passes over multi-MB temporaries that
+    fall out of cache.
     """
-    n_iters = np.diff(trace_rounds)
-    local = np.arange(trace_rounds[-1]) - np.repeat(trace_rounds[:-1], n_iters)
-    rounds = np.repeat(local, np.diff(offsets))
-    bounds = np.zeros(trace_rounds[-1] + 1, dtype=np.int64)
+    n_total = int(trace_rounds[-1])
+    bounds = np.zeros(n_total + 1, dtype=np.int64)
+    rounds = np.repeat(np.arange(n_total, dtype=np.int64), np.diff(offsets))
+    # Neighbour entries before each trace; a group ends at the last
+    # trace boundary within the budget of its start.
+    entries = np.zeros(computed.size + 1, dtype=np.int64)
+    np.cumsum(graph.degrees[computed], out=entries[1:])
+    before = entries[offsets[trace_rounds]].tolist()
+    cuts = trace_rounds.tolist()
     parts = [np.empty(0, dtype=np.int64)]
     kept = 0
-    cuts = trace_rounds.tolist()
-    vertex_cuts = offsets[trace_rounds].tolist()
-    for lo, hi, n_rounds, v_lo, v_hi in zip(
-        cuts, cuts[1:], n_iters.tolist(), vertex_cuts, vertex_cuts[1:]
-    ):
+    t, n_traces = 0, len(cuts) - 1
+    while t < n_traces:
+        end = max(
+            bisect_right(before, before[t] + SPECULATIVE_GROUP_ENTRIES) - 1,
+            t + 1,
+        )
+        lo, hi = cuts[t], cuts[end]
+        v_lo, v_hi = offsets[lo], offsets[hi]
         ids, own = rank_by_round(
-            graph, computed[v_lo:v_hi], rounds[v_lo:v_hi], n_rounds, width
+            graph, computed[v_lo:v_hi], rounds[v_lo:v_hi] - lo, hi - lo,
+            width,
         )
         bounds[lo + 1:hi + 1] = own[1:] + kept
         kept += ids.size
         parts.append(ids)
+        t = end
     return np.concatenate(parts), bounds
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ann.graph import ProximityGraph
+from repro.core.rounds import distinct, run_heads
 
 
 def select_speculative_candidates(
@@ -60,48 +61,68 @@ def rank_by_round(
     :func:`select_speculative_candidates` describes.  ``ids``
     holds only the kept vertices, so slices of it pin nothing else.
 
-    Every vertex is tagged with its iteration (``r * V + v``), so one
-    ``np.unique`` yields all first-order sets, one CSR gather all their
-    adjacency lists, one ``searchsorted`` drops candidates inside their
-    own iteration's first-order set, and one sort ranks every iteration
-    at once.
+    Every vertex is tagged with its iteration (``r * V + v``).  A sort
+    plus run heads yields all first-order sets, and one CSR gather all
+    their adjacency lists.  Then one sort of a single marked column does
+    the membership test and the counting that ``np.unique`` and a
+    ``searchsorted`` probe would each need a sort for: candidates go in
+    as ``tag << 1``, first-order members as ``(tag << 1) | 1``.  In a run
+    of equal tags the member sorts last, so a run ending in an odd
+    element is a first-order vertex and is dropped, and any other run's
+    length is that candidate's count.  One more sort ranks every
+    iteration at once.  Raises ``ValueError`` when the tags would
+    overflow int64 (``2 * n_rounds * V >= 2**63``).
     """
     bounds = np.zeros(n_rounds + 1, dtype=np.int64)
+    n = int(graph.num_vertices)
+    if 2 * int(n_rounds) * n >= 2**63:
+        raise ValueError(
+            f"{n_rounds} rounds overflow the int64 marked tags of a "
+            f"{n}-vertex graph; rank fewer rounds at once"
+        )
     if width <= 0 or vertices.size == 0:
         return np.empty(0, dtype=np.int64), bounds
-    n = np.int64(graph.num_vertices)
-    first = np.unique(rounds * n + vertices)
-    first_round = first // n
-    first_v = first - first_round * n
+    first = distinct(rounds * n + vertices)
+    first_base = first // n * n
+    first_v = first - first_base
     starts = graph.indptr[first_v]
     lengths = graph.indptr[first_v + 1] - starts
     total = int(lengths.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64), bounds
     # Gather all adjacency lists in one shot: row j's neighbours sit at
-    # starts[j] .. starts[j] + lengths[j] - 1 of the CSR ``indices``.
-    rows = np.repeat(np.arange(first.size), lengths)
+    # starts[j] .. starts[j] + lengths[j] - 1 of the CSR ``indices``,
+    # and land at row_base[j] .. of the gathered column.
     row_base = np.cumsum(lengths) - lengths
-    gathered = graph.indices[
-        starts[rows] + np.arange(total, dtype=np.int64) - row_base[rows]
-    ]
-    tagged = np.sort(first_round[rows] * n + gathered)
-    # Drop candidates already in their own round's first-order set
-    # (``first`` is sorted, so membership is a searchsorted probe).
-    pos = np.searchsorted(first, tagged)
-    pos[pos == first.size] = first.size - 1
-    candidates = tagged[first[pos] != tagged]
-    if candidates.size == 0:
+    gather = np.repeat(starts - row_base, lengths)
+    gather += np.arange(total, dtype=np.int64)
+    marked = np.empty(total + first.size, dtype=np.int64)
+    np.add(np.repeat(first_base, lengths), graph.indices[gather],
+           out=marked[:total])
+    marked[total:] = first
+    marked <<= 1
+    marked[total:] |= 1
+    marked.sort()
+    heads = np.flatnonzero(run_heads(marked >> 1))
+    ends = np.append(heads[1:], marked.size)
+    candidate = (marked[ends - 1] & 1) == 0
+    if not candidate.any():
         return np.empty(0, dtype=np.int64), bounds
-    tags, counts = np.unique(candidates, return_counts=True)
+    tags = marked[heads[candidate]] >> 1
+    counts = (ends - heads)[candidate]
     cand_round = tags // n
     # Rank by (round, -count, id), packed into one int64 key per
-    # candidate (rounds x (max count + 1) x V stays far below 2**63):
-    # one integer sort costs about half a three-key lexsort.  Round is
-    # the primary key, so each round keeps its block of ``tags`` and a
-    # position's rank within its round is its offset from the block
-    # start.
-    k = counts.max() + 1
+    # candidate: one integer sort costs about half a three-key lexsort.
+    # Round is the primary key, so each round keeps its block of
+    # ``tags`` and a position's rank within its round is its offset
+    # from the block start.
+    k = int(counts.max()) + 1
+    if int(n_rounds) * k * n >= 2**63:
+        raise ValueError(
+            f"{n_rounds} rounds with counts up to {k - 1} overflow the "
+            f"int64 ranking key of a {n}-vertex graph; rank fewer rounds "
+            "at once"
+        )
     ranked = np.sort(
         (cand_round * k + (k - 1 - counts)) * n + (tags - cand_round * n)
     )

@@ -11,8 +11,9 @@ Three shapes cover the repo:
   ``simulate_traces``.
 * :class:`DeepStorePlatform` — the DS-c/DS-cp models, which share
   NDSearch's static layout per the paper's methodology: the adapter
-  remaps traces (and the hot-vertex cache) through the companion
-  NDSearch system's vertex renumbering before pricing them.
+  hands the companion NDSearch system's vertex renumbering to
+  ``run_batch``, which applies it once to the batch's computed column,
+  and remaps the hot-vertex cache itself.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.ann.trace import SearchTrace, remap_trace
+from repro.ann.trace import SearchTrace
 from repro.baselines.common import DatasetProfile
 from repro.baselines.cpu import CPUModel
 from repro.baselines.deepstore import DeepStoreModel
@@ -113,14 +114,10 @@ class DeepStorePlatform:
     ) -> SimResult:
         if profile is None:
             raise ValueError(f"platform {self.name!r} needs a DatasetProfile")
-        remapped = [remap_trace(t, self.system.new_id) for t in traces]
-        hot = (
-            self.system.new_id[cached_vertices]
-            if cached_vertices is not None
-            else None
-        )
+        new_id = self.system.new_id
+        hot = new_id[cached_vertices] if cached_vertices is not None else None
         result = self.model.run_batch(
-            remapped, profile, algorithm, cached_vertices=hot
+            traces, profile, algorithm, cached_vertices=hot, new_id=new_id
         )
         if dataset is not None:
             result.dataset = dataset

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ann.trace import IterationRecord, SearchTrace
+from repro.ann.trace import IterationRecord, SearchTrace, remap_trace
 from repro.baselines import CPUModel, DeepStoreModel, GPUModel, SmartSSDModel
 from repro.baselines.common import DatasetProfile, WorkloadStats, cache_hit_count
 from repro.core.config import HostConfig
@@ -201,3 +201,23 @@ class TestDeepStore:
             [], _profile()
         )
         assert result.sim_time_s == 0.0
+
+    @pytest.mark.parametrize("dynamic_alloc", [True, False])
+    @pytest.mark.parametrize("level", ["chip", "channel"])
+    def test_relabel_map_equals_remapped_traces(self, tiny_config, placement,
+                                                level, dynamic_alloc):
+        """Mapping the concatenated computed column once prices exactly
+        like remapping every trace first."""
+        model = DeepStoreModel(config=tiny_config, placement=placement,
+                               level=level, dynamic_alloc=dynamic_alloc)
+        traces = _traces(n_queries=12, seed=11)
+        new_id = np.random.default_rng(5).permutation(600)
+        hot = np.arange(0, 600, 7)
+        got = model.run_batch(traces, _profile(), cached_vertices=hot,
+                              new_id=new_id)
+        want = model.run_batch([remap_trace(t, new_id) for t in traces],
+                               _profile(), cached_vertices=hot)
+        assert got.sim_time_s == want.sim_time_s
+        assert list(got.counters.items()) == list(want.counters.items())
+        assert got.component_busy_s == want.component_busy_s
+        assert got.timeline == want.timeline

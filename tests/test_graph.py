@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ann.distance import DistanceMetric
 from repro.ann.graph import ProximityGraph
@@ -83,6 +84,71 @@ class TestRelabel:
         g = _tiny_graph()
         r = g.relabeled(np.array([3, 2, 1, 0]))
         assert sorted(g.degrees.tolist()) == sorted(r.degrees.tolist())
+
+
+def _relabeled_oracle(g: ProximityGraph, order) -> ProximityGraph:
+    """``relabeled`` as a per-vertex list copied through ``from_adjacency``."""
+    n = g.num_vertices
+    order = np.asarray(order, dtype=np.int64)
+    if sorted(order.tolist()) != list(range(n)):
+        raise ValueError("order must be a permutation of all vertex IDs")
+    new_id = np.empty(n, dtype=np.int64)
+    new_id[order] = np.arange(n)
+    adjacency = [new_id[g.neighbors(old)].astype(np.int32) for old in order]
+    return ProximityGraph.from_adjacency(
+        g.vectors[order], adjacency, metric=g.metric,
+        entry_point=int(new_id[g.entry_point]),
+    )
+
+
+@st.composite
+def graph_and_order(draw):
+    """A graph with zero-degree vertices, self-loops and repeated edges,
+    and a permutation of its vertices."""
+    n = draw(st.integers(1, 20))
+    vertex = st.integers(0, n - 1)
+    adjacency = draw(
+        st.lists(st.lists(vertex, max_size=6), min_size=n, max_size=n)
+    )
+    vectors = np.asarray(
+        draw(st.lists(st.floats(-4, 4, width=32), min_size=2 * n,
+                      max_size=2 * n)),
+        dtype=np.float32,
+    ).reshape(n, 2)
+    graph = ProximityGraph.from_adjacency(
+        vectors, adjacency,
+        metric=draw(st.sampled_from(list(DistanceMetric))),
+        entry_point=draw(vertex),
+    )
+    return graph, draw(st.permutations(range(n)))
+
+
+class TestRelabelGather:
+    @settings(max_examples=200, deadline=None)
+    @given(case=graph_and_order())
+    def test_matches_per_vertex_oracle(self, case):
+        g, order = case
+        got, want = g.relabeled(order), _relabeled_oracle(g, order)
+        for name in ("vectors", "indptr", "indices"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert got.metric == want.metric
+        assert got.entry_point == want.entry_point
+        assert type(got.entry_point) is int
+
+    @pytest.mark.parametrize(
+        "order",
+        [[0, 1, 2], [0, 1, 2, 3, 4], [0, 1, 2, 2], [-1, 0, 1, 2],
+         [0, 1, 2, 4], [[0, 1], [2, 3]], []],
+        ids=["short", "long", "duplicate", "negative", "out-of-range",
+             "2d", "empty"],
+    )
+    def test_non_permutations_are_refused_like_the_oracle(self, order):
+        g = _tiny_graph()
+        for relabel in (g.relabeled, lambda o: _relabeled_oracle(g, o)):
+            with pytest.raises(ValueError, match="permutation"):
+                relabel(order)
 
 
 class TestUndirectedAndConnectivity:

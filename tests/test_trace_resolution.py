@@ -5,6 +5,8 @@ reproduce the per-trace and per-iteration code they replace exactly."""
 from __future__ import annotations
 
 import dataclasses
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,6 +42,44 @@ def _select_oracle(graph: ProximityGraph, first_order, width: int) -> np.ndarray
         return np.empty(0, dtype=np.int64)
     ids, counts = np.unique(candidates, return_counts=True)
     return ids[np.lexsort((ids, -counts))[:width]]
+
+
+def _rank_oracle(graph, vertices, rounds, n_rounds: int, width: int):
+    """:func:`rank_by_round` as two ``np.unique`` calls, a sort of the
+    gathered neighbours and a ``searchsorted`` membership probe."""
+    bounds = np.zeros(n_rounds + 1, dtype=np.int64)
+    if width <= 0 or vertices.size == 0:
+        return np.empty(0, dtype=np.int64), bounds
+    n = np.int64(graph.num_vertices)
+    first = np.unique(rounds * n + vertices)
+    first_round = first // n
+    first_v = first - first_round * n
+    starts = graph.indptr[first_v]
+    lengths = graph.indptr[first_v + 1] - starts
+    total = int(lengths.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64), bounds
+    rows = np.repeat(np.arange(first.size), lengths)
+    row_base = np.cumsum(lengths) - lengths
+    gathered = graph.indices[
+        starts[rows] + np.arange(total, dtype=np.int64) - row_base[rows]
+    ]
+    tagged = np.sort(first_round[rows] * n + gathered)
+    pos = np.searchsorted(first, tagged)
+    pos[pos == first.size] = first.size - 1
+    candidates = tagged[first[pos] != tagged]
+    if candidates.size == 0:
+        return np.empty(0, dtype=np.int64), bounds
+    tags, counts = np.unique(candidates, return_counts=True)
+    cand_round = tags // n
+    k = counts.max() + 1
+    ranked = np.sort(
+        (cand_round * k + (k - 1 - counts)) * n + (tags - cand_round * n)
+    )
+    block = np.searchsorted(cand_round, np.arange(n_rounds + 1))
+    keep = np.arange(ranked.size) - block[ranked // (k * n)] < width
+    np.cumsum(np.minimum(np.diff(block), width), out=bounds[1:])
+    return ranked[keep] % n, bounds
 
 
 def _precompute_oracle(traces, graph, width) -> list[list[np.ndarray]]:
@@ -126,7 +166,7 @@ def _graph(adjacency) -> ProximityGraph:
 
 # ---- strategies ----------------------------------------------------------------
 @st.composite
-def graph_and_traces(draw):
+def graph_and_traces(draw, max_traces: int = 4):
     """A random CSR graph (zero-degree vertices, self-loops and repeated
     edges allowed) and traces over it with empty iterations, duplicate
     ids within an iteration and iterations that cover every vertex."""
@@ -136,7 +176,7 @@ def graph_and_traces(draw):
         st.lists(st.lists(vertex, max_size=6), min_size=n, max_size=n)
     )
     traces = []
-    for q in range(draw(st.integers(0, 4))):
+    for q in range(draw(st.integers(0, max_traces))):
         rounds = []
         for _ in range(draw(st.integers(0, 6))):
             mode = draw(st.sampled_from(("random", "empty", "closed", "repeat")))
@@ -161,6 +201,17 @@ def graph_and_traces(draw):
         | st.integers(-1, 40)
     )
     return graph, traces, width
+
+
+@st.composite
+def grouped_batches(draw):
+    """A stacked batch and a group budget anywhere from 0 (every trace
+    with an edge is larger than the budget) to one past the batch's
+    neighbour entries (one group)."""
+    graph, traces, width = draw(graph_and_traces(max_traces=8))
+    computed = stack_traces(traces)[0]
+    entries = int(graph.degrees[computed].sum())
+    return graph, traces, width, draw(st.integers(0, entries + 1))
 
 
 # ---- speculative sets ----------------------------------------------------------
@@ -255,6 +306,139 @@ class TestSpeculativeSets:
         _assert_sets_equal(_sets_by_trace(remapped, ids, bounds), want)
         system.simulate_traces(traces[::-1])
         assert len(calls) == 1
+
+
+# ---- group cuts and the marked sort -------------------------------------------
+def _assert_same_bytes(got: np.ndarray, want: np.ndarray) -> None:
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _assert_grouped_like_oracles(graph, traces, width, budget) -> None:
+    """``precompute_speculative_sets`` under ``budget`` is byte for byte
+    one whole-batch ``_rank_oracle`` call and the per-iteration oracle."""
+    computed, offsets, trace_rounds = stack_traces(traces)
+    with mock.patch.object(ndsearch, "SPECULATIVE_GROUP_ENTRIES", budget):
+        ids, bounds = precompute_speculative_sets(
+            graph, computed, offsets, trace_rounds, width
+        )
+    n_total = int(trace_rounds[-1])
+    rounds = np.repeat(np.arange(n_total, dtype=np.int64), np.diff(offsets))
+    want_ids, want_bounds = _rank_oracle(graph, computed, rounds, n_total, width)
+    _assert_same_bytes(ids, want_ids)
+    _assert_same_bytes(bounds, want_bounds)
+    sets = [
+        _select_oracle(graph, it.computed, width)
+        for trace in traces for it in trace.iterations
+    ]
+    _assert_same_bytes(ids, np.concatenate([np.empty(0, np.int64), *sets]))
+    _assert_same_bytes(
+        bounds, np.cumsum([0] + [s.size for s in sets], dtype=np.int64)
+    )
+
+
+class TestGroupedRanking:
+    @settings(max_examples=300, deadline=None)
+    @given(case=grouped_batches())
+    def test_grouped_sets_match_both_oracles(self, case):
+        _assert_grouped_like_oracles(*case)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=graph_and_traces(), data=st.data())
+    def test_marked_sort_matches_unique_oracle(self, case, data):
+        """Any rounds, in any order, with rounds left empty."""
+        graph, _, width = case
+        n_rounds = data.draw(st.integers(1, 6))
+        size = data.draw(st.integers(0, 30))
+        vertices = np.asarray(data.draw(st.lists(
+            st.integers(0, graph.num_vertices - 1), min_size=size,
+            max_size=size,
+        )), dtype=np.int64)
+        rounds = np.asarray(data.draw(st.lists(
+            st.integers(0, n_rounds - 1), min_size=size, max_size=size,
+        )), dtype=np.int64)
+        got = rank_by_round(graph, vertices, rounds, n_rounds, width)
+        want = _rank_oracle(graph, vertices, rounds, n_rounds, width)
+        _assert_same_bytes(got[0], want[0])
+        _assert_same_bytes(got[1], want[1])
+
+    @pytest.mark.parametrize("width", [0, 1, 2, 50])
+    @pytest.mark.parametrize("budget", [0, 1, 3, 6, 19, 20, 23, 26, 46, 99])
+    def test_hand_built_batch(self, width, budget):
+        # Vertices 4, 5 and 6 have no edges.  0 and 1 both link to 2
+        # and 3 (a count tie at 2) and to 4 and 6 once each (a tie at
+        # 1).  big's last round holds every neighbour of its members,
+        # so it has no candidate.  Neighbour entries: big 20, small 3,
+        # isolated 0, 46 in all; the budgets cut the batch everywhere.
+        graph = _graph([[2, 3, 4], [2, 3, 6], [0], [1], [], [], []])
+        big = _trace([(0, [0, 1, 1, 0]), (0, [5, 5]), (1, [1, 0, 2, 3, 4, 6])])
+        small = _trace([(2, [2]), (3, [3, 3])])
+        isolated = _trace([(5, [5]), (5, [5, 5])])
+        traces = [
+            SearchTrace(0), big, SearchTrace(1), small, isolated, small,
+            SearchTrace(2), big,
+        ]
+        _assert_grouped_like_oracles(graph, traces, width, budget)
+
+    def test_groups_cut_at_trace_boundaries(self, monkeypatch):
+        """Each call ranks whole traces within the budget, or one trace
+        larger than it, with rounds numbered from the group's first."""
+        graph = _graph([[1, 2], [0], [0, 1, 2]])
+        traces = [_trace([(0, [0]), (0, [2])]), SearchTrace(1),
+                  _trace([(1, [1])]), _trace([(2, [2, 2])])]
+        calls = []
+
+        def spy(graph, vertices, rounds, n_rounds, width):
+            calls.append((vertices.tolist(), rounds.tolist(), n_rounds))
+            return rank_by_round(graph, vertices, rounds, n_rounds, width)
+
+        monkeypatch.setattr(ndsearch, "rank_by_round", spy)
+        monkeypatch.setattr(ndsearch, "SPECULATIVE_GROUP_ENTRIES", 5)
+        # Entries per trace: 5, 0, 1, 6.
+        _columns(traces, graph, 2)
+        assert calls == [
+            ([0, 2], [0, 1], 2),
+            ([1], [0], 1),
+            ([2, 2], [0, 0], 1),
+        ]
+
+
+class TestRankOverflow:
+    """``rank_by_round`` refuses tags that would wrap int64; a fake graph
+    with a huge vertex count and a three-edge CSR allocates nothing
+    large."""
+
+    @staticmethod
+    def _huge(num_vertices: int):
+        return SimpleNamespace(
+            num_vertices=num_vertices,
+            indptr=np.array([0, 1, 2, 3, 3], dtype=np.int64),
+            indices=np.array([3, 3, 3], dtype=np.int32),
+        )
+
+    def test_marked_tags_past_int64_are_refused(self):
+        graph = self._huge(2**61)
+        one = np.zeros(1, dtype=np.int64)
+        # 2 * 1 * 2**61 < 2**63: vertex 0's one neighbour is ranked.
+        ids, bounds = rank_by_round(graph, one, one, 1, 4)
+        assert ids.tolist() == [3] and bounds.tolist() == [0, 1]
+        for n_rounds in (2, 3):
+            with pytest.raises(ValueError, match="overflow"):
+                rank_by_round(graph, one, one, n_rounds, 4)
+        with pytest.raises(ValueError, match="overflow"):
+            rank_by_round(self._huge(2**62), one[:0], one[:0], 1, 4)
+
+    def test_ranking_key_past_int64_is_refused(self):
+        # Counts up to c pack as n_rounds * (c + 1) * V: with V = 2**61,
+        # a count of 2 fits and a count of 3 does not.
+        graph = self._huge(2**61)
+        two = np.array([0, 1], dtype=np.int64)
+        ids, _ = rank_by_round(graph, two, np.zeros(2, np.int64), 1, 4)
+        assert ids.tolist() == [3]
+        three = np.array([0, 1, 2], dtype=np.int64)
+        with pytest.raises(ValueError, match="overflow"):
+            rank_by_round(graph, three, np.zeros(3, np.int64), 1, 4)
 
 
 # ---- trace recording -----------------------------------------------------------
