@@ -58,7 +58,6 @@ from repro.serving import (
     ServingTwin,
 )
 from repro.serving.scenario import SCENARIOS
-from repro.sim.pool import run_rows
 
 POLICIES = ("batch", "greedy")
 SHARDS = (1, 4)
@@ -83,8 +82,7 @@ OBS_WINDOW_S = 1e-3
 #: partitioned cell is fed to a ServingTwin once per process, and all
 #: routing what-ifs fork from its checkpoints instead of re-simulating
 #: the shared warm prefix.  Rows carry only deterministic fields (no
-#: wall clocks), keeping the pooled sweep payload byte-identical to
-#: the serial one; the wall-clock speedup gate is the tier-1 test
+#: wall clocks); the wall-clock speedup gate is the tier-1 test
 #: ``test_serving_twin.py::test_null_whatif_beats_scratch_by_5x``.
 TWIN_WINDOW_S = 20e-3
 
@@ -111,11 +109,10 @@ def _partition_reference():
 
 
 # ---- sweep rows: one pure function per cell family ---------------------
-# Every sweep row is a pure function of its spec: the corpus, query
-# pool and routers are deterministic builds from pinned seeds, and the
-# router build cache (repro.serving.sharding) makes repeated builds of
-# the same spec nearly free — so a warm worker that owns a config
-# family reuses its indexes across all the rows keyed to it.
+# Every sweep row is a pure function of its arguments: the corpus,
+# query pool and routers are deterministic builds from pinned seeds,
+# and the router build cache (repro.serving.sharding) makes repeated
+# builds of the same spec nearly free across rows.
 
 
 def _sweep_row(policy: str, shards: int, rate: float) -> dict:
@@ -316,8 +313,7 @@ def _flash_row(enabled: bool) -> dict:
 def _twin_base():
     """The shared warm prefix: the broadcast partitioned cell fed to a
     twin window by window.  Built once per process; every what-if row
-    forks from its checkpoints (warm-worker affinity keys the twin
-    rows to the ``partitioned`` family, so pooled runs share it too).
+    forks from its checkpoints.
     """
     _, pool = PARTITIONED.vectors_and_pool()
     twin = ServingTwin(
@@ -365,89 +361,36 @@ def _twin_row(nprobe) -> dict:
     return row
 
 
-_SECTION_ROWS = {
-    "sweep": _sweep_row,
-    "pipeline": _pipeline_row,
-    "partitioned": _partitioned_row,
-    "coalescing": _coalesce_row,
-    "observability": _observability_row,
-    "slo": _slo_row,
-    "autoscale": _autoscale_row,
-    "rebalance": _rebalance_row,
-    "flash": _flash_row,
-    "twin": _twin_row,
-}
+def collect() -> dict:
+    """Run the sweep matrix in-process, one section after another.
 
-
-def bench_row(section: str, spec: dict) -> dict:
-    """Pool task: run one sweep row (a pure function of its spec)."""
-    return _SECTION_ROWS[section](**spec)
-
-
-def _row_specs() -> list[tuple[str, str, dict]]:
-    """The sweep matrix as ``(affinity_key, section, spec)`` rows, in
-    the order the sections assemble.
-
-    The affinity key names the router family a row needs, so a warm
-    worker that owns e.g. the partitioned indexes serves every row
-    built on them.
+    The payload is round-tripped through JSON before it is returned,
+    so the assertions and the written files see JSON types (tuples as
+    lists, dict keys as strings): ``json.dumps(sort_keys=True)`` orders
+    int keys numerically but string keys lexically.
     """
-    rows: list[tuple[str, str, dict]] = []
-    for policy_mode in POLICIES:
-        for shards in SHARDS:
-            for rate in RATES:
-                rows.append((
-                    f"replicated-x{shards}", "sweep",
-                    {"policy": policy_mode, "shards": shards, "rate": rate},
-                ))
-    for platform in ("cpu", "ndsearch"):
-        key = "cpu-spill" if platform == "cpu" else "replicated-x1"
-        for rate in PIPELINE_RATES:
-            rows.append(
-                (key, "pipeline", {"platform": platform, "rate": rate})
-            )
-    for nprobe in (None, 1, 2, PARTITIONED.num_shards):
-        rows.append(("partitioned", "partitioned", {"nprobe": nprobe}))
-    for coalesce in (False, True):
-        rows.append(("replicated-x1", "coalescing", {"coalesce": coalesce}))
-    rows.append(("replicated-x1", "observability", {}))
-    for nprobe in ("keep", 1, 2):
-        rows.append(("partitioned", "twin", {"nprobe": nprobe}))
-    for deadline_ms in SLO_DEADLINES_MS:
-        rows.append(("replicated-x1", "slo", {"deadline_ms": deadline_ms}))
-    for scaled in (False, True):
-        rows.append(("replicated-x1", "autoscale", {"scaled": scaled}))
-    for moved in (False, True):
-        rows.append(("partitioned", "rebalance", {"moved": moved}))
-    for enabled in (False, True):
-        rows.append(("partitioned", "flash", {"enabled": enabled}))
-    return rows
-
-
-def collect(workers: int = 0) -> dict:
-    """Run the sweep matrix; pooled over ``workers`` warm subprocesses
-    when positive, serially in-process otherwise.
-
-    Either way the rows are the same pure functions of the same specs
-    and the results merge in row order, so the pooled payload is
-    byte-identical to the serial one.
-    """
-    specs = _row_specs()
-    outputs = run_rows(
-        [
-            (key, "bench_serving:bench_row", {"section": section, "spec": spec})
-            for key, section, spec in specs
+    results = {
+        "sweep": [
+            _sweep_row(policy, shards, rate)
+            for policy in POLICIES for shards in SHARDS for rate in RATES
         ],
-        workers,
-        path=[Path(__file__).resolve().parent],
-    )
-    results: dict = {}
-    for (_, section, _spec), output in zip(specs, outputs):
-        if section == "observability":
-            results[section] = output
-        else:
-            results.setdefault(section, []).append(output)
-    return results
+        "pipeline": [
+            _pipeline_row(platform, rate)
+            for platform in ("cpu", "ndsearch") for rate in PIPELINE_RATES
+        ],
+        "partitioned": [
+            _partitioned_row(nprobe)
+            for nprobe in (None, 1, 2, PARTITIONED.num_shards)
+        ],
+        "coalescing": [_coalesce_row(coalesce) for coalesce in (False, True)],
+        "observability": _observability_row(),
+        "twin": [_twin_row(nprobe) for nprobe in ("keep", 1, 2)],
+        "slo": [_slo_row(deadline_ms) for deadline_ms in SLO_DEADLINES_MS],
+        "autoscale": [_autoscale_row(scaled) for scaled in (False, True)],
+        "rebalance": [_rebalance_row(moved) for moved in (False, True)],
+        "flash": [_flash_row(enabled) for enabled in (False, True)],
+    }
+    return json.loads(json.dumps(results))
 
 
 def run(results: dict | None = None) -> str:
@@ -661,11 +604,8 @@ def check_flash_rows(rows: list[dict]) -> None:
     assert erases.get(hot, 0) > erases.get(cold, 0), (reads, erases)
 
 
-def test_bench_serving(benchmark, record_table, record_json, request):
-    workers = request.config.getoption("--workers")
-    results = benchmark.pedantic(
-        lambda: collect(workers), rounds=1, iterations=1
-    )
+def test_bench_serving(benchmark, record_table, record_json):
+    results = benchmark.pedantic(collect, rounds=1, iterations=1)
     # The Chrome trace goes to its own artifact (it is a standalone
     # Perfetto-loadable file, and it would bloat the sweep JSON).
     trace = results["observability"].pop("trace")

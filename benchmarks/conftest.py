@@ -5,7 +5,7 @@ runs the matching :mod:`repro.experiments` driver under
 pytest-benchmark (one round — these are end-to-end experiment drivers,
 not microbenchmarks), prints the series the paper reports, writes the
 table to ``benchmarks/results/`` and asserts the reproduction's
-acceptance criteria (the relative shapes from DESIGN.md).
+acceptance criteria (the relative shapes the paper reports).
 
 Run with ``pytest benchmarks/ --benchmark-only`` (add ``-s`` to see the
 tables inline).
@@ -19,21 +19,6 @@ from pathlib import Path
 import pytest
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
-
-
-def pytest_addoption(parser):
-    """``--workers`` fans ``bench_serving``'s sweep rows (every section,
-    written to ``results/serving_sweep.json``) over warm worker
-    subprocesses."""
-    from repro.sim.pool import workers_from_env
-
-    parser.addoption(
-        "--workers", type=int, default=workers_from_env(),
-        help="fan bench_serving's sweep rows over this many warm "
-             "worker subprocesses (default $REPRO_POOL_WORKERS, "
-             "0 = serial in-process); pooled output is byte-identical "
-             "to serial",
-    )
 
 
 @pytest.fixture(scope="session")
@@ -58,7 +43,7 @@ def record_json(results_dir):
     """Persist machine-readable results under results/<name>.json.
 
     The human-readable ``.txt`` tables are for eyeballs; these JSON
-    files are what the perf-trajectory tooling diffs across commits.
+    files are for tools and CI artifacts.
     """
 
     def _record(name: str, payload) -> None:

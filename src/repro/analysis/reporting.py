@@ -40,7 +40,3 @@ def format_table(
     for row in rendered_rows:
         lines.append(" | ".join(cell.ljust(w) for cell, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def format_percent(value: float) -> str:
-    return f"{100.0 * value:.1f}%"

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.config import NDSearchConfig
-from repro.sim.stats import SimResult
 
 
 @dataclass(frozen=True)
@@ -63,10 +62,3 @@ def roofline_model(
         attainable_pcie_gflops=min(compute_peak_gflops, oi * pcie_bw / 1e9),
         attainable_internal_gflops=min(compute_peak_gflops, oi * internal_bw / 1e9),
     )
-
-
-def speedup_within_roofline(
-    ndsearch: SimResult, baseline: SimResult, point: RooflinePoint
-) -> bool:
-    """Check the measured speedup respects the roofline lift bound."""
-    return ndsearch.speedup_over(baseline) <= point.lift * 1.05

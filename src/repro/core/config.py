@@ -131,7 +131,7 @@ class NDSearchConfig:
 
     @classmethod
     def scaled(cls, flags: SchedulingFlags | None = None) -> "NDSearchConfig":
-        """Benchmark-scale configuration (see DESIGN.md scaling policy).
+        """Benchmark-scale configuration.
 
         64 LUNs / 128 planes, 4 KB pages, tR scaled with page size so
         that the internal-bandwidth-to-PCIe ratio and the per-access

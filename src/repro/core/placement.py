@@ -80,9 +80,6 @@ class VertexPlacement:
             + self.page[vertices]
         )
 
-    def luns_of(self, vertices: np.ndarray) -> np.ndarray:
-        return self.lun[vertices]
-
     def occupancy_by_lun(self) -> np.ndarray:
         """Vertex count per LUN (used by locality statistics)."""
         return np.bincount(self.lun, minlength=self.geometry.total_luns)

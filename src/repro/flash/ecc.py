@@ -46,9 +46,6 @@ class BERModel:
             mean=0.0, sigma=self.sigma, size=self.n_planes
         )
 
-    def ber_of_plane(self, plane: int) -> float:
-        return float(self.plane_ber[plane])
-
     def histogram(self, bins: int = 12) -> tuple[np.ndarray, np.ndarray]:
         """Histogram of plane BERs (the Fig. 18a distribution plot)."""
         return np.histogram(self.plane_ber, bins=bins)

@@ -191,11 +191,6 @@ class SSDGeometry:
             raise ValueError(f"lun {lun_in_chip} out of range")
         return (channel * self.chips_per_channel + chip) * self.luns_per_chip + lun_in_chip
 
-    def global_plane(self, address: PhysicalAddress) -> int:
-        """Flat plane index for an address (for per-plane statistics)."""
-        self.validate(address)
-        return address.lun * self.planes_per_lun + address.plane
-
     def page_key(self, address: PhysicalAddress) -> tuple[int, int, int, int]:
         """Hashable identity of the page holding ``address``."""
         return (address.lun, address.plane, address.block, address.page)

@@ -85,10 +85,6 @@ class Plane:
             self.buffered_page = None
         return moved
 
-    @property
-    def programmed_pages(self) -> int:
-        return len(self._store)
-
 
 @dataclass
 class Lun:

@@ -10,8 +10,7 @@ lint time instead of waiting for a parity digest to flip:
 Rule     Invariant
 =======  ==============================================================
 DET001   no ``id()``-keyed dicts/caches (the PR 1 collision class)
-DET002   no wall-clock/OS-entropy reads in simulation code
-         (only ``repro.sim.pool`` is allowlisted)
+DET002   no wall-clock/OS-entropy reads in any ``repro.*`` module
 DET003   no global-state or unseeded RNG (seeded ``default_rng`` only)
 DET004   no ordering-sensitive iteration over set expressions in
          ``src/repro`` (wrap in ``sorted(...)``)

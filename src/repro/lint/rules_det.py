@@ -15,11 +15,6 @@ from .context import FileContext
 from .findings import Finding
 from .registry import Rule, register
 
-# Modules that legitimately read the wall clock: the worker pool times
-# subprocess RPC.  Host-speed measurement lives outside the package, in
-# benchmarks/e2e.
-WALL_CLOCK_ALLOWED_MODULES = frozenset({"repro.sim.pool"})
-
 # Qualified callables whose results depend on wall clock or OS entropy.
 WALL_CLOCK_CALLS = frozenset(
     {
@@ -169,8 +164,9 @@ class WallClock(Rule):
     """Wall-clock / OS-entropy reads inside simulation code.
 
     The simulated clock is ``EventLoop.now``; host time leaking into
-    simulation state makes two identical runs diverge.  Only modules in
-    :data:`WALL_CLOCK_ALLOWED_MODULES` measure real time on purpose.
+    simulation state makes two identical runs diverge.  The rule holds
+    for every ``repro.*`` module; host-time measurement lives outside
+    the package, in ``benchmarks/e2e``.
     """
 
     ID = "DET002"
@@ -178,8 +174,6 @@ class WallClock(Rule):
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         if ctx.module is None or not ctx.module.startswith("repro"):
-            return
-        if ctx.module in WALL_CLOCK_ALLOWED_MODULES:
             return
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
@@ -192,8 +186,7 @@ class WallClock(Rule):
                     f"{qual}() reads the wall clock / OS entropy inside "
                     "simulation code; use the simulated clock "
                     "(EventLoop.now / event.time) or a seeded source. "
-                    "Host-time measurement belongs in benchmarks/e2e; "
-                    "only repro.sim.pool reads the wall clock.",
+                    "Host-time measurement belongs in benchmarks/e2e.",
                 )
 
 

@@ -129,8 +129,8 @@ class ServingReport:
         Round-trippable: ``ServingReport.from_dict(json.loads(
         json.dumps(report.to_dict())))`` reconstructs an equal report.
         This is the one serialization path shared by the sweep JSON,
-        the CLI's ``--report-json`` and the perf-trajectory tooling —
-        ad-hoc dict assembly drifts, this does not.
+        the CLI's ``--report-json`` and the e2e benchmark's report
+        digests — ad-hoc dict assembly drifts, this does not.
 
         Derived conveniences (``served``, ``qps_per_watt``) are
         included for consumers and ignored by :meth:`from_dict`.
@@ -484,9 +484,8 @@ class MetricsCollector:
         """Fold the kernel's per-type dispatch counts into the counters.
 
         Keys land as ``loop_events_<EventType>`` plus a
-        ``loop_events_total`` sum — the event-mix telemetry the run
-        profiler divides wall-clock by.  Additive, like every counter:
-        a collector reused across runs accumulates.
+        ``loop_events_total`` sum — the run's event mix.  Additive,
+        like every counter: a collector reused across runs accumulates.
         """
         total = 0
         for name in sorted(counts):

@@ -152,11 +152,6 @@ class Rebalancer:
         """End of the armed epoch (the next tick's timestamp)."""
         return self._epoch_end
 
-    @property
-    def inflight(self) -> int:
-        """Migrations currently moving data."""
-        return len(self._inflight)
-
     def arm(self, now: float, busy_s: list[float]) -> None:
         """Anchor the epoch grid at the first arrival."""
         self._busy_snapshot = list(busy_s)

@@ -14,12 +14,13 @@ O(changed suffix), not O(full run).
 
 Answers are memoized in a content-addressed cache
 (:class:`TwinCache`): the key hashes the fork's canonical
-configuration (delta included), the restored snapshot's state digest,
-its window index and the replayed arrival suffix — the full causal
-input of the answer.  Repeated and overlapping queries hit instead of
-re-simulating; the determinism contract (a restored run is
-byte-identical to a from-scratch run, pinned by the parity suite)
-is what makes serving a cached report honest.
+configuration (delta included), its replica growth, the restored
+snapshot's state digest, its window index and the replayed arrival
+suffix — the full causal input of the answer.  Repeated and
+overlapping queries hit instead of re-simulating; the determinism
+contract (a restored run is byte-identical to a from-scratch run,
+pinned by the parity suite) is what makes serving a cached report
+honest.
 
 Config deltas only steer *future* decisions (routing, batching,
 scaling), never recorded history, so any delta may fork from any
@@ -80,9 +81,11 @@ def _suffix_digest(requests: list[Request]) -> str:
 class TwinCache:
     """Content-addressed memo of what-if answers.
 
-    Keys are :meth:`key` digests — (config, snapshot state, window
-    index, arrival suffix) — and values are ``ServingReport.to_dict``
-    payloads: plain data, safe to hold across forks.
+    Keys are :meth:`key` digests — (config, replica growth, snapshot
+    state, window index, arrival suffix) — and values are
+    ``ServingReport.to_dict`` payloads: plain data, safe to hold across
+    forks.  Replica growth is hashed beside the config because it is a
+    structural delta, not a ``ServingConfig`` field.
     """
 
     def __init__(self) -> None:
@@ -96,12 +99,14 @@ class TwinCache:
     @staticmethod
     def key(
         config: ServingConfig,
+        add_replicas: int,
         snapshot_digest: str,
         window_index: int,
         suffix: list[Request],
     ) -> str:
         h = hashlib.sha256()
         h.update(config_digest(config).encode())
+        h.update(repr(add_replicas).encode())
         h.update(snapshot_digest.encode())
         h.update(repr(window_index).encode())
         h.update(_suffix_digest(suffix).encode())
@@ -299,8 +304,7 @@ class ServingTwin:
         consumed = checkpoint.consumed if checkpoint is not None else 0
         suffix = self._master_log[consumed:]
         key = TwinCache.key(
-            _delta_key_config(fork_config, add_replicas),
-            snapshot_digest, window_index, suffix,
+            fork_config, add_replicas, snapshot_digest, window_index, suffix
         )
         cached = self.cache.lookup(key)
         now = self.frontend._loop.now if not self._finished else 0.0
@@ -346,25 +350,3 @@ class ServingTwin:
             fork.add_replicas(add_replicas)
         if fork_config.rebalance is not None and fork.rebalancer is None:
             fork.enable_rebalance(fork_config.rebalance)
-
-
-def _delta_key_config(
-    fork_config: ServingConfig, add_replicas: int
-) -> ServingConfig:
-    """The config object the cache key hashes.
-
-    ``add_replicas`` is structural (not a ``ServingConfig`` field), so
-    it is folded into the key via the admission-capacity-preserving
-    trick of hashing a tuple — here simply by hashing a wrapper repr.
-    """
-    if not add_replicas:
-        return fork_config
-    return _ReplicaDelta(fork_config, add_replicas)  # type: ignore[return-value]
-
-
-@dataclasses.dataclass(frozen=True)
-class _ReplicaDelta:
-    """Repr-stable wrapper folding ``add_replicas`` into a cache key."""
-
-    config: ServingConfig
-    add_replicas: int

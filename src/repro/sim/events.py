@@ -199,10 +199,6 @@ class EventLoop:
         self._seq += 1
         return event
 
-    def peek_time(self) -> float | None:
-        """Simulated time of the next pending event (``None`` if idle)."""
-        return self._heap[0][0] if self._heap else None
-
     def stop(self) -> None:
         """Stop after the current event's handlers return."""
         self._stopped = True

@@ -31,26 +31,11 @@ settings.load_profile(
 )
 
 from repro.ann import HNSWIndex, HNSWParams
-from repro.sim.pool import workers_from_env
 from repro.ann.distance import DistanceMetric
 from repro.ann.graph import ProximityGraph
 from repro.core.config import HostConfig, NDSearchConfig, SchedulingFlags
 from repro.flash.geometry import SSDGeometry
 from repro.flash.timing import FlashTiming
-
-
-@pytest.fixture(scope="session")
-def pool_workers() -> int:
-    """Worker-pool fan-out width from the ``REPRO_POOL_WORKERS``
-    environment variable (0 = serial).
-
-    Tests that sweep independent rows read this instead of inventing
-    flags, so CI jobs (e.g. the randomized property job) opt into
-    pooled fan-out with one env var and zero plumbing.  Pooled and
-    serial sweeps are byte-identical by the pool's contract, so the
-    setting can never change a test's verdict — only its wall-clock.
-    """
-    return workers_from_env()
 
 
 @pytest.fixture(scope="session")

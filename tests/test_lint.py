@@ -146,11 +146,11 @@ class TestDet002:
             "import os\nb = os.urandom(8)\n", module="repro.flash.ftl"
         )
 
-    def test_profiler_and_pool_allowlisted(self):
+    def test_no_repro_module_is_exempt(self):
+        # No module name is exempt, including those of modules that
+        # once read the wall clock on purpose.
         src = "import time\nt0 = time.perf_counter()\n"
-        assert rules_of(src, module="repro.sim.pool") == []
-        # The events/sec profiler is gone; its module name is no
-        # longer exempt.
+        assert "DET002" in rules_of(src, module="repro.sim.pool")
         assert "DET002" in rules_of(src, module="repro.obs.profile")
 
     def test_out_of_package_code_not_in_scope(self):

@@ -91,6 +91,17 @@ def test_every_request_is_accounted_once(name):
     assert tuple(
         outcomes[o] for o in (COMPLETED, CACHE_HIT, COALESCED, SHED)
     ) == counted
+    # The per-priority tallies partition the same requests.
+    classes = report.priority_stats.values()
+
+    def total(field):
+        return sum(stats[field] for stats in classes)
+
+    assert (total("offered"), total("served"), total("shed")) == (
+        report.offered, report.served, report.shed
+    )
+    assert total("with_deadline") == report.deadline_total
+    assert total("with_deadline") - total("met") == report.deadline_misses
 
 
 @pytest.mark.parametrize("name", list(SCENARIOS))

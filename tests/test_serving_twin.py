@@ -465,16 +465,32 @@ class TestServingTwin:
         with pytest.raises(ValueError, match="autoscaler"):
             scaled.whatif(add_replicas=1)
 
+    def test_replica_growth_is_its_own_cache_entry(self, pool):
+        twin = ServingTwin(
+            TWIN_CELL.router, TWIN_CELL.serving, pool, window_s=0.05
+        )
+        requests = TWIN_CELL.requests()
+        twin.feed(requests)
+        twin.advance(requests[-1].arrival_s)
+        one = _report_bytes(twin.whatif(add_replicas=1))
+        two = _report_bytes(twin.whatif(add_replicas=2))
+        assert (twin.cache.hits, twin.cache.misses) == (0, 2)
+        assert one != two
+        assert _report_bytes(twin.whatif(add_replicas=1)) == one
+        assert _report_bytes(twin.whatif(add_replicas=2)) == two
+        assert (twin.cache.hits, twin.cache.misses) == (2, 2)
+
     def test_cache_key_covers_the_causal_inputs(self):
         config = TWIN_CELL.serving
         suffix = TWIN_CELL.requests()[:5]
-        base = TwinCache.key(config, "d" * 64, 3, suffix)
-        assert TwinCache.key(config, "d" * 64, 3, suffix) == base
+        base = TwinCache.key(config, 0, "d" * 64, 3, suffix)
+        assert TwinCache.key(config, 0, "d" * 64, 3, suffix) == base
         other_config = replace(config, nprobe=1)
-        assert TwinCache.key(other_config, "d" * 64, 3, suffix) != base
-        assert TwinCache.key(config, "e" * 64, 3, suffix) != base
-        assert TwinCache.key(config, "d" * 64, 4, suffix) != base
-        assert TwinCache.key(config, "d" * 64, 3, suffix[:-1]) != base
+        assert TwinCache.key(other_config, 0, "d" * 64, 3, suffix) != base
+        assert TwinCache.key(config, 1, "d" * 64, 3, suffix) != base
+        assert TwinCache.key(config, 0, "e" * 64, 3, suffix) != base
+        assert TwinCache.key(config, 0, "d" * 64, 4, suffix) != base
+        assert TwinCache.key(config, 0, "d" * 64, 3, suffix[:-1]) != base
 
     def test_config_digest_is_repr_stable(self):
         a = ServingConfig(cache_capacity=0, coalesce=False)
