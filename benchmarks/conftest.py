@@ -7,8 +7,14 @@ not microbenchmarks), prints the series the paper reports, writes the
 table to ``benchmarks/results/`` and asserts the reproduction's
 acceptance criteria (the relative shapes the paper reports).
 
-Run with ``pytest benchmarks/ --benchmark-only`` (add ``-s`` to see the
-tables inline).
+Run them by path, since pytest collects only ``test_*.py`` files by
+name (``pytest benchmarks/ --benchmark-only`` collects the
+``benchmarks/e2e`` self-tests and none of these)::
+
+    pytest benchmarks/bench_fig*.py benchmarks/bench_ext*.py \
+        benchmarks/bench_table1*.py --benchmark-only
+
+Add ``-s`` to see the tables inline.
 """
 
 from __future__ import annotations

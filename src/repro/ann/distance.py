@@ -32,11 +32,11 @@ def distances_to_query(
 ) -> np.ndarray:
     """Distances from ``query`` (d,) to each row of ``vectors`` (m, d).
 
-    The scalar beam search calls it once per expanded vertex (one call
-    covers all of that vertex's neighbors); the lockstep batch kernel
-    calls it once per query and step for ANGULAR and INNER_PRODUCT and
-    shares one row-wise ``einsum`` across the batch for EUCLIDEAN
-    (:func:`repro.ann.search.beam_search_batch`).
+    The beam kernels (:mod:`repro.ann.search`) call it once per query
+    and expanded vertex for ANGULAR and INNER_PRODUCT.  For EUCLIDEAN
+    they, and HNSW's neighbor selection, call :func:`squared_euclidean`
+    directly, which is this function's arithmetic without the shape
+    checks.
     """
     if vectors.ndim != 2:
         raise ValueError(f"vectors must be 2-D, got shape {vectors.shape}")
@@ -45,8 +45,7 @@ def distances_to_query(
             f"query shape {query.shape} incompatible with vectors {vectors.shape}"
         )
     if metric is DistanceMetric.EUCLIDEAN:
-        diff = vectors - query
-        return np.einsum("ij,ij->i", diff, diff)
+        return squared_euclidean(vectors, query)
     if metric is DistanceMetric.INNER_PRODUCT:
         return -vectors @ query
     if metric is DistanceMetric.ANGULAR:
@@ -54,6 +53,19 @@ def distances_to_query(
         norms = np.where(norms == 0.0, 1.0, norms)
         return 1.0 - (vectors @ query) / norms
     raise ValueError(f"unsupported metric {metric!r}")
+
+
+def squared_euclidean(points: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances of the rows of ``points`` (m, d) to
+    ``at``: one point (d,), or one point per row (m, d).  No shape checks.
+
+    One row-wise ``einsum``: a row's value does not depend on the other
+    rows of the call, and ``(a - b)**2`` equals ``(b - a)**2`` exactly,
+    so callers may group the same pairs into calls however they like
+    and get the same bits.
+    """
+    diff = points - at
+    return np.einsum("ij,ij->i", diff, diff)
 
 
 def pairwise_distances(

@@ -16,7 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ann.distance import DistanceMetric, distances_to_query, pairwise_distances
+from repro.ann.distance import (
+    DistanceMetric,
+    distances_to_query,
+    pairwise_distances,
+    squared_euclidean,
+)
 from repro.ann.graph import ProximityGraph
 from repro.ann.search import (
     FrozenAdjacency,
@@ -84,9 +89,13 @@ class HNSWIndex(LockstepIndex):
         if n == 0:
             raise ValueError("cannot build an index over an empty dataset")
         self._rng = np.random.default_rng(self.params.seed)
-        # Build-time adjacency, _layers[l][v] -> list[int]; vertex
-        # present iff level(v) >= l.  _freeze() replaces it.
-        self._layers: list[dict[int, list[int]]] = [dict()]
+        # Build-time adjacency, one padded table per layer: row v of
+        # _tables[l] lists v's neighbors in order, its first
+        # _degrees[l][v] cells, and is padded with the sentinel n (the
+        # rows of vertices below level l stay empty).  _freeze() turns
+        # the finished tables into the search's FrozenAdjacency.
+        self._tables: list[np.ndarray] = []
+        self._degrees: list[np.ndarray] = []
         self.levels = np.zeros(n, dtype=np.int32)
         self.entry_point = 0
         self._build()
@@ -99,10 +108,7 @@ class HNSWIndex(LockstepIndex):
     def _build(self) -> None:
         n = self.vectors.shape[0]
         self.levels[0] = self._sample_level()
-        for _ in range(self.levels[0] + 1 - len(self._layers)):
-            self._layers.append(dict())
-        for layer in range(self.levels[0] + 1):
-            self._layers[layer][0] = []
+        self._add_layers(int(self.levels[0]))
         for v in range(1, n):
             self._insert(v)
         self._ensure_nearest_inlink()
@@ -110,16 +116,52 @@ class HNSWIndex(LockstepIndex):
         self._ensure_reachable()
         self._freeze()
 
-    def _freeze(self) -> None:
-        """Replace the build-time dict-of-list layers with
-        :class:`FrozenAdjacency` tables: layer 0 with a row per vertex,
-        the upper layers compact (only their own vertices)."""
+    def _add_layers(self, level: int) -> None:
+        """Give the build a table for every layer up to ``level``, each
+        one cell wider than its degree cap (an insertion appends before
+        it shrinks)."""
         n = self.vectors.shape[0]
-        base = self._layers[0]
-        self._frozen = [
-            FrozenAdjacency.from_lists(n, [base.get(v, ()) for v in range(n)])
-        ] + [FrozenAdjacency.from_mapping(n, layer) for layer in self._layers[1:]]
-        del self._layers
+        while len(self._tables) <= level:
+            cap = self.params.max_degree if self._tables else self.params.max_degree0
+            self._tables.append(np.full((n, cap + 1), n, dtype=np.int64))
+            self._degrees.append(np.zeros(n, dtype=np.int64))
+
+    def _row(self, layer: int, v: int) -> np.ndarray:
+        """The neighbors of ``v`` on ``layer``, without the padding."""
+        return self._tables[layer][v, : self._degrees[layer][v]]
+
+    def _set_row(self, layer: int, v: int, neighbors: list[int]) -> None:
+        """Make ``neighbors`` the row of ``v``, widening the table when
+        it is too narrow."""
+        table = self._tables[layer]
+        n, width = table.shape
+        if len(neighbors) > width:
+            wider = np.full((n, len(neighbors)), n, dtype=np.int64)
+            wider[:, :width] = table
+            self._tables[layer] = table = wider
+        table[v, : len(neighbors)] = neighbors
+        table[v, len(neighbors) :] = n
+        self._degrees[layer][v] = len(neighbors)
+
+    def _freeze(self) -> None:
+        """Wrap the build tables as :class:`FrozenAdjacency`, cut to
+        their widest row: layer 0 with a row per vertex, the upper
+        layers compact (only their own vertices, then one empty row)."""
+        n = self.vectors.shape[0]
+        self._frozen = []
+        for layer, (table, degrees) in enumerate(zip(self._tables, self._degrees)):
+            width = max(int(degrees.max()), 1)
+            if layer == 0:
+                frozen = FrozenAdjacency(np.ascontiguousarray(table[:, :width]), n)
+            else:
+                ids = np.flatnonzero(self.levels >= layer)
+                rows = np.full((ids.size + 1, width), n, dtype=np.int64)
+                rows[:-1] = table[ids, :width]
+                ids.flags.writeable = False
+                frozen = FrozenAdjacency(rows, n, ids)
+            frozen.table.flags.writeable = False
+            self._frozen.append(frozen)
+        del self._tables, self._degrees
 
     def _ensure_nearest_inlink(self) -> None:
         """Guarantee each vector an in-edge from its true nearest neighbor.
@@ -146,12 +188,11 @@ class HNSWIndex(LockstepIndex):
         required: dict[int, set[int]] = {}
         for v in range(n):
             required.setdefault(int(nearest[v]), set()).add(v)
-        adj = self._layers[0]
         cap = self.params.max_degree0
         for w, targets in required.items():
-            neigh = adj.setdefault(w, [])
-            neigh.extend(v for v in targets if v not in neigh)
-            if len(neigh) > cap:
+            neigh = self._row(0, w).tolist()
+            self._set_row(0, w, neigh + [v for v in targets if v not in neigh])
+            if self._degrees[0][w] > cap:
                 self._shrink(w, 0, cap, protect=targets)
 
     def _ensure_reachable(self) -> None:
@@ -164,25 +205,24 @@ class HNSWIndex(LockstepIndex):
         representative of its component to the pivot list (cheapest
         repair: no graph surgery, no degree-cap interactions).
         """
-        adj = self._layers[0]
+        table = self._tables[0]
         n = self.vectors.shape[0]
-        seen = np.zeros(n, dtype=bool)
-        stack = sorted({int(self.entry_point), *self._pivots})
-        for s in stack:
-            seen[s] = True
+        seen = np.zeros(n + 1, dtype=bool)
+        seen[n] = True  # the padding sentinel
+        frontier = np.array(sorted({int(self.entry_point), *self._pivots}))
+        seen[frontier] = True
         while True:
-            while stack:
-                u = stack.pop()
-                for w in adj.get(u, ()):
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
+            # Breadth-first, one gather of the frontier's rows per hop.
+            while frontier.size:
+                reached = table[frontier].ravel()
+                frontier = reached[~seen[reached]]
+                seen[frontier] = True
             if seen.all():
                 return
             rep = int(np.flatnonzero(~seen)[0])
             self._pivots.append(rep)
             seen[rep] = True
-            stack = [rep]
+            frontier = np.array([rep])
 
     def _select_pivots(self) -> list[int]:
         """Well-spread restart entries for layer-0 searches.
@@ -211,10 +251,10 @@ class HNSWIndex(LockstepIndex):
     def _search_layer(
         self, query: np.ndarray, entries: list[int], ef: int, layer: int
     ) -> list[tuple[float, int]]:
-        adj = self._layers[layer]
+        # The kernel reads the padded rows as they are.
         return greedy_beam_search(
             self.vectors,
-            lambda v: np.asarray(adj.get(v, ()), dtype=np.int64),
+            self._tables[layer].__getitem__,
             query,
             entries,
             ef,
@@ -224,8 +264,7 @@ class HNSWIndex(LockstepIndex):
     def _insert(self, v: int) -> None:
         level = self._sample_level()
         self.levels[v] = level
-        while len(self._layers) <= level:
-            self._layers.append(dict())
+        self._add_layers(level)
         query = self.vectors[v]
         top = self.levels[self.entry_point]
         entry = self.entry_point
@@ -239,43 +278,71 @@ class HNSWIndex(LockstepIndex):
             found = self._search_layer(query, entries, self.params.ef_construction, layer)
             m_cap = self.params.max_degree0 if layer == 0 else self.params.max_degree
             selected = self._select_neighbors(query, found, self.params.M)
-            adj = self._layers[layer]
-            adj[v] = [u for _, u in selected]
-            for dist_vu, u in selected:
-                adj.setdefault(u, []).append(v)
-                if len(adj[u]) > m_cap:
+            self._set_row(layer, v, [u for _, u in selected])
+            table, degrees = self._tables[layer], self._degrees[layer]
+            for _, u in selected:
+                # Append v; the table is one cell wider than the cap.
+                table[u, degrees[u]] = v
+                degrees[u] += 1
+                if degrees[u] > m_cap:
                     self._shrink(u, layer, m_cap)
             entries = [u for _, u in found]
-        for layer in range(int(top) + 1, level + 1):
-            self._layers[layer][v] = []
         if level > top:
             self.entry_point = v
 
     def _select_neighbors(
         self, query: np.ndarray, candidates: list[tuple[float, int]], m: int
     ) -> list[tuple[float, int]]:
-        """Algorithm 4 heuristic (or plain closest-m when disabled)."""
-        if not self.params.use_heuristic or len(candidates) <= m:
-            return sorted(candidates)[:m]
+        """Algorithm 4 heuristic (or plain closest-m when disabled).
+
+        Scanning the candidates nearest first, a candidate is skipped
+        when some already-selected vertex is closer to it than the
+        query is.  For EUCLIDEAN each selected vertex's distances to
+        all later candidates come as one :func:`squared_euclidean`
+        column, folded into a ``dominated`` mask: at most ``m`` calls
+        per selection, with the same bits as one call per candidate.
+        ANGULAR and INNER_PRODUCT make one call per candidate, because
+        a matrix-vector product over another row set may round
+        differently.
+        """
+        ordered = sorted(candidates)
+        if not self.params.use_heuristic or len(ordered) <= m:
+            return ordered[:m]
+        vectors = self.vectors
         selected: list[tuple[float, int]] = []
-        selected_ids: list[int] = []
-        for dist_q, u in sorted(candidates):
-            if len(selected) >= m:
-                break
-            if selected_ids:
-                d_us = distances_to_query(
-                    self.vectors[np.asarray(selected_ids, dtype=np.int64)],
-                    self.vectors[u],
-                    self.metric,
-                )
-                if float(d_us.min()) < dist_q:
+        if self.metric is DistanceMetric.EUCLIDEAN:
+            ids = np.array([u for _, u in ordered], dtype=np.int64)
+            bound = np.array([d for d, _ in ordered])
+            dominated = np.zeros(len(ordered), dtype=bool)
+            for j, pair in enumerate(ordered):
+                if len(selected) >= m:
+                    break
+                if dominated[j]:
                     continue
-            selected.append((dist_q, u))
-            selected_ids.append(u)
+                selected.append(pair)
+                if len(selected) < m:
+                    later = slice(j + 1, None)
+                    column = squared_euclidean(vectors[ids[later]], vectors[pair[1]])
+                    dominated[later] |= column < bound[later]
+        else:
+            selected_ids: list[int] = []
+            for dist_q, u in ordered:
+                if len(selected) >= m:
+                    break
+                if selected_ids:
+                    d_us = distances_to_query(
+                        vectors[np.asarray(selected_ids, dtype=np.int64)],
+                        vectors[u],
+                        self.metric,
+                    )
+                    if float(d_us.min()) < dist_q:
+                        continue
+                selected.append((dist_q, u))
+                selected_ids.append(u)
         # Fill up with skipped candidates if the heuristic was too strict.
         if len(selected) < m:
             chosen = {u for _, u in selected}
-            for dist_q, u in sorted(candidates):
+            for dist_q, u in ordered:
                 if len(selected) >= m:
                     break
                 if u not in chosen:
@@ -285,10 +352,9 @@ class HNSWIndex(LockstepIndex):
     def _shrink(
         self, u: int, layer: int, m_cap: int, protect: set[int] | frozenset = frozenset()
     ) -> None:
-        adj = self._layers[layer]
-        neigh = np.asarray(adj[u], dtype=np.int64)
+        neigh = self._row(layer, u)
         dists = distances_to_query(self.vectors[neigh], self.vectors[u], self.metric)
-        candidates = [(float(d), int(x)) for d, x in zip(dists, neigh)]
+        candidates = list(zip(dists.tolist(), neigh.tolist()))
         if protect:
             # Nearest-in-link edges survive the heuristic unconditionally
             # (the cap may be exceeded on pathological duplicate-heavy
@@ -303,7 +369,7 @@ class HNSWIndex(LockstepIndex):
             )
         else:
             kept = self._select_neighbors(self.vectors[u], candidates, m_cap)
-        adj[u] = [x for _, x in kept]
+        self._set_row(layer, u, [x for _, x in kept])
 
     # ---- search ----------------------------------------------------------------
     def _search_rows(

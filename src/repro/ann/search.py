@@ -17,9 +17,13 @@ Two kernels run that loop:
   against the queries' visited masks and computes their distances in
   one go.  HNSW, DiskANN and HCNNG search through it.
 * :func:`greedy_beam_search` runs one query over an adjacency callable.
-  Graph construction uses it (insertion mutates the adjacency, which
-  therefore cannot be frozen), TOGG uses its ``neighbor_filter``, and
-  the tests use it as the oracle the batch kernel matches bit for bit.
+  Graph construction runs it between edits of the graph, one insertion
+  at a time: HNSW hands it rows of its padded build tables, DiskANN's
+  Vamana loop its neighbor lists.  TOGG uses its ``neighbor_filter``.
+
+Both kernels give the same ``(distance, id)`` lists and traces for the
+same query and graph.  The tests pin each of them, bit for bit, to a
+copy of the original one-hop-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.ann.distance import DistanceMetric, distances_to_query
+from repro.ann.distance import DistanceMetric, distances_to_query, squared_euclidean
 from repro.ann.trace import SearchTrace, TraceRecorder
 
 #: Queries :meth:`LockstepIndex.search_batch` advances together, as one
@@ -71,8 +75,9 @@ def greedy_beam_search(
     vectors:
         (n, d) dataset.
     neighbors_of:
-        Callable ``vertex -> ndarray of neighbor IDs`` (lets HNSW pass a
-        per-layer adjacency and TOGG pass a filtered one).
+        Callable ``vertex -> int array of neighbor IDs`` (lets HNSW pass
+        a padded layer-table row and TOGG a neighbor list).  Rows may be
+        padded with the sentinel ``n``, which the kernel skips.
     entry_points:
         Initial candidate vertices.
     ef:
@@ -82,7 +87,8 @@ def greedy_beam_search(
         expanded vertex, carrying the newly computed neighbor IDs.
     neighbor_filter:
         Optional callable ``(current_vertex, neighbor_ids) -> neighbor_ids``
-        applied before distance computation (TOGG's guided stage).
+        applied, without the padding, before distance computation
+        (TOGG's guided stage).
     max_iterations:
         Optional safety cap on expansions.
 
@@ -94,61 +100,65 @@ def greedy_beam_search(
         raise ValueError("ef must be >= 1")
     if not entry_points:
         raise ValueError("need at least one entry point")
-
+    heappush, heappop = heapq.heappush, heapq.heappop
+    n = vectors.shape[0]
     entry_array = entry_order(entry_points)
-    entry_dists = distances_to_query(vectors[entry_array], query, metric)
-    # Visited bookkeeping as a dense bool mask: the per-expansion
-    # "which neighbors are new" filter becomes one vectorized gather
-    # instead of a per-edge Python set probe.
-    visited = np.zeros(vectors.shape[0], dtype=bool)
+    entry_ids = entry_array.tolist()
+    entry_dists = _query_distances(vectors[entry_array], query, metric).tolist()
+    # Visited bookkeeping as a dense bool mask, so the per-expansion
+    # "which neighbors are new" filter is one vectorized gather.  Its
+    # last slot, the padding sentinel, is always visited.
+    visited = np.zeros(n + 1, dtype=bool)
+    visited[n] = True
     visited[entry_array] = True
 
     # candidates: min-heap by distance; results: max-heap (negated).
     candidates: list[tuple[float, int]] = []
     results: list[tuple[float, int]] = []
-    for dist, vid in zip(entry_dists, entry_array):
-        heapq.heappush(candidates, (float(dist), int(vid)))
-        heapq.heappush(results, (-float(dist), int(vid)))
+    for dist, vid in zip(entry_dists, entry_ids):
+        heappush(candidates, (dist, vid))
+        heappush(results, (-dist, vid))
     while len(results) > ef:
-        heapq.heappop(results)
+        heappop(results)
     if recorder is not None:
-        recorder.record_iteration(int(entry_array[0]), entry_array.tolist())
+        recorder.record_iteration(entry_ids[0], entry_ids)
 
     iterations = 0
     while candidates:
-        dist, vertex = heapq.heappop(candidates)
-        worst = -results[0][0]
-        if dist > worst and len(results) >= ef:
+        dist, vertex = heappop(candidates)
+        if dist > -results[0][0] and len(results) >= ef:
             break
         if max_iterations is not None and iterations >= max_iterations:
             break
         iterations += 1
 
-        neigh = np.asarray(neighbors_of(vertex))
-        if neighbor_filter is not None and neigh.size:
-            neigh = np.asarray(neighbor_filter(vertex, neigh))
-        if neigh.size:
-            fresh_arr = neigh[~visited[neigh]].astype(np.int64)
-        else:
-            fresh_arr = neigh.astype(np.int64)
+        neigh = np.asarray(neighbors_of(vertex), dtype=np.int64)
+        if neighbor_filter is not None:
+            neigh = neigh[neigh != n]
+            if neigh.size:
+                neigh = np.asarray(neighbor_filter(vertex, neigh), dtype=np.int64)
+        fresh = neigh[~visited[neigh]]
         if recorder is not None:
-            recorder.record_iteration(vertex, fresh_arr)
-        if fresh_arr.size == 0:
+            recorder.record_iteration(vertex, fresh)
+        if not fresh.size:
             continue
-        visited[fresh_arr] = True
-        dists = distances_to_query(vectors[fresh_arr], query, metric)
+        visited[fresh] = True
+        dists = _query_distances(vectors[fresh], query, metric)
         worst = -results[0][0]
-        for d, u in zip(dists, fresh_arr):
-            d = float(d)
+        if len(results) >= ef:
+            # A full beam's worst only falls, so a neighbor at least as
+            # far as it is now would never be pushed: drop those at once.
+            near = dists < worst
+            fresh, dists = fresh[near], dists[near]
+        for d, u in zip(dists.tolist(), fresh.tolist()):
             if len(results) < ef or d < worst:
-                heapq.heappush(candidates, (d, int(u)))
-                heapq.heappush(results, (-d, int(u)))
+                heappush(candidates, (d, u))
+                heappush(results, (-d, u))
                 if len(results) > ef:
-                    heapq.heappop(results)
+                    heappop(results)
                 worst = -results[0][0]
 
-    ordered = sorted(((-d, v) for d, v in results))
-    return [(d, v) for d, v in ordered]
+    return sorted((-d, v) for d, v in results)
 
 
 @dataclass(frozen=True)
@@ -168,26 +178,14 @@ class FrozenAdjacency:
     vertex_ids: np.ndarray | None = None
 
     @classmethod
-    def from_lists(
-        cls, num_vertices: int, lists, vertex_ids=None
-    ) -> "FrozenAdjacency":
-        """Freeze ``lists[r]``, the neighbor list of row ``r``."""
+    def from_lists(cls, num_vertices: int, lists) -> "FrozenAdjacency":
+        """Freeze ``lists[v]``, the neighbor list of vertex ``v``."""
         width = max((len(neigh) for neigh in lists), default=0)
-        rows = len(lists) + (vertex_ids is not None)
-        table = np.full((rows, max(width, 1)), num_vertices, dtype=np.int64)
+        table = np.full((len(lists), max(width, 1)), num_vertices, dtype=np.int64)
         for r, neigh in enumerate(lists):
             table[r, : len(neigh)] = neigh
         table.flags.writeable = False
-        if vertex_ids is not None:
-            vertex_ids = np.array(vertex_ids, dtype=np.int64)
-            vertex_ids.flags.writeable = False
-        return cls(table, num_vertices, vertex_ids)
-
-    @classmethod
-    def from_mapping(cls, num_vertices: int, mapping) -> "FrozenAdjacency":
-        """A compact table of ``{vertex: neighbor list}``."""
-        ids = sorted(mapping)
-        return cls.from_lists(num_vertices, [mapping[v] for v in ids], ids)
+        return cls(table, num_vertices)
 
     def lists(self) -> dict[int, list[int]]:
         """``{vertex: neighbor list}``, without the padding."""
@@ -385,13 +383,10 @@ def _distances(vectors, queries, ids, rows, counts, metric) -> list[float]:
     ``ids`` holds ``counts[j]`` consecutive vertices of query ``rows[j]``
     (int64 arrays, or one-item lists for one query).
     """
+    if len(rows) == 1:
+        return _query_distances(vectors[ids], queries[rows[0]], metric).tolist()
     if metric is DistanceMetric.EUCLIDEAN:
-        # distances_to_query's arithmetic, minus its shape checks.
-        if len(rows) == 1:
-            diff = vectors[ids] - queries[rows[0]]
-        else:
-            diff = vectors[ids] - queries[rows.repeat(counts)]
-        return np.einsum("ij,ij->i", diff, diff).tolist()
+        return squared_euclidean(vectors[ids], queries[rows.repeat(counts)]).tolist()
     out: list[float] = []
     pos = 0
     for q, count in zip(list(rows), list(counts)):
@@ -400,6 +395,14 @@ def _distances(vectors, queries, ids, rows, counts, metric) -> list[float]:
             out += distances_to_query(segment, queries[q], metric).tolist()
             pos += count
     return out
+
+
+def _query_distances(points, query, metric) -> np.ndarray:
+    """:func:`distances_to_query` of one query, minus its shape checks
+    for EUCLIDEAN."""
+    if metric is DistanceMetric.EUCLIDEAN:
+        return squared_euclidean(points, query)
+    return distances_to_query(points, query, metric)
 
 
 def _trace_columns(rows, entries, sizes, fresh, m: int) -> list[tuple]:

@@ -1,13 +1,14 @@
-"""The lockstep batch kernel against the scalar beam search, its oracle.
+"""The lockstep batch kernel against the scalar oracle.
 
 :func:`beam_search_batch` must return, for every row of a batch, exactly
-what :func:`greedy_beam_search` returns for that query alone: the same
-``(distance, id)`` list (distance bytes included) and the same trace
-columns.  Hypothesis draws the awkward graphs: zero-degree vertices,
-duplicate neighbor IDs, self-loops, duplicate entry points, more entries
-than ``ef``, ``ef`` from 1 past ``n``, tie-heavy integer coordinates, all
-three metrics, float32 and float64 queries, groups from one query to more
-than one chunk, and ``max_iterations``.
+what the original scalar loop (``beam_oracle._scalar_oracle``) returns
+for that query alone: the same ``(distance, id)`` list (distance bytes
+included) and the same trace columns.  Hypothesis draws the awkward
+graphs: zero-degree vertices, duplicate neighbor IDs, self-loops,
+duplicate entry points, more entries than ``ef``, ``ef`` from 1 past
+``n``, tie-heavy integer coordinates, all three metrics, float32 and
+float64 queries, groups from one query to more than one chunk, and
+``max_iterations``.
 
 The second half pins batch-composition independence at the index level
 (batches span several chunks): a row searched alone, at any position, or
@@ -30,57 +31,19 @@ from repro.ann import (
     HNSWParams,
 )
 from repro.ann.distance import DistanceMetric
-from repro.ann.search import (
-    CHUNK_QUERIES,
-    FrozenAdjacency,
-    beam_search_batch,
-    greedy_beam_search,
-)
+from repro.ann.search import CHUNK_QUERIES, FrozenAdjacency, beam_search_batch
 from repro.ann.trace import TraceRecorder
 
-
-@st.composite
-def beam_case(draw):
-    """A random graph, a batch of queries with entries, and the knobs."""
-    n = draw(st.integers(1, 40))
-    dim = draw(st.integers(1, 6))
-    seed = draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
-    if draw(st.booleans()):
-        # Small integer coordinates: many exactly equal distances, so
-        # the (distance, id) tie-breaks are exercised.
-        vectors = rng.integers(-2, 3, size=(n, dim)).astype(np.float32)
-    else:
-        vectors = rng.normal(size=(n, dim)).astype(np.float32)
-    max_degree = draw(st.integers(0, 8))
-    lists = [
-        rng.integers(0, n, size=rng.integers(0, max_degree + 1)).tolist()
-        for _ in range(n)
-    ]  # duplicates, self-loops and empty lists all occur
-    batch = draw(st.sampled_from([1, 2, 3, 7, CHUNK_QUERIES + 3]))
-    dtype = draw(st.sampled_from([np.float32, np.float64]))
-    queries = rng.normal(size=(batch, dim)).astype(dtype)
-    entries = [
-        rng.integers(0, n, size=rng.integers(1, 6)).tolist() for _ in range(batch)
-    ]
-    return dict(
-        vectors=vectors,
-        lists=lists,
-        queries=queries,
-        entries=entries,
-        ef=draw(st.integers(1, n + 2)),
-        metric=draw(st.sampled_from(list(DistanceMetric))),
-        max_iterations=draw(st.one_of(st.none(), st.integers(0, 6))),
-    )
+from beam_oracle import _scalar_oracle, beam_case
 
 
 def _scalar(case):
-    """Each row through the scalar kernel: results and trace columns."""
+    """Each row through the scalar oracle: results and trace columns."""
     lists = case["lists"]
     out = []
     for query, entries in zip(case["queries"], case["entries"]):
         recorder = TraceRecorder()
-        results = greedy_beam_search(
+        results = _scalar_oracle(
             case["vectors"],
             lambda v: np.asarray(lists[v], dtype=np.int64),
             query,
@@ -180,7 +143,9 @@ class TestFrozenAdjacency:
         assert not adjacency.table.flags.writeable
 
     def test_compact_table_reads_missing_vertices_as_empty(self):
-        adjacency = FrozenAdjacency.from_mapping(10, {7: [2], 3: [7, 9]})
+        adjacency = FrozenAdjacency(
+            np.array([[7, 9], [2, 10], [10, 10]]), 10, np.array([3, 7])
+        )
         assert adjacency.vertex_ids.tolist() == [3, 7]
         assert adjacency.rows(np.array([7, 5, 3, 11])).tolist() == [
             [2, 10], [10, 10], [7, 9], [10, 10],
