@@ -26,55 +26,46 @@ layer at a time, on one synthetic corpus:
 Run:  PYTHONPATH=src python examples/online_serving.py
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.analysis.reporting import format_table
 from repro.ann import BruteForceIndex, recall_at_k
-from repro.core import NDSearchConfig
-from repro.data.synthetic import clustered_gaussian, split_queries
 from repro.serving import (
     AutoscalePolicy,
     BatchPolicy,
     FlashConfig,
     MMPPArrivals,
     PoissonArrivals,
-    QueryStream,
     RebalancePolicy,
     ServingConfig,
-    ServingFrontend,
-    build_router,
 )
+from repro.serving.scenario import Scenario
 from repro.serving.sharding import PARTITIONED
 
-CORPUS, DIM, POOL, REQUESTS, K = 1500, 24, 192, 600, 10
 SEED = 17
+#: Every section's run is a ``replace`` of this one recipe: a
+#: 1500 x 24 corpus, a 192-query pool, 600-request streams, one
+#: replicated device, and a cache-free coalescing frontend batching 32
+#: requests or 2 ms.
+BASE = Scenario(
+    corpus_size=1500, dim=24, corpus_seed=SEED, pool_size=192,
+    pool_seed=SEED + 1, router_seed=SEED, n_requests=600, stream_seed=SEED,
+    serving=ServingConfig(cache_capacity=0),
+)
+K = BASE.k
 
 
-def serve(
-    router, rate, *, mode="batch", zipf=0.0, cache=0, arrivals="poisson",
-    nprobe=None,
-):
-    process = (
-        PoissonArrivals(rate) if arrivals == "poisson" else MMPPArrivals(rate)
-    )
-    stream = QueryStream(
-        process,
-        pool_size=POOL,
-        n_requests=REQUESTS,
-        k=K,
-        zipf_exponent=zipf,
-        seed=SEED,
-    )
-    frontend = ServingFrontend(
-        router,
-        ServingConfig(
-            policy=BatchPolicy(max_batch_size=32, max_wait_s=2e-3, mode=mode),
-            cache_capacity=cache,
-            nprobe=nprobe,
-        ),
-    )
-    report = frontend.run(stream.generate(), serve.pool)
-    return report
+def at(rate, arrivals=PoissonArrivals, **changes):
+    """``BASE`` at ``rate`` QPS, with ``changes`` to its fields."""
+    return replace(BASE, arrivals=arrivals(rate), **changes)
+
+
+def serve(scenario, **serving):
+    """Serve ``scenario`` with ``serving`` changes to its frontend config."""
+    scenario = replace(scenario, serving=replace(scenario.serving, **serving))
+    return scenario.run()[0]
 
 
 def fmt(report, label):
@@ -94,40 +85,38 @@ HEADERS = ["scenario", "QPS", "p50 ms", "p99 ms", "batch", "hits", "util"]
 
 def main() -> None:
     print(__doc__)
-    vectors = clustered_gaussian(CORPUS, DIM, seed=SEED)
-    serve.pool = split_queries(vectors, POOL, seed=SEED + 1)
-    config = NDSearchConfig.scaled()
+    vectors, pool = BASE.vectors_and_pool()
 
     print("building device pools (1x and 4x replicated) ...\n")
-    solo = build_router(vectors, num_shards=1, config=config)
-    fleet = build_router(vectors, num_shards=4, config=config)
 
     # 1. Batching vs greedy under load: batching holds the tail.
     rows = []
     for rate in (500.0, 10000.0):
-        rows.append(fmt(serve(solo, rate, mode="greedy"), f"greedy @ {rate:g}"))
-        rows.append(fmt(serve(solo, rate, mode="batch"), f"batch  @ {rate:g}"))
+        for mode in ("greedy", "batch"):
+            report = serve(at(rate), policy=BatchPolicy(mode=mode))
+            rows.append(fmt(report, f"{mode:<6} @ {rate:g}"))
     print(format_table(HEADERS, rows, title="1. dynamic batching vs greedy (1 shard)"))
 
     # 2. Query skew + LRU cache: repeats answered at host latency.
+    skewed = at(2000.0, zipf_exponent=1.1)
     rows = [
-        fmt(serve(solo, 2000.0, zipf=0.0, cache=256), "uniform + cache"),
-        fmt(serve(solo, 2000.0, zipf=1.1, cache=0), "zipf 1.1, no cache"),
-        fmt(serve(solo, 2000.0, zipf=1.1, cache=256), "zipf 1.1 + cache"),
+        fmt(serve(at(2000.0), cache_capacity=256), "uniform + cache"),
+        fmt(serve(skewed), "zipf 1.1, no cache"),
+        fmt(serve(skewed, cache_capacity=256), "zipf 1.1 + cache"),
     ]
     print(format_table(HEADERS, rows, title="2. result cache under query skew"))
 
     # 3. Shard scaling under overload.
     rows = [
-        fmt(serve(solo, 10000.0), "1 shard @ 10k"),
-        fmt(serve(fleet, 10000.0), "4 shards @ 10k"),
+        fmt(serve(at(10000.0)), "1 shard @ 10k"),
+        fmt(serve(at(10000.0, num_shards=4)), "4 shards @ 10k"),
     ]
     print(format_table(HEADERS, rows, title="3. replicated shard scaling"))
 
     # 4. Burstiness: same mean rate, heavier tail.
     rows = [
-        fmt(serve(solo, 2000.0, arrivals="poisson"), "poisson @ 2k"),
-        fmt(serve(solo, 2000.0, arrivals="mmpp"), "mmpp    @ 2k"),
+        fmt(serve(at(2000.0)), "poisson @ 2k"),
+        fmt(serve(at(2000.0, MMPPArrivals)), "mmpp    @ 2k"),
     ]
     print(format_table(HEADERS, rows, title="4. bursty vs poisson arrivals"))
 
@@ -136,17 +125,16 @@ def main() -> None:
     # query only to the shards whose k-means centroids are nearest —
     # IVF nprobe lifted to the device pool.
     print("building partitioned pool (4 shards, k-means split) ...\n")
-    parts = build_router(
-        vectors, num_shards=4, config=config, mode=PARTITIONED, seed=SEED
-    )
-    gt, _ = BruteForceIndex(vectors).search_batch(serve.pool, K)
+    parts = at(2000.0, num_shards=4, mode=PARTITIONED)
+    router = parts.router()
+    gt, _ = BruteForceIndex(vectors).search_batch(pool, K)
     rows = []
     for nprobe in (None, 1, 2, 4):
         if nprobe is None:
-            ids, _, _ = parts.search_all(serve.pool, K)
+            ids, _, _ = router.search_all(pool, K)
         else:
-            ids, _, _ = parts.search_probed(serve.pool, K, nprobe)
-        report = serve(parts, 2000.0, nprobe=nprobe)
+            ids, _, _ = router.search_probed(pool, K, nprobe)
+        report = serve(parts, nprobe=nprobe)
         label = "broadcast" if nprobe is None else f"nprobe={nprobe}"
         rows.append(
             fmt(report, label)
@@ -164,31 +152,18 @@ def main() -> None:
     # 6. SLO-aware serving: deadlines drive batch closing, priorities
     # drive shedding, and the replica pool scales itself.
     print("6a. slo policy vs fixed max-wait (2 ms high-priority deadline)\n")
-
-    def serve_slo(mode, margin=0.0):
-        stream = QueryStream(
-            PoissonArrivals(4000.0), pool_size=POOL, n_requests=REQUESTS,
-            k=K, zipf_exponent=0.0, seed=SEED, priorities=(0, 1),
-            priority_weights=(0.75, 0.25), slo_s={1: 2e-3, 0: 8e-3},
-        )
-        frontend = ServingFrontend(
-            solo,
-            ServingConfig(
-                policy=BatchPolicy(
-                    max_batch_size=32, max_wait_s=20e-3, mode=mode,
-                    slo_margin_s=margin,
-                ),
-                cache_capacity=0,
-                coalesce=False,
-            ),
-        )
-        return frontend.run(stream.generate(), serve.pool)
-
+    two_class = at(
+        4000.0, priorities=(0, 1), priority_weights=(0.75, 0.25),
+        slo_s={1: 2e-3, 0: 8e-3},
+    )
     rows = []
-    for label, report in (
-        ("max-wait 20ms", serve_slo("batch")),
-        ("slo policy", serve_slo("slo", margin=3e-4)),
+    for label, policy in (
+        ("max-wait 20ms", BatchPolicy(max_wait_s=20e-3)),
+        ("slo policy", BatchPolicy(
+            max_wait_s=20e-3, mode="slo", slo_margin_s=3e-4
+        )),
     ):
+        report = serve(two_class, policy=policy, coalesce=False)
         rows.append(
             [
                 label,
@@ -216,22 +191,10 @@ def main() -> None:
             high_utilization=0.7, high_queue_depth=8.0,
         )),
     ):
-        pool_router = build_router(vectors, num_shards=1, config=config)
-        stream = QueryStream(
-            PoissonArrivals(25000.0), pool_size=POOL, n_requests=REQUESTS,
-            k=K, zipf_exponent=0.0, seed=SEED,
+        report = serve(
+            at(25000.0), policy=BatchPolicy(max_batch_size=4),
+            coalesce=False, admission_capacity=48, autoscale=autoscale,
         )
-        frontend = ServingFrontend(
-            pool_router,
-            ServingConfig(
-                policy=BatchPolicy(max_batch_size=4, max_wait_s=2e-3),
-                cache_capacity=0,
-                coalesce=False,
-                admission_capacity=48,
-                autoscale=autoscale,
-            ),
-        )
-        report = frontend.run(stream.generate(), serve.pool)
         rows.append(
             [
                 label,
@@ -255,6 +218,16 @@ def main() -> None:
     # devices (data movement booked on both device timelines, routing
     # flipped atomically when it lands) levels the pool.
     print("7. rebalancing a partitioned pool under Zipfian skew\n")
+    hot = replace(
+        at(
+            16000.0, num_shards=4, mode=PARTITIONED, clusters_per_shard=2,
+            zipf_exponent=1.2, slo_s=4e-3,
+        ),
+        serving=ServingConfig(
+            policy=BatchPolicy(max_batch_size=16), cache_capacity=0,
+            coalesce=False, nprobe=1,
+        ),
+    )
     rows = []
     for label, policy in (
         ("static placement", None),
@@ -262,25 +235,7 @@ def main() -> None:
             interval_s=2e-3, skew_threshold=0.25, migration_gbps=1.0,
         )),
     ):
-        part_router = build_router(
-            vectors, num_shards=4, config=config, mode=PARTITIONED,
-            seed=SEED, clusters_per_shard=2,
-        )
-        stream = QueryStream(
-            PoissonArrivals(16000.0), pool_size=POOL, n_requests=REQUESTS,
-            k=K, zipf_exponent=1.2, seed=SEED, slo_s=4e-3,
-        )
-        frontend = ServingFrontend(
-            part_router,
-            ServingConfig(
-                policy=BatchPolicy(max_batch_size=16, max_wait_s=2e-3),
-                cache_capacity=0,
-                coalesce=False,
-                nprobe=1,
-                rebalance=policy,
-            ),
-        )
-        report = frontend.run(stream.generate(), serve.pool)
+        report = serve(hot, rebalance=policy)
         rows.append(
             [
                 label,
@@ -310,25 +265,13 @@ def main() -> None:
 
     from repro.obs import SpanTracer
 
-    plain = serve(build_router(vectors, num_shards=1, config=config),
-                  12000.0, arrivals="mmpp")
+    bursty = at(12000.0, MMPPArrivals)
+    plain = serve(bursty)
     tracer = SpanTracer()
-    stream = QueryStream(
-        MMPPArrivals(12000.0), pool_size=POOL, n_requests=REQUESTS, k=K,
-        zipf_exponent=0.0, seed=SEED,
-    )
-    frontend = ServingFrontend(
-        build_router(vectors, num_shards=1, config=config),
-        ServingConfig(
-            policy=BatchPolicy(max_batch_size=32, max_wait_s=2e-3),
-            cache_capacity=0,
-            metrics_window_s=2e-3,
-        ),
-        tracer=tracer,
-    )
-    traced = frontend.run(stream.generate(), serve.pool)
+    traced, _ = replace(
+        bursty, serving=replace(bursty.serving, metrics_window_s=2e-3)
+    ).run(tracer)
     assert traced.qps == plain.qps and traced.latency_p99_s == plain.latency_p99_s
-
     trace_path = tempfile.gettempdir() + "/online_serving_trace.json"
     tracer.write(trace_path)
     phases = {}
@@ -377,25 +320,7 @@ def main() -> None:
             read_disturb_threshold=200, ecc_hard_failure_prob=0.05,
         )),
     ):
-        part_router = build_router(
-            vectors, num_shards=4, config=config, mode=PARTITIONED,
-            seed=SEED, clusters_per_shard=2,
-        )
-        stream = QueryStream(
-            PoissonArrivals(16000.0), pool_size=POOL, n_requests=REQUESTS,
-            k=K, zipf_exponent=1.2, seed=SEED, slo_s=4e-3,
-        )
-        frontend = ServingFrontend(
-            part_router,
-            ServingConfig(
-                policy=BatchPolicy(max_batch_size=16, max_wait_s=2e-3),
-                cache_capacity=0,
-                coalesce=False,
-                nprobe=1,
-                flash=flash,
-            ),
-        )
-        reports[label] = frontend.run(stream.generate(), serve.pool)
+        reports[label] = serve(hot, flash=flash)
         summary = reports[label].flash
         rows.append(
             [

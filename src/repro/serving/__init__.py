@@ -60,7 +60,7 @@ Typical use::
 
 Or from the shell::
 
-    python -m repro.serving --rate 200 --shards 4 --policy batch
+    python -m repro.serving --set arrivals.rate_qps=200 --set num_shards=4
 
 Everything runs on a simulated clock — service times come from the
 SearSSD/baseline timing models — so runs are fast and deterministic.

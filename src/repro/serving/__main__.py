@@ -1,15 +1,27 @@
 """Demo CLI for the online serving subsystem.
 
-Serve a synthetic workload end-to-end and print the serving report::
+A run is one :class:`~repro.serving.scenario.Scenario`: ``--scenario
+NAME`` starts from a :data:`~repro.serving.scenario.SCENARIOS` entry
+(without it, from :data:`DEMO`), and each repeatable ``--set
+PATH=VALUE`` overrides one field, dotted through the nested configs.
+``VALUE`` is JSON, or a plain string when it is not JSON; a JSON object
+builds a whole config (``{}`` gives its defaults, ``null`` turns an
+optional one off).  Serve it end-to-end and print the serving report::
 
-    python -m repro.serving --rate 200 --shards 4 --policy batch
-    python -m repro.serving --rate 2000 --shards 8 --arrivals mmpp \\
-        --mode partitioned --backend ndsearch
+    python -m repro.serving --set arrivals.rate_qps=2000 --set num_shards=8
+    python -m repro.serving --set mode=partitioned --set serving.nprobe=2 \\
+        --set 'arrivals={"type": "MMPPArrivals", "rate_qps": 2000}'
+    python -m repro.serving --scenario slo-deadline-4ms \\
+        --set serving.priority_admission=true
 
-Observability (see :mod:`repro.obs`): ``--trace out.json`` records the
-run's request/batch/stage spans as a Chrome trace-event file,
-``--metrics-window-ms 5`` closes windowed metrics on 5 ms event-time
-windows, and ``--report-json report.json`` dumps the full report.
+An invalid recipe (slo batching without deadlines, ``nprobe`` on a
+replicated pool, ...) is rejected when the scenario is constructed,
+with a message naming the field.  Observability (see
+:mod:`repro.obs`): ``--trace out.json`` records the run's
+request/batch/stage spans as a Chrome trace-event file, ``--set
+serving.metrics_window_s=0.005`` closes windowed metrics on 5 ms
+event-time windows, and ``--report-json report.json`` dumps the full
+report.
 
 Digital-twin mode (see :mod:`repro.serving.twin`): ``--emit-arrivals
 trace.jsonl`` writes the generated arrival stream as JSONL, and
@@ -19,8 +31,9 @@ last windows with nprobe=1 / +2 replicas / rebalancing on") by
 restoring the newest unaffected checkpoint and re-simulating only the
 changed suffix::
 
-    repro-serve --emit-arrivals trace.jsonl --rate 2000 --requests 400
-    repro-serve --follow trace.jsonl --mode partitioned --window-ms 20 \\
+    repro-serve --emit-arrivals trace.jsonl --set arrivals.rate_qps=2000 \\
+        --set n_requests=400
+    repro-serve --follow trace.jsonl --set mode=partitioned --window-ms 20 \\
         --whatif nprobe=1 --whatif nprobe=2 --twin-selftest \\
         --twin-report twin.json
 
@@ -36,20 +49,27 @@ import argparse
 import json
 import sys
 
-from repro import platform as platform_registry
 from repro.ann import BruteForceIndex, HNSWIndex, HNSWParams, recall_at_k
 from repro.core import NDSearch
 from repro.obs import SpanTracer
-from repro.serving.arrivals import MMPPArrivals, PoissonArrivals
-from repro.serving.autoscale import AutoscalePolicy
-from repro.serving.batcher import POLICY_MODES, BatchPolicy
+from repro.serving.arrivals import PoissonArrivals
 from repro.serving.frontend import ServingConfig
 from repro.serving.rebalance import RebalancePolicy
 from repro.serving.request import Request
-from repro.serving.scenario import Scenario
-from repro.serving.sharding import REPLICATED, SHARD_MODES
-from repro.serving.storage import FlashConfig
+from repro.serving.scenario import SCENARIOS, Scenario, with_settings
+from repro.serving.sharding import REPLICATED
 from repro.serving.twin import ServingTwin
+
+#: The run without ``--scenario``: a 2000 x 32 corpus on 4 replicated
+#: shards, 1500 Zipf-1.0 requests at 200 QPS through a 512-entry
+#: result cache.  Not a :data:`SCENARIOS` entry, whose digests the
+#: surface goldens pin.
+DEMO = Scenario(
+    corpus_size=2000, dim=32, corpus_seed=7, pool_size=256, pool_seed=8,
+    num_shards=4, router_seed=7, arrivals=PoissonArrivals(200.0),
+    n_requests=1500, zipf_exponent=1.0, stream_seed=7,
+    serving=ServingConfig(cache_capacity=512),
+)
 
 
 # ---- digital-twin helpers ------------------------------------------------
@@ -186,7 +206,7 @@ def _run_follow(args, parser, scenario, pool, tracer):
         parser.error(f"--follow {args.follow}: no arrivals")
     if max(r.query_id for r in arrivals) >= pool.shape[0]:
         parser.error(
-            f"--follow {args.follow}: query_id exceeds --pool "
+            f"--follow {args.follow}: query_id exceeds pool_size "
             f"{pool.shape[0]}"
         )
     try:
@@ -260,119 +280,34 @@ def main(argv: list[str] | None = None) -> int:
         prog="python -m repro.serving",
         description="Online serving demo over the NDSearch simulators.",
     )
-    parser.add_argument("--rate", type=float, default=200.0,
-                        help="mean arrival rate in QPS (default 200)")
-    parser.add_argument("--requests", type=int, default=1500,
-                        help="stream length (default 1500)")
-    parser.add_argument("--shards", type=int, default=4,
-                        help="shard device count (default 4)")
-    parser.add_argument("--policy", choices=POLICY_MODES, default="batch",
-                        help="batching policy (default batch; 'slo' closes "
-                             "on predicted deadline breach)")
-    parser.add_argument("--batch-size", type=int, default=32,
-                        help="max batch size (default 32)")
-    parser.add_argument("--max-wait-ms", type=float, default=2.0,
-                        help="max batching wait in ms (default 2)")
-    parser.add_argument("--slo-ms", type=float, default=None,
-                        help="completion deadline in ms attached to every "
-                             "request (default: no deadlines)")
-    parser.add_argument("--tight-slo-ms", type=float, default=None,
-                        help="deadline for the high-priority class; "
-                             "implies two priority classes (see --high-frac)")
-    parser.add_argument("--high-frac", type=float, default=0.2,
-                        help="fraction of requests in the high-priority "
-                             "class when --tight-slo-ms is set (default 0.2)")
-    parser.add_argument("--slo-margin-ms", type=float, default=0.0,
-                        help="slo policy: close this much earlier than the "
-                             "predicted breach (absorbs model error)")
-    parser.add_argument("--priority-admission", action="store_true",
-                        help="shed lowest-priority/latest-deadline work "
-                             "first instead of arrival order")
-    parser.add_argument("--autoscale", action="store_true",
-                        help="autoscale the replicated pool between epochs "
-                             "(replicated mode only)")
-    parser.add_argument("--autoscale-max", type=int, default=8,
-                        help="autoscaler replica ceiling (default 8)")
-    parser.add_argument("--autoscale-interval-ms", type=float, default=50.0,
-                        help="autoscaler epoch length in ms (default 50)")
-    parser.add_argument("--mode", choices=SHARD_MODES, default=REPLICATED,
-                        help="shard layout (default replicated)")
-    parser.add_argument("--nprobe", type=int, default=None,
-                        help="partitioned mode: probe only the nprobe "
-                             "nearest clusters per query "
-                             "(default: broadcast to all)")
-    parser.add_argument("--clusters-per-shard", type=int, default=1,
-                        help="partitioned mode: IVF clusters per shard "
-                             "device (default 1; >1 gives the rebalancer "
-                             "migration granularity)")
-    parser.add_argument("--rebalance", action="store_true",
-                        help="migrate hot IVF clusters to cold shard "
-                             "devices between epochs (partitioned mode "
-                             "only)")
-    parser.add_argument("--rebalance-interval-ms", type=float, default=2.0,
-                        help="rebalancer epoch length in ms (default 2)")
-    parser.add_argument("--rebalance-skew", type=float, default=0.25,
-                        help="hot-minus-cold windowed utilization gap "
-                             "that triggers a migration (default 0.25)")
-    parser.add_argument("--migration-gbps", type=float, default=1.0,
-                        help="cluster data-movement bandwidth in GB/s "
-                             "(default 1)")
-    parser.add_argument("--flash", action="store_true",
-                        help="serve through a live FTL + ECC under every "
-                             "device: reads accumulate disturb, GC refresh "
-                             "pauses shape the tail, migrations charge "
-                             "program/erase")
-    parser.add_argument("--flash-threshold", type=int, default=None,
-                        help="read-disturb refresh threshold in page reads "
-                             "per block (default: the FlashConfig default; "
-                             "lower it to see refreshes at demo volumes)")
-    parser.add_argument("--backend", default="ndsearch",
-                        choices=platform_registry.available(),
-                        help="platform behind the frontend (default ndsearch)")
-    parser.add_argument("--blocking-devices", action="store_true",
-                        help="disable pipelined shard stages "
-                             "(one batch at a time per device)")
-    parser.add_argument("--no-coalesce", action="store_true",
-                        help="disable coalescing of identical "
-                             "in-flight queries")
-    parser.add_argument("--arrivals", choices=("poisson", "mmpp"),
-                        default="poisson", help="arrival process")
-    parser.add_argument("--zipf", type=float, default=1.0,
-                        help="query popularity skew exponent (default 1.0)")
-    parser.add_argument("--cache", type=int, default=512,
-                        help="result-cache entries, 0 disables (default 512)")
-    parser.add_argument("--admission", type=int, default=None,
-                        help="max in-system requests (default unbounded)")
-    parser.add_argument("--corpus", type=int, default=2000,
-                        help="synthetic corpus size (default 2000)")
-    parser.add_argument("--dim", type=int, default=32,
-                        help="vector dimensionality (default 32)")
-    parser.add_argument("--pool", type=int, default=256,
-                        help="distinct queries in the pool (default 256)")
-    parser.add_argument("--k", type=int, default=10,
-                        help="results per query (default 10)")
-    parser.add_argument("--seed", type=int, default=7, help="stream seed")
+    parser.add_argument("--scenario", choices=sorted(SCENARIOS),
+                        default=None,
+                        help="start from this registry recipe (default: "
+                             "the 2000 x 32 demo, 4 replicated shards, "
+                             "200 QPS)")
+    parser.add_argument("--set", action="append", default=[],
+                        metavar="PATH=VALUE",
+                        help="override a Scenario field, dotted through "
+                             "nested configs (serving.policy.mode=slo); "
+                             "VALUE is JSON or a plain string, a JSON "
+                             "object builds a config (repeatable)")
     parser.add_argument("--trace", metavar="PATH", default=None,
                         help="record request/batch/stage spans and write a "
                              "Chrome trace-event JSON file (load it in "
                              "Perfetto or chrome://tracing)")
-    parser.add_argument("--metrics-window-ms", type=float, default=None,
-                        help="close windowed metrics (queue depth, per-device "
-                             "utilization, p99, shed rate) on this event-time "
-                             "window and include the time series in the "
-                             "report")
     parser.add_argument("--report-json", metavar="PATH", default=None,
                         help="write the full serving report as JSON")
-    parser.add_argument("--emit-arrivals", metavar="PATH", default=None,
-                        help="write the generated arrival stream as JSONL "
-                             "(one request per line) and exit — the input "
-                             "format --follow replays")
-    parser.add_argument("--follow", metavar="PATH", default=None,
-                        help="digital-twin mode: ingest a JSONL arrival "
-                             "stream incrementally, checkpoint the full "
-                             "simulation state every --window-ms, and "
-                             "answer --whatif queries by re-simulating "
-                             "only the changed suffix")
+    outputs = parser.add_mutually_exclusive_group()
+    outputs.add_argument("--emit-arrivals", metavar="PATH", default=None,
+                         help="write the generated arrival stream as JSONL "
+                              "(one request per line) and exit — the input "
+                              "format --follow replays")
+    outputs.add_argument("--follow", metavar="PATH", default=None,
+                         help="digital-twin mode: ingest a JSONL arrival "
+                              "stream incrementally, checkpoint the full "
+                              "simulation state every --window-ms, and "
+                              "answer --whatif queries by re-simulating "
+                              "only the changed suffix")
     parser.add_argument("--window-ms", type=float, default=50.0,
                         help="twin checkpoint window in ms (default 50)")
     parser.add_argument("--whatif", action="append", default=[],
@@ -390,117 +325,27 @@ def main(argv: list[str] | None = None) -> int:
                              "and repeated what-ifs hit the content-"
                              "addressed cache (exit 1 otherwise)")
     args = parser.parse_args(argv)
-    if args.follow and args.emit_arrivals:
-        parser.error("--follow and --emit-arrivals are mutually exclusive")
     if (args.whatif or args.twin_report or args.twin_selftest) \
             and not args.follow:
         parser.error("--whatif/--twin-report/--twin-selftest need --follow")
-    if args.nprobe is not None and args.mode == REPLICATED:
-        parser.error("--nprobe requires --mode partitioned")
-    if args.autoscale and args.mode != REPLICATED:
-        parser.error("--autoscale requires --mode replicated")
-    if args.rebalance and args.mode == REPLICATED:
-        parser.error("--rebalance requires --mode partitioned")
-    if args.clusters_per_shard > 1 and args.mode == REPLICATED:
-        parser.error("--clusters-per-shard requires --mode partitioned")
-    if args.policy == "slo" and args.slo_ms is None and args.tight_slo_ms is None:
-        parser.error("--policy slo needs --slo-ms and/or --tight-slo-ms")
-    if args.flash_threshold is not None and not args.flash:
-        parser.error("--flash-threshold requires --flash")
+    try:
+        scenario = with_settings(
+            SCENARIOS[args.scenario] if args.scenario else DEMO, args.set
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
 
-    # Priority classes: one best-effort/base class, plus a high class
-    # when a tight SLO is requested.
-    priorities: tuple[int, ...] = (0,)
-    weights = None
-    slo_s: float | dict[int, float] | None = (
-        args.slo_ms * 1e-3 if args.slo_ms is not None else None
-    )
-    if args.tight_slo_ms is not None:
-        if not 0.0 < args.high_frac < 1.0:
-            parser.error("--high-frac must be in (0, 1)")
-        priorities = (0, 1)
-        weights = (1.0 - args.high_frac, args.high_frac)
-        slo_s = {1: args.tight_slo_ms * 1e-3}
-        if args.slo_ms is not None:
-            slo_s[0] = args.slo_ms * 1e-3
-
+    serving = scenario.serving
     routing = ""
-    if args.mode != REPLICATED:
+    if scenario.mode != REPLICATED:
         routing = (
-            f", nprobe {args.nprobe}" if args.nprobe is not None
+            f", nprobe {serving.nprobe}" if serving.nprobe is not None
             else ", broadcast"
         )
     print(
-        f"corpus {args.corpus} x {args.dim}, pool {args.pool} queries, "
-        f"{args.shards} x {args.backend} shard(s) [{args.mode}{routing}]"
-    )
-    flash = None
-    if args.flash:
-        flash = (
-            FlashConfig(read_disturb_threshold=args.flash_threshold)
-            if args.flash_threshold is not None
-            else FlashConfig()
-        )
-    scenario = Scenario(
-        corpus_size=args.corpus,
-        dim=args.dim,
-        corpus_seed=args.seed,
-        pool_size=args.pool,
-        pool_seed=args.seed + 1,
-        num_shards=args.shards,
-        mode=args.mode,
-        platform=args.backend,
-        router_seed=args.seed,
-        clusters_per_shard=args.clusters_per_shard,
-        arrivals=(
-            PoissonArrivals(args.rate)
-            if args.arrivals == "poisson"
-            else MMPPArrivals(args.rate)
-        ),
-        n_requests=args.requests,
-        k=args.k,
-        zipf_exponent=args.zipf,
-        stream_seed=args.seed,
-        priorities=priorities,
-        priority_weights=weights,
-        slo_s=slo_s,
-        serving=ServingConfig(
-            policy=BatchPolicy(
-                max_batch_size=args.batch_size,
-                max_wait_s=args.max_wait_ms * 1e-3,
-                mode=args.policy,
-                slo_margin_s=args.slo_margin_ms * 1e-3,
-            ),
-            cache_capacity=args.cache,
-            admission_capacity=args.admission,
-            pipelined=not args.blocking_devices,
-            coalesce=not args.no_coalesce,
-            nprobe=args.nprobe,
-            priority_admission=args.priority_admission,
-            autoscale=(
-                AutoscalePolicy(
-                    max_replicas=args.autoscale_max,
-                    interval_s=args.autoscale_interval_ms * 1e-3,
-                )
-                if args.autoscale
-                else None
-            ),
-            rebalance=(
-                RebalancePolicy(
-                    interval_s=args.rebalance_interval_ms * 1e-3,
-                    skew_threshold=args.rebalance_skew,
-                    migration_gbps=args.migration_gbps,
-                )
-                if args.rebalance
-                else None
-            ),
-            flash=flash,
-            metrics_window_s=(
-                args.metrics_window_ms * 1e-3
-                if args.metrics_window_ms is not None
-                else None
-            ),
-        ),
+        f"corpus {scenario.corpus_size} x {scenario.dim}, pool "
+        f"{scenario.pool_size} queries, {scenario.num_shards} x "
+        f"{scenario.platform} shard(s) [{scenario.mode}{routing}]"
     )
     if args.emit_arrivals:
         requests = scenario.requests()
@@ -515,9 +360,11 @@ def main(argv: list[str] | None = None) -> int:
         return _run_follow(args, parser, scenario, pool, tracer)
     frontend = scenario.frontend(tracer)
     router = frontend.router
+    arrivals = type(scenario.arrivals).__name__.removesuffix("Arrivals")
     print(
-        f"serving {args.requests} requests at {args.rate:g} QPS "
-        f"({args.arrivals}, zipf {args.zipf:g}) ..."
+        f"serving {scenario.n_requests} requests at "
+        f"{scenario.arrivals.rate_qps:g} QPS ({arrivals.lower()}, zipf "
+        f"{scenario.zipf_exponent:g}) ..."
     )
     report = frontend.run(scenario.requests(), pool)
     if tracer is not None:
@@ -534,8 +381,8 @@ def main(argv: list[str] | None = None) -> int:
             f"{report.timeseries['window_s'] * 1e3:g} ms"
         )
     title = (
-        f"serving: {args.backend} x{args.shards} {args.mode}, "
-        f"policy={args.policy}"
+        f"serving: {scenario.platform} x{scenario.num_shards} "
+        f"{scenario.mode}, policy={serving.policy.mode}"
     )
     print()
     print(report.format(title=title))
@@ -559,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"  priority {priority}: attainment {stats['attainment']:.1%} "
                 f"({stats['served']:.0f} served, {stats['shed']:.0f} shed)"
             )
-    if args.autoscale:
+    if serving.autoscale is not None:
         print(
             f"autoscaling: {len(report.scale_events)} scale events, "
             f"final {report.replicas_final} replicas"
@@ -571,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"({event['reason']}: util {event['utilization']:.0%}, "
                 f"queue {event['queue_depth']:.1f})"
             )
-    if args.rebalance:
+    if serving.rebalance is not None:
         moved = sum(e["bytes"] for e in report.rebalance_events)
         print(
             f"rebalancing: {len(report.rebalance_events)} migrations, "
@@ -587,7 +434,7 @@ def main(argv: list[str] | None = None) -> int:
                 f"{event['complete_s'] * 1e3:.2f} ms)"
             )
 
-    if args.flash and report.flash is not None:
+    if report.flash is not None:
         summary = report.flash
         print(
             f"flash: {summary['page_reads']} page reads, "
@@ -608,21 +455,21 @@ def main(argv: list[str] | None = None) -> int:
 
     # ---- parity check: sharded vs. unsharded results --------------------
     print("\nparity check: sharded pool vs. unsharded NDSearch ...")
-    sharded_ids, _, _ = router.search_all(pool, args.k)
+    sharded_ids, _, _ = router.search_all(pool, scenario.k)
     system = NDSearch(
         index=HNSWIndex(vectors, HNSWParams(M=8, ef_construction=48)),
         config=scenario.config,
     )
-    unsharded_ids, _, _ = system.search_batch(pool, args.k)
-    gt, _ = BruteForceIndex(vectors).search_batch(pool, args.k)
-    recall_sharded = recall_at_k(sharded_ids, gt, args.k)
-    recall_unsharded = recall_at_k(unsharded_ids, gt, args.k)
+    unsharded_ids, _, _ = system.search_batch(pool, scenario.k)
+    gt, _ = BruteForceIndex(vectors).search_batch(pool, scenario.k)
+    recall_sharded = recall_at_k(sharded_ids, gt, scenario.k)
+    recall_unsharded = recall_at_k(unsharded_ids, gt, scenario.k)
     diff = abs(recall_sharded - recall_unsharded)
     print(
-        f"recall@{args.k}: sharded {recall_sharded:.4f}, "
+        f"recall@{scenario.k}: sharded {recall_sharded:.4f}, "
         f"unsharded {recall_unsharded:.4f}, |diff| {diff:.2e}"
     )
-    if args.mode == REPLICATED:
+    if scenario.mode == REPLICATED:
         if diff > 1e-6:
             print("FAIL: replicated sharding changed results", file=sys.stderr)
             return 1
@@ -633,11 +480,11 @@ def main(argv: list[str] | None = None) -> int:
         # step, against the broadcast (= nprobe = num_clusters) result.
         print("\nrecall vs nprobe (selective cluster probing):")
         for nprobe in range(1, router.num_clusters + 1):
-            probe_ids, _, jobs = router.search_probed(pool, args.k, nprobe)
-            probe_recall = recall_at_k(probe_ids, gt, args.k)
+            probe_ids, _, jobs = router.search_probed(pool, scenario.k, nprobe)
+            probe_recall = recall_at_k(probe_ids, gt, scenario.k)
             probed = sum(int(job.rows.size) for job in jobs)
             print(
-                f"  nprobe {nprobe}: recall@{args.k} {probe_recall:.4f} "
+                f"  nprobe {nprobe}: recall@{scenario.k} {probe_recall:.4f} "
                 f"({probed / pool.shape[0]:.2f} shards probed/query; "
                 f"broadcast recall {recall_sharded:.4f}, "
                 f"replicated baseline {recall_unsharded:.4f})"

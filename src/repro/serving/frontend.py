@@ -193,6 +193,42 @@ class ServingConfig:
     Observe-only: enabling windows never changes a run's behavior."""
 
 
+def check_deployment(
+    config: ServingConfig, mode: str, num_shards: int, num_clusters: int
+) -> None:
+    """Reject a :class:`ServingConfig` the deployment cannot serve.
+
+    Checks only what the configuration and the pool's shape decide, so
+    a :class:`~repro.serving.scenario.Scenario` rejects a bad recipe
+    when it is constructed, before any router is built.
+    """
+    if config.nprobe is not None:
+        if mode != PARTITIONED:
+            raise ValueError("nprobe requires a partitioned pool")
+        if not 1 <= config.nprobe <= num_clusters:
+            raise ValueError(
+                f"nprobe must be in [1, {num_clusters}], got {config.nprobe}"
+            )
+    if config.autoscale is not None:
+        if mode != REPLICATED:
+            raise ValueError(
+                "autoscaling requires a replicated pool (partitioned "
+                "pools rebalance by data movement instead — see "
+                "ServingConfig.rebalance)"
+            )
+        if num_shards > config.autoscale.max_replicas:
+            raise ValueError(
+                f"the pool has {num_shards} replicas but the autoscale "
+                f"policy caps it at {config.autoscale.max_replicas}; raise "
+                f"max_replicas or build a smaller pool"
+            )
+    if config.rebalance is not None and mode != PARTITIONED:
+        raise ValueError(
+            "rebalancing requires a partitioned pool (replicated pools "
+            "autoscale instead — see ServingConfig.autoscale)"
+        )
+
+
 class ServingFrontend:
     """Runs a request stream against a shard router, collecting metrics."""
 
@@ -216,18 +252,13 @@ class ServingFrontend:
             if self.config.metrics_window_s is not None
             else None
         )
-        if self.config.nprobe is not None:
-            if router.mode != PARTITIONED:
-                raise ValueError("nprobe requires a partitioned router")
-            if not 1 <= self.config.nprobe <= router.num_clusters:
-                raise ValueError(
-                    f"nprobe must be in [1, {router.num_clusters}], "
-                    f"got {self.config.nprobe}"
-                )
-            if router.centroids is None:
-                raise ValueError(
-                    "nprobe requires a router built with routing centroids"
-                )
+        check_deployment(
+            self.config, router.mode, router.num_shards, router.num_clusters
+        )
+        if self.config.nprobe is not None and router.centroids is None:
+            raise ValueError(
+                "nprobe requires a router built with routing centroids"
+            )
         self.service_model = ServiceModel()
         self.batcher = DynamicBatcher(self.config.policy)
         self.cache = ResultCache(self.config.cache_capacity)
@@ -239,30 +270,12 @@ class ServingFrontend:
         self.autoscaler: Autoscaler | None = None
         self._active = router.num_shards
         if self.config.autoscale is not None:
-            if router.mode != REPLICATED:
-                raise ValueError(
-                    "autoscaling requires a replicated router (partitioned "
-                    "pools rebalance by data movement instead — see "
-                    "ServingConfig.rebalance)"
-                )
-            if router.num_shards > self.config.autoscale.max_replicas:
-                raise ValueError(
-                    f"router has {router.num_shards} replicas but the "
-                    f"autoscale policy caps the pool at "
-                    f"{self.config.autoscale.max_replicas}; raise "
-                    f"max_replicas or build a smaller pool"
-                )
             self.autoscaler = Autoscaler(self.config.autoscale)
             self._scale_to(
                 max(router.num_shards, self.config.autoscale.min_replicas)
             )
         self.rebalancer: Rebalancer | None = None
         if self.config.rebalance is not None:
-            if router.mode != PARTITIONED:
-                raise ValueError(
-                    "rebalancing requires a partitioned router (replicated "
-                    "pools autoscale instead — see ServingConfig.autoscale)"
-                )
             self.rebalancer = Rebalancer(
                 self.config.rebalance, router.num_shards, router.num_clusters
             )

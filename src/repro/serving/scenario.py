@@ -27,13 +27,23 @@ The defaults are the shared recipe: an 800 x 16 clustered-Gaussian
 corpus (seed 31), a 128-query pool (seed 32), a 400-request stream
 (seed 33), router seed 35, and a cache-free, coalescing-free frontend
 batching 32 requests or 2 ms.
+
+A recipe the deployment cannot serve (``nprobe`` on a replicated pool,
+the ``slo`` policy without deadlines, ...) raises ``ValueError`` when
+the scenario is constructed.  :func:`with_settings` applies textual
+``PATH=VALUE`` overrides (the CLI's ``--set``)::
+
+    with_settings(cell, ["serving.policy.mode=greedy", "num_shards=4"])
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
-from types import MappingProxyType
+import json
+import re
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from types import MappingProxyType, UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -42,8 +52,12 @@ from repro.data.synthetic import clustered_gaussian, split_queries
 from repro.obs.trace import Tracer
 from repro.serving.arrivals import MMPPArrivals, PoissonArrivals, QueryStream
 from repro.serving.autoscale import AutoscalePolicy
-from repro.serving.batcher import BatchPolicy
-from repro.serving.frontend import ServingConfig, ServingFrontend
+from repro.serving.batcher import SLO, BatchPolicy
+from repro.serving.frontend import (
+    ServingConfig,
+    ServingFrontend,
+    check_deployment,
+)
 from repro.serving.metrics import ServingReport
 from repro.serving.request import Request
 from repro.serving.sharding import (
@@ -91,6 +105,19 @@ class Scenario:
     def __post_init__(self) -> None:
         if isinstance(self.slo_s, Mapping):
             object.__setattr__(self, "slo_s", tuple(self.slo_s.items()))
+        if self.clusters_per_shard > 1 and self.mode != PARTITIONED:
+            raise ValueError(
+                "clusters_per_shard > 1 requires mode='partitioned'"
+            )
+        if self.serving.policy.mode == SLO and self.slo_s is None:
+            raise ValueError(
+                "serving.policy.mode='slo' closes batches on request "
+                "deadlines and needs slo_s"
+            )
+        check_deployment(
+            self.serving, self.mode, self.num_shards,
+            self.num_shards * self.clusters_per_shard,
+        )
 
     def vectors_and_pool(self) -> tuple[np.ndarray, np.ndarray]:
         """The corpus and the query pool the requests index into."""
@@ -239,3 +266,141 @@ SCENARIOS: Mapping[str, Scenario] = MappingProxyType({
         ),
     ),
 })
+
+
+def with_settings(base: Scenario, settings: Iterable[str]) -> Scenario:
+    """``base`` with ``PATH=VALUE`` assignments applied, all at once.
+
+    ``PATH`` names a field, dotted through nested dataclass fields
+    (``serving.policy.mode``).  ``VALUE`` is parsed as JSON, or taken
+    as a plain string when it is not JSON, and coerced to the field's
+    annotated type: an int becomes a float where a float is expected, a
+    list becomes a tuple, and a JSON object builds a dataclass from its
+    fields (``{}`` gives the defaults; where the field allows several
+    dataclasses, a ``"type"`` key names one).  The assignments are
+    gathered before anything is built and the scenario is constructed
+    once, so their order never matters.  Raises ``ValueError`` naming
+    the path on an unknown field, an ill-typed value, a path set twice
+    or a path inside one that is set whole.
+    """
+    assigned: dict[tuple[str, ...], object] = {}
+    for setting in settings:
+        path, sep, raw = setting.partition("=")
+        if not sep or not path:
+            raise ValueError(f"{setting!r}: expected PATH=VALUE")
+        try:
+            value = json.loads(raw)
+        except json.JSONDecodeError:
+            value = raw
+        key = tuple(path.split("."))
+        if key in assigned:
+            raise ValueError(f"{path} is set twice")
+        assigned[key] = value
+    for key in assigned:
+        for depth in range(1, len(key)):
+            if key[:depth] in assigned:
+                raise ValueError(
+                    f"{'.'.join(key)} lies inside {'.'.join(key[:depth])}, "
+                    f"which is set whole"
+                )
+    return _assign(base, assigned, "")
+
+
+def _init_fields(cls: type) -> dict[str, object]:
+    """A dataclass's constructor fields and their resolved types."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if f.init}
+
+
+def _assign(target, assigned: dict[tuple[str, ...], object], prefix: str):
+    """``target`` with the paths (relative to it) in ``assigned`` set.
+
+    ``target`` is a dataclass instance to ``replace``, or a dataclass
+    to build from ``assigned`` (then every path is one field name).
+    """
+    cls = target if isinstance(target, type) else type(target)
+    types = _init_fields(cls)
+    nested: dict[str, dict[tuple[str, ...], object]] = {}
+    for key, value in assigned.items():
+        nested.setdefault(key[0], {})[key[1:]] = value
+    changes = {}
+    for name, rest in nested.items():
+        path = prefix + name
+        if name not in types:
+            where = f" in {prefix.rstrip('.')}" if prefix else ""
+            raise ValueError(
+                f"unknown field {name!r}{where}; valid: {', '.join(types)}"
+            )
+        if () in rest:
+            changes[name] = _coerce(rest[()], types[name], path)
+            continue
+        current = getattr(target, name)
+        if not is_dataclass(current):
+            raise ValueError(
+                f"{path} is {current!r}, which has no fields; set {path} "
+                f"to a JSON object instead"
+            )
+        changes[name] = _assign(current, rest, path + ".")
+    try:
+        if isinstance(target, type):
+            return target(**changes)
+        return replace(target, **changes)
+    except (TypeError, ValueError) as exc:
+        if not prefix:
+            raise
+        raise ValueError(f"{prefix.rstrip('.')}: {exc}") from None
+
+
+def _coerce(value, annotation, path: str):
+    """A parsed JSON value as an instance of the field type ``annotation``."""
+    origin = get_origin(annotation)
+    if origin in (Union, UnionType):
+        arms = get_args(annotation)
+        if value is None and type(None) in arms:
+            return None
+        classes = [arm for arm in arms if is_dataclass(arm)]
+        if isinstance(value, dict) and classes:
+            return _build(value, classes, path)
+        for arm in arms:
+            try:
+                return _coerce(value, arm, path)
+            except ValueError:
+                pass
+    elif is_dataclass(annotation):
+        if isinstance(value, dict):
+            return _build(value, [annotation], path)
+    elif origin is tuple and isinstance(value, list):
+        args = get_args(annotation)
+        if len(args) == 2 and args[1] is Ellipsis:
+            args = (args[0],) * len(value)
+        if len(args) == len(value):
+            return tuple(
+                _coerce(item, arg, f"{path}[{i}]")
+                for i, (item, arg) in enumerate(zip(value, args))
+            )
+    elif annotation is float and type(value) in (int, float):
+        return float(value)
+    elif annotation in (int, str, bool) and type(value) is annotation:
+        return value
+    expected = (
+        annotation.__name__
+        if origin is None
+        else re.sub(r"\b(?:\w+\.)+(?=\w)", "", str(annotation))
+    )
+    raise ValueError(f"{path}: expected {expected}, got {json.dumps(value)}")
+
+
+def _build(value: dict, classes: list[type], path: str):
+    """One of ``classes`` built from a JSON object of its fields."""
+    kind = value.get("type")
+    if kind is None and len(classes) == 1:
+        cls = classes[0]
+    else:
+        named = {cls.__name__: cls for cls in classes}
+        if kind not in named:
+            raise ValueError(
+                f'{path}: "type" must name one of {", ".join(named)}'
+            )
+        cls = named[kind]
+    given = {(name,): item for name, item in value.items() if name != "type"}
+    return _assign(cls, given, path + ".")

@@ -7,6 +7,7 @@ exercise the paper-scale ratios.
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -38,24 +39,35 @@ from repro.flash.geometry import SSDGeometry
 from repro.flash.timing import FlashTiming
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture()
 def rng():
+    """A fresh generator per test: draws never shift another fixture."""
     return np.random.default_rng(42)
 
 
+@functools.cache
+def _small_corpus() -> tuple[np.ndarray, np.ndarray]:
+    """The (400, 16) corpus and its 16 queries, from one private seed."""
+    gen = np.random.default_rng(42)
+    centers = gen.normal(size=(8, 16))
+    assign = gen.integers(0, 8, size=400)
+    vectors = (centers[assign] + 0.3 * gen.normal(size=(400, 16))).astype(
+        np.float32
+    )
+    picks = gen.integers(0, vectors.shape[0], size=16)
+    noise = 0.05 * gen.normal(size=(16, 16)).astype(np.float32)
+    return vectors, vectors[picks] + noise
+
+
 @pytest.fixture(scope="session")
-def small_vectors(rng):
+def small_vectors():
     """A clustered (400, 16) float32 corpus."""
-    centers = rng.normal(size=(8, 16))
-    assign = rng.integers(0, 8, size=400)
-    return (centers[assign] + 0.3 * rng.normal(size=(400, 16))).astype(np.float32)
+    return _small_corpus()[0]
 
 
 @pytest.fixture(scope="session")
-def small_queries(rng, small_vectors):
-    picks = rng.integers(0, small_vectors.shape[0], size=16)
-    noise = 0.05 * rng.normal(size=(16, 16)).astype(np.float32)
-    return small_vectors[picks] + noise
+def small_queries():
+    return _small_corpus()[1]
 
 
 @pytest.fixture(scope="session")

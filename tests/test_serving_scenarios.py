@@ -20,6 +20,9 @@ from functools import lru_cache
 
 import pytest
 
+from repro.serving.autoscale import AutoscalePolicy
+from repro.serving.batcher import BatchPolicy
+from repro.serving.rebalance import RebalancePolicy
 from repro.serving.request import CACHE_HIT, COALESCED, COMPLETED, SHED
 from repro.serving.scenario import SCENARIOS, Scenario
 
@@ -50,6 +53,67 @@ def test_slo_mapping_is_frozen_into_pairs():
     budgets = {r.priority: r.deadline_s - r.arrival_s
                for r in scenario.requests()}
     assert budgets == pytest.approx({1: 4e-3, 0: 16e-3})
+
+
+def _with_serving(scenario, **changes):
+    return dataclasses.replace(
+        scenario, serving=dataclasses.replace(scenario.serving, **changes)
+    )
+
+
+_REPLICATED = SCENARIOS["batch-x1-hi"]
+_PARTITIONED = SCENARIOS["partitioned-broadcast"]
+
+
+_INVALID = {
+    "slo-without-deadlines": (
+        lambda: _with_serving(_REPLICATED, policy=BatchPolicy(mode="slo")),
+        "slo_s",
+    ),
+    "nprobe-on-replicated": (
+        lambda: _with_serving(_REPLICATED, nprobe=1), "nprobe"
+    ),
+    "nprobe-zero": (lambda: _with_serving(_PARTITIONED, nprobe=0), "nprobe"),
+    "nprobe-past-clusters": (
+        lambda: _with_serving(_PARTITIONED, nprobe=5), "nprobe"
+    ),
+    "clusters-on-replicated": (
+        lambda: dataclasses.replace(_REPLICATED, clusters_per_shard=2),
+        "clusters_per_shard",
+    ),
+    "autoscale-on-partitioned": (
+        lambda: _with_serving(_PARTITIONED, autoscale=AutoscalePolicy()),
+        "autoscal",
+    ),
+    "autoscale-below-pool": (
+        lambda: _with_serving(
+            dataclasses.replace(_REPLICATED, num_shards=3),
+            autoscale=AutoscalePolicy(max_replicas=2),
+        ),
+        "max_replicas",
+    ),
+    "rebalance-on-replicated": (
+        lambda: _with_serving(_REPLICATED, rebalance=RebalancePolicy()),
+        "rebalanc",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_INVALID))
+def test_invalid_recipes_fail_at_construction(case):
+    # Rejected before any router is built or request served.
+    build, field = _INVALID[case]
+    with pytest.raises(ValueError, match=field):
+        build()
+
+
+def test_valid_edges_construct():
+    _with_serving(_PARTITIONED, nprobe=4)
+    _with_serving(
+        dataclasses.replace(_REPLICATED, num_shards=2),
+        autoscale=AutoscalePolicy(max_replicas=2),
+    )
+    dataclasses.replace(_PARTITIONED, clusters_per_shard=2)
 
 
 def test_builders_return_new_objects():
