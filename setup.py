@@ -28,9 +28,9 @@ setup(
     entry_points={
         "console_scripts": [
             "repro-serve = repro.serving.__main__:main",
-            # The static determinism / event-kernel checker; its scan
-            # paths and baseline default from the [repro.lint] block in
-            # pytest.ini, so `repro-lint` from the repo root just works.
+            # The static determinism / event-kernel checker; with no
+            # paths it scans src, tests and benchmarks, so `repro-lint`
+            # from the repo root just works.
             "repro-lint = repro.lint.__main__:main",
         ],
     },

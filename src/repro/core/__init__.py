@@ -5,7 +5,6 @@
 * :mod:`repro.core.placement` — vertex-to-flash mapping (Fig. 11).
 * :mod:`repro.core.static_scheduling` — degree-ascending BFS reordering
   and the bandwidth metric beta (Eq. 1).
-* :mod:`repro.core.dynamic_scheduling` — batch-wise dynamic allocating.
 * :mod:`repro.core.speculative` — speculative searching (Section VI-B2).
 * :mod:`repro.core.vgenerator` / :mod:`repro.core.allocator` /
   :mod:`repro.core.sin` — the SearSSD functional units.
@@ -22,7 +21,6 @@ from repro.core.static_scheduling import (
     degree_ascending_bfs,
     random_bfs,
 )
-from repro.core.dynamic_scheduling import allocate_batch_to_luns
 from repro.core.speculative import select_speculative_candidates
 from repro.core.searssd import SearSSDModel
 from repro.core.ndsearch import NDSearch
@@ -36,7 +34,6 @@ __all__ = [
     "bandwidth_beta",
     "degree_ascending_bfs",
     "random_bfs",
-    "allocate_batch_to_luns",
     "select_speculative_candidates",
     "SearSSDModel",
     "NDSearch",

@@ -14,6 +14,7 @@ DET002   no wall-clock/OS-entropy reads in any ``repro.*`` module
 DET003   no global-state or unseeded RNG (seeded ``default_rng`` only)
 DET004   no ordering-sensitive iteration over set expressions in
          ``src/repro`` (wrap in ``sorted(...)``)
+DET005   no module-level mutable state in ``repro.serving``/``repro.sim``
 EVT001   every ``Event`` subclass is ``@dataclass(frozen=True,
          slots=True)`` with its own module-unique ``RANK``
 EVT002   no attribute assignment to event-typed handler parameters
@@ -22,38 +23,31 @@ LINT000  (reserved) file failed to parse
 
 Usage::
 
-    python -m repro.lint                  # paths from pytest.ini
+    python -m repro.lint                  # src tests benchmarks
     python -m repro.lint src tests --format json
-    python -m repro.lint --write-baseline # refresh lint_baseline.json
 
-Deliberate exceptions carry a same-line pragma::
+A deliberate exception carries a same-line pragma, the only way to
+excuse a finding::
 
     memo = {id(obj): obj for obj in shared}  # repro-lint: disable=DET001
 
-and grandfathered findings live in the committed ``lint_baseline.json``
-(matched by rule + path + line content, so they survive line drift but
-not edits to the offending line).  CI runs the CLI as a tier-1 gate:
-any non-baselined finding fails the build.
+CI runs the CLI as a tier-1 gate: any finding without a pragma fails
+the build, so a new rule lands with its findings fixed or pragma'd.
 """
 
-from .baseline import Baseline
 from .context import FileContext, module_name_for
 from .findings import Finding
-from .registry import Rule, all_rules, get_rule, register, rule_ids
+from .registry import Rule, all_rules, register, rule_ids
 from .runner import (
-    DEFAULT_BASELINE,
     DEFAULT_PATHS,
     PARSE_ERROR_RULE,
     LintReport,
     iter_python_files,
     lint_paths,
     lint_source,
-    load_config,
 )
 
 __all__ = [
-    "Baseline",
-    "DEFAULT_BASELINE",
     "DEFAULT_PATHS",
     "FileContext",
     "Finding",
@@ -61,11 +55,9 @@ __all__ = [
     "PARSE_ERROR_RULE",
     "Rule",
     "all_rules",
-    "get_rule",
     "iter_python_files",
     "lint_paths",
     "lint_source",
-    "load_config",
     "module_name_for",
     "register",
     "rule_ids",

@@ -1,11 +1,11 @@
 """CLI: ``python -m repro.lint [paths...]`` (also ``repro-lint``).
 
-Exit codes: 0 — clean (every finding pragma-suppressed or baselined);
-1 — new findings; 2 — usage/configuration error.
+Exit codes: 0 — clean (every finding pragma-suppressed); 1 — findings;
+2 — usage error.
 
-With no positional paths, the scan roots come from the ``[repro.lint]``
-block in pytest.ini (falling back to ``src tests benchmarks``), so the
-bare module invocation from the repo root does the right thing.
+With no positional paths, the scan roots are ``DEFAULT_PATHS``
+(``src tests benchmarks``) under ``--root``, so the bare module
+invocation from the repo root does the right thing.
 """
 
 from __future__ import annotations
@@ -15,15 +15,8 @@ import json
 import sys
 from pathlib import Path
 
-from .baseline import Baseline
 from .registry import all_rules
-from .runner import (
-    DEFAULT_BASELINE,
-    DEFAULT_PATHS,
-    LintReport,
-    lint_paths,
-    load_config,
-)
+from .runner import DEFAULT_PATHS, LintReport, lint_paths
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -38,14 +31,14 @@ def build_parser() -> argparse.ArgumentParser:
         "paths",
         nargs="*",
         help=(
-            "files/directories to scan (default: the [repro.lint] paths "
-            "in pytest.ini, else 'src tests benchmarks')"
+            "files/directories to scan (default: "
+            f"'{' '.join(DEFAULT_PATHS)}')"
         ),
     )
     parser.add_argument(
         "--root",
         default=".",
-        help="repo root that scan paths and the baseline are relative to",
+        help="repo root that scan paths are relative to",
     )
     parser.add_argument(
         "--format",
@@ -59,31 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also write the full JSON report to FILE (any --format)",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help=(
-            "baseline file of grandfathered findings (default: the "
-            "[repro.lint] baseline in pytest.ini, else "
-            f"'{DEFAULT_BASELINE}'; matched only if it exists)"
-        ),
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline: report every finding as new",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline file to grandfather current findings",
-    )
-    parser.add_argument(
-        "--disable",
-        metavar="IDS",
-        default="",
-        help="comma-separated rule ids to skip (e.g. DET004,EVT002)",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule table and exit",
@@ -91,18 +59,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_text(report: LintReport, baseline_used: bool) -> None:
-    for finding in report.new:
+def _print_text(report: LintReport) -> None:
+    for finding in report.findings:
         print(finding.format())
-    tail = (
+    print(
         f"{report.files_scanned} files scanned, "
-        f"{len(report.new)} new finding(s), "
-        f"{len(report.baselined)} baselined, "
+        f"{len(report.findings)} finding(s), "
         f"{report.suppressed} pragma-suppressed"
     )
-    if not baseline_used:
-        tail += " (no baseline)"
-    print(tail)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -114,39 +78,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{rule.ID}  {rule.TITLE}")
         return 0
 
-    root = Path(args.root)
-    config = load_config(root)
-    paths = args.paths or config.get("paths", "").split() or list(DEFAULT_PATHS)
-    baseline_path = root / (
-        args.baseline or config.get("baseline", DEFAULT_BASELINE)
-    )
-    disabled = tuple(s for s in args.disable.split(",") if s.strip())
-
-    baseline: Baseline | None = None
-    if not args.no_baseline and not args.write_baseline:
-        if baseline_path.is_file():
-            try:
-                baseline = Baseline.load(baseline_path)
-            except (ValueError, KeyError) as exc:
-                print(f"error: bad baseline {baseline_path}: {exc}", file=sys.stderr)
-                return 2
-        elif args.baseline:
-            print(f"error: baseline {baseline_path} not found", file=sys.stderr)
-            return 2
-
     try:
-        report = lint_paths(paths, root, baseline=baseline, disabled=disabled)
-    except (FileNotFoundError, KeyError) as exc:
+        report = lint_paths(args.paths or list(DEFAULT_PATHS), Path(args.root))
+    except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if args.write_baseline:
-        Baseline.from_findings(report.findings).save(baseline_path)
-        print(
-            f"wrote {baseline_path} with {len(report.findings)} "
-            "grandfathered finding(s)"
-        )
-        return 0
 
     if args.out:
         Path(args.out).write_text(
@@ -155,7 +91,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
-        _print_text(report, baseline is not None)
+        _print_text(report)
     return 0 if report.ok else 1
 
 

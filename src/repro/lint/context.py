@@ -126,11 +126,6 @@ class FileContext:
                     self._parents[child] = parent
         return self._parents
 
-    def line_content(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1].strip()
-        return ""
-
     def suppressed(self, rule_id: str, lineno: int) -> bool:
         ids = self.pragmas.get(lineno)
         return ids is not None and (rule_id in ids or "all" in ids)

@@ -4,15 +4,11 @@ Findings are plain frozen dataclasses so reports sort, dedupe and
 serialize deterministically — the lint CLI's JSON output is
 byte-stable for a given tree, the same contract the simulator holds
 for its reports.
-
-The *baseline key* deliberately excludes the line number: grandfathered
-findings keep matching as unrelated edits shift code up and down, and
-only disappear when the offending line itself is edited or removed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -34,19 +30,6 @@ class Finding:
     message: str
     """Human-readable explanation, including the fix direction."""
 
-    content: str = field(default="", compare=False)
-    """The stripped source line — the stable part of the baseline key."""
-
-    @property
-    def baseline_key(self) -> tuple[str, str, str]:
-        """Identity used for baseline matching: (rule, path, content).
-
-        Line numbers drift with unrelated edits; the offending line's
-        own text does not.  Duplicate keys are matched as a multiset
-        (N baselined occurrences forgive at most N findings).
-        """
-        return (self.rule, self.path, self.content)
-
     def to_dict(self) -> dict:
         return {
             "rule": self.rule,
@@ -54,19 +37,7 @@ class Finding:
             "line": self.line,
             "col": self.col,
             "message": self.message,
-            "content": self.content,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Finding":
-        return cls(
-            path=d["path"],
-            line=int(d["line"]),
-            col=int(d.get("col", 0)),
-            rule=d["rule"],
-            message=d.get("message", ""),
-            content=d.get("content", ""),
-        )
 
     def format(self) -> str:
         """``path:line:col: RULE message`` — editor-clickable."""

@@ -11,7 +11,7 @@ without touching the runner.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .context import FileContext
 from .findings import Finding
@@ -39,7 +39,6 @@ class Rule:
             col=col,
             rule=self.ID,
             message=message,
-            content=ctx.line_content(lineno),
         )
 
 
@@ -62,22 +61,9 @@ def all_rules() -> list[Rule]:
     return [_REGISTRY[rule_id] for rule_id in sorted(_REGISTRY)]
 
 
-def get_rule(rule_id: str) -> Rule:
-    _load_bundled()
-    return _REGISTRY[rule_id]
-
-
 def rule_ids() -> list[str]:
     _load_bundled()
     return sorted(_REGISTRY)
-
-
-def select_rules(disabled: Iterable[str] = ()) -> list[Rule]:
-    off = set(disabled)
-    unknown = off - set(rule_ids())
-    if unknown:
-        raise KeyError(f"unknown rule id(s): {', '.join(sorted(unknown))}")
-    return [r for r in all_rules() if r.ID not in off]
 
 
 def _load_bundled() -> None:

@@ -1,54 +1,28 @@
-"""Walk the tree, run every rule, apply pragmas and the baseline.
+"""Walk the tree, run every rule, apply pragmas.
 
 The runner is deliberately boring: deterministic file order (sorted
 recursive walk), one :class:`~repro.lint.context.FileContext` per file,
-every registered rule over it, pragma suppression at the finding's
-line, then a baseline split.  A file that fails to parse yields a
-single ``LINT000`` finding rather than aborting the run — a syntax
-error in one file must not mask findings in the rest.
+every registered rule over it, then pragma suppression at the
+finding's line.  A file that fails to parse yields a single
+``LINT000`` finding rather than aborting the run — a syntax error in
+one file must not mask findings in the rest.
 """
 
 from __future__ import annotations
 
 import ast
-import configparser
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .baseline import Baseline
 from .context import FileContext
 from .findings import Finding
-from .registry import Rule, select_rules
+from .registry import Rule, all_rules
 
 #: Rule id reserved for files the parser rejects.
 PARSE_ERROR_RULE = "LINT000"
 
-#: Where the committed baseline lives, relative to the repo root.
-DEFAULT_BASELINE = "lint_baseline.json"
-
-#: Fallback scan roots when neither the CLI nor pytest.ini names any.
+#: Scan roots, relative to the repo root, when the CLI names none.
 DEFAULT_PATHS = ("src", "tests", "benchmarks")
-
-#: Ini file consulted for the ``[repro.lint]`` config block.
-CONFIG_FILE = "pytest.ini"
-
-
-def load_config(root: str | Path = ".") -> dict[str, str]:
-    """Read the ``[repro.lint]`` block from pytest.ini, if present.
-
-    Recognised keys: ``paths`` (whitespace-separated scan roots) and
-    ``baseline`` (baseline file path).  Lives in pytest.ini so the
-    repo keeps a single tool-config file; pytest itself only reads its
-    own ``[pytest]`` section.
-    """
-    ini = Path(root) / CONFIG_FILE
-    if not ini.is_file():
-        return {}
-    parser = configparser.ConfigParser()
-    parser.read(ini)
-    if not parser.has_section("repro.lint"):
-        return {}
-    return dict(parser.items("repro.lint"))
 
 
 def iter_python_files(paths: list[str | Path], root: str | Path = ".") -> list[Path]:
@@ -69,36 +43,25 @@ def iter_python_files(paths: list[str | Path], root: str | Path = ".") -> list[P
 
 @dataclass
 class LintReport:
-    """Outcome of one lint run, pre- and post-baseline."""
+    """Outcome of one lint run."""
 
     files_scanned: int = 0
     findings: list[Finding] = field(default_factory=list)
-    """Findings that survived pragma suppression, sorted."""
+    """Findings that survived pragma suppression, sorted — these fail
+    the gate."""
 
     suppressed: int = 0
     """Findings silenced by an inline ``# repro-lint: disable=`` pragma."""
 
-    new: list[Finding] = field(default_factory=list)
-    """Findings not covered by the baseline — these fail the gate."""
-
-    baselined: list[Finding] = field(default_factory=list)
-    """Findings forgiven by the committed baseline."""
-
     @property
     def ok(self) -> bool:
-        return not self.new
+        return not self.findings
 
     def to_dict(self) -> dict:
         return {
             "files_scanned": self.files_scanned,
             "suppressed": self.suppressed,
-            "counts": {
-                "total": len(self.findings),
-                "new": len(self.new),
-                "baselined": len(self.baselined),
-            },
-            "new": [f.to_dict() for f in self.new],
-            "baselined": [f.to_dict() for f in self.baselined],
+            "findings": [f.to_dict() for f in self.findings],
         }
 
 
@@ -123,8 +86,6 @@ def lint_source(
     source: str,
     path: str = "<snippet>",
     module: str | None = None,
-    *,
-    disabled: tuple[str, ...] = (),
 ) -> list[Finding]:
     """Lint an in-memory snippet (the unit-test entry point).
 
@@ -133,20 +94,17 @@ def lint_source(
     out-of-package semantics (what a test file gets).
     """
     ctx = FileContext(path, source, module=module)
-    findings, _ = lint_context(ctx, select_rules(disabled))
+    findings, _ = lint_context(ctx, all_rules())
     return findings
 
 
 def lint_paths(
     paths: list[str | Path],
     root: str | Path = ".",
-    *,
-    baseline: Baseline | None = None,
-    disabled: tuple[str, ...] = (),
 ) -> LintReport:
     """Lint every Python file under ``paths`` relative to ``root``."""
     rootp = Path(root)
-    rules = select_rules(disabled)
+    rules = all_rules()
     report = LintReport()
     for file in iter_python_files(paths, rootp):
         relpath = file.relative_to(rootp).as_posix()
@@ -161,7 +119,6 @@ def lint_paths(
                     col=(exc.offset or 1) - 1,
                     rule=PARSE_ERROR_RULE,
                     message=f"file does not parse: {exc.msg}",
-                    content="",
                 )
             )
             report.files_scanned += 1
@@ -172,8 +129,4 @@ def lint_paths(
         report.suppressed += suppressed
         report.files_scanned += 1
     report.findings.sort()
-    if baseline is None:
-        report.new = list(report.findings)
-    else:
-        report.new, report.baselined = baseline.split(report.findings)
     return report

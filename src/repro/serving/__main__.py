@@ -29,7 +29,10 @@ trace.jsonl`` writes the generated arrival stream as JSONL, and
 every ``--window-ms`` — then answers ``--whatif`` queries ("replay the
 last windows with nprobe=1 / +2 replicas / rebalancing on") by
 restoring the newest unaffected checkpoint and re-simulating only the
-changed suffix::
+changed suffix.  A what-if the recipe cannot serve (``nprobe`` on a
+replicated pool, ``add_replicas`` beside an autoscaler or on a
+partitioned pool) exits 2 naming the field before the replay starts,
+and ``--report-json`` writes the twin's base report::
 
     repro-serve --emit-arrivals trace.jsonl --set arrivals.rate_qps=2000 \\
         --set n_requests=400
@@ -58,7 +61,7 @@ from repro.serving.rebalance import RebalancePolicy
 from repro.serving.request import Request
 from repro.serving.scenario import SCENARIOS, Scenario, with_settings
 from repro.serving.sharding import REPLICATED
-from repro.serving.twin import ServingTwin
+from repro.serving.twin import ServingTwin, whatif_config
 
 #: The run without ``--scenario``: a 2000 x 32 corpus on 4 replicated
 #: shards, 1500 Zipf-1.0 requests at 200 QPS through a 512-entry
@@ -135,7 +138,7 @@ def _parse_whatif(spec: str) -> dict:
         key, sep, value = part.partition("=")
         key, value = key.strip(), value.strip()
         if not sep or not value:
-            raise ValueError(f"--whatif {spec!r}: expected key=value pairs")
+            raise ValueError("expected key=value pairs")
         if key == "nprobe":
             kwargs["nprobe"] = (
                 None if value in ("none", "broadcast") else int(value)
@@ -148,16 +151,20 @@ def _parse_whatif(spec: str) -> dict:
             if value in ("on", "true", "1"):
                 kwargs["rebalance"] = RebalancePolicy()
             elif value not in ("off", "false", "0"):
-                raise ValueError(
-                    f"--whatif {spec!r}: rebalance must be on or off"
-                )
+                raise ValueError("rebalance must be on or off")
         else:
-            raise ValueError(f"--whatif {spec!r}: unknown key {key!r}")
+            raise ValueError(f"unknown key {key!r}")
     return kwargs
 
 
 def _report_bytes(report) -> bytes:
     return json.dumps(report.to_dict(), sort_keys=True).encode()
+
+
+def _write_report_json(path: str, report) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
+    print(f"report: {path}")
 
 
 def _twin_selftest(
@@ -209,10 +216,18 @@ def _run_follow(args, parser, scenario, pool, tracer):
             f"--follow {args.follow}: query_id exceeds pool_size "
             f"{pool.shape[0]}"
         )
-    try:
-        whatifs = [(spec, _parse_whatif(spec)) for spec in args.whatif]
-    except ValueError as exc:
-        parser.error(str(exc))
+    # Reject a delta the recipe cannot serve before the base replay.
+    whatifs = []
+    for spec in args.whatif:
+        try:
+            kwargs = _parse_whatif(spec)
+            whatif_config(
+                scenario.serving, scenario.mode, scenario.num_shards,
+                scenario.num_shards * scenario.clusters_per_shard, **kwargs,
+            )
+        except ValueError as exc:
+            parser.error(f"--whatif {spec!r}: {exc}")
+        whatifs.append((spec, kwargs))
     twin = ServingTwin(
         scenario.router,
         scenario.serving,
@@ -226,6 +241,8 @@ def _run_follow(args, parser, scenario, pool, tracer):
     if tracer is not None:
         tracer.write(args.trace)
         print(f"trace: {len(tracer)} events -> {args.trace}")
+    if args.report_json:
+        _write_report_json(args.report_json, report)
     print()
     print(report.format(title=f"twin: followed {args.follow}"))
     stats = report.twin
@@ -296,7 +313,8 @@ def main(argv: list[str] | None = None) -> int:
                              "Chrome trace-event JSON file (load it in "
                              "Perfetto or chrome://tracing)")
     parser.add_argument("--report-json", metavar="PATH", default=None,
-                        help="write the full serving report as JSON")
+                        help="write the full serving report as JSON (with "
+                             "--follow: the twin's base report)")
     outputs = parser.add_mutually_exclusive_group()
     outputs.add_argument("--emit-arrivals", metavar="PATH", default=None,
                          help="write the generated arrival stream as JSONL "
@@ -371,9 +389,7 @@ def main(argv: list[str] | None = None) -> int:
         tracer.write(args.trace)
         print(f"trace: {len(tracer)} events -> {args.trace}")
     if args.report_json:
-        with open(args.report_json, "w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, indent=2, sort_keys=True)
-        print(f"report: {args.report_json}")
+        _write_report_json(args.report_json, report)
     if report.timeseries is not None:
         windows = report.timeseries["windows"]
         print(

@@ -47,11 +47,15 @@ from typing import Callable
 import numpy as np
 
 from repro.obs.trace import NullTracer, Tracer
-from repro.serving.frontend import ServingConfig, ServingFrontend
+from repro.serving.frontend import (
+    ServingConfig,
+    ServingFrontend,
+    check_deployment,
+)
 from repro.serving.metrics import ServingReport
 from repro.serving.rebalance import RebalancePolicy
 from repro.serving.request import Request
-from repro.serving.sharding import ShardRouter
+from repro.serving.sharding import REPLICATED, ShardRouter
 from repro.sim.snapshot import Snapshot
 
 
@@ -124,6 +128,45 @@ class TwinCache:
         self._entries[key] = report.to_dict()
 
 
+def whatif_config(
+    config: ServingConfig,
+    mode: str,
+    num_shards: int,
+    num_clusters: int,
+    *,
+    last_windows: int = 1,
+    nprobe: int | None | str = "keep",
+    add_replicas: int = 0,
+    rebalance: RebalancePolicy | None = None,
+) -> ServingConfig:
+    """The fork's config for a :meth:`ServingTwin.whatif` delta.
+
+    Raises ``ValueError`` naming the field when the deployment (its
+    ``mode`` and shape, as :func:`check_deployment` takes them) cannot
+    serve the delta, so a caller can reject a what-if before it
+    replays anything.
+    """
+    if last_windows < 1:
+        raise ValueError(f"last_windows must be >= 1, got {last_windows}")
+    fork_config = config
+    if nprobe != "keep":
+        fork_config = dataclasses.replace(fork_config, nprobe=nprobe)
+    if rebalance is not None:
+        fork_config = dataclasses.replace(fork_config, rebalance=rebalance)
+    if add_replicas:
+        if add_replicas < 0:
+            raise ValueError("add_replicas must be >= 0")
+        if mode != REPLICATED:
+            raise ValueError("add_replicas requires a replicated pool")
+        if config.autoscale is not None:
+            raise ValueError(
+                "add_replicas conflicts with an autoscaler: the "
+                "autoscaler owns the replica count"
+            )
+    check_deployment(fork_config, mode, num_shards, num_clusters)
+    return fork_config
+
+
 @dataclasses.dataclass(frozen=True)
 class Checkpoint:
     """One closed window boundary: its snapshot plus how much of the
@@ -163,9 +206,9 @@ class ServingTwin:
         self.tracer: Tracer = tracer if tracer is not None else NullTracer()
         self._pool = np.ascontiguousarray(query_pool, dtype=np.float32)
         self._calibrate_k = calibrate_k
-        self.frontend = ServingFrontend(
-            router_factory(), config, tracer=tracer
-        )
+        router = router_factory()
+        self._deployment = (router.mode, router.num_shards, router.num_clusters)
+        self.frontend = ServingFrontend(router, config, tracer=tracer)
         self.frontend.stream_begin(self._pool, calibrate_k=calibrate_k)
         self.checkpoints: list[Checkpoint] = []
         self.cache = TwinCache()
@@ -276,21 +319,10 @@ class ServingTwin:
         Asking for more history than there are checkpoints falls back
         to a full from-scratch replay (window index 0, no restore).
         """
-        if last_windows < 1:
-            raise ValueError(f"last_windows must be >= 1, got {last_windows}")
-        fork_config = self.config
-        if nprobe != "keep":
-            fork_config = dataclasses.replace(fork_config, nprobe=nprobe)
-        if rebalance is not None:
-            fork_config = dataclasses.replace(fork_config, rebalance=rebalance)
-        if add_replicas:
-            if add_replicas < 0:
-                raise ValueError("add_replicas must be >= 0")
-            if self.config.autoscale is not None:
-                raise ValueError(
-                    "add_replicas conflicts with an autoscaler: the "
-                    "autoscaler owns the replica count"
-                )
+        fork_config = whatif_config(
+            self.config, *self._deployment, last_windows=last_windows,
+            nprobe=nprobe, add_replicas=add_replicas, rebalance=rebalance,
+        )
         # The newest checkpoint that still leaves >= last_windows of
         # history to replay; None = replay everything from scratch.
         checkpoint: Checkpoint | None = None

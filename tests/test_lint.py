@@ -2,8 +2,9 @@
 
 Every shipped rule gets at least one positive and one negative snippet
 (so deleting a rule fails its test here), the PR 1 id()-key cache bug
-is pinned as a regression fixture, and the committed baseline is
-checked against a full self-run of the linter over the repo.
+is pinned as a regression fixture, and a full self-run of the linter
+over the repo must report no finding: the same-line pragma is the one
+way to excuse one.
 """
 
 from __future__ import annotations
@@ -17,15 +18,14 @@ from pathlib import Path
 import pytest
 
 from repro.lint import (
-    Baseline,
-    Finding,
+    DEFAULT_PATHS,
     lint_paths,
     lint_source,
     module_name_for,
     rule_ids,
 )
 from repro.lint.__main__ import main as lint_main
-from repro.lint.runner import PARSE_ERROR_RULE, load_config
+from repro.lint.runner import PARSE_ERROR_RULE
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -507,64 +507,29 @@ class TestPragmas:
 
 
 # =============================================================================
-# Baseline
-# =============================================================================
-class TestBaseline:
-    def test_committed_baseline_round_trips(self):
-        path = REPO_ROOT / "lint_baseline.json"
-        text = path.read_text()
-        assert Baseline.loads(text).dumps() == text
-
-    def test_split_is_a_multiset(self):
-        f = Finding(path="x.py", line=3, col=0, rule="DET001",
-                    message="m", content="cache[id(t)] = 1")
-        dup = Finding(path="x.py", line=9, col=0, rule="DET001",
-                      message="m", content="cache[id(t)] = 1")
-        baseline = Baseline.from_findings([f])
-        new, old = baseline.split([f, dup])
-        assert len(old) == 1 and len(new) == 1
-
-    def test_line_drift_still_matches(self):
-        f = Finding(path="x.py", line=3, col=0, rule="DET001",
-                    message="m", content="cache[id(t)] = 1")
-        drifted = Finding(path="x.py", line=30, col=0, rule="DET001",
-                          message="m", content="cache[id(t)] = 1")
-        new, old = Baseline.from_findings([f]).split([drifted])
-        assert new == [] and old == [drifted]
-
-    def test_edited_line_resurfaces(self):
-        f = Finding(path="x.py", line=3, col=0, rule="DET001",
-                    message="m", content="cache[id(t)] = 1")
-        edited = Finding(path="x.py", line=3, col=0, rule="DET001",
-                         message="m", content="cache[id(u)] = 1")
-        new, _ = Baseline.from_findings([f]).split([edited])
-        assert new == [edited]
-
-    def test_version_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="version"):
-            Baseline.loads('{"version": 99, "findings": []}')
-
-
-# =============================================================================
 # Runner + CLI (self-run against the real repo)
 # =============================================================================
 class TestSelfRun:
-    def test_repo_lints_clean_against_committed_baseline(self):
+    def test_repo_lints_clean(self):
         """`python -m repro.lint src tests benchmarks` exits 0."""
         assert lint_main(
             ["src", "tests", "benchmarks", "--root", str(REPO_ROOT)]
         ) == 0
 
-    def test_default_paths_come_from_pytest_ini(self):
-        assert lint_main(["--root", str(REPO_ROOT)]) == 0
+    def test_bare_run_scans_default_paths(self, capsys):
+        """A bare `python -m repro.lint` scans src, tests and benchmarks."""
+        assert lint_main(["--root", str(REPO_ROOT), "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        explicit = lint_paths(["src", "tests", "benchmarks"], REPO_ROOT)
+        assert report["files_scanned"] == explicit.files_scanned
+        assert report["findings"] == []
 
     def test_pragma_suppressed_count_is_pinned(self):
         """Three deliberate exceptions: deepcopy's id-keyed memo in
         sim/snapshot.py (DET001) and the module-level tables in
         sim/energy.py and serving/sharding.py (DET005).  A new pragma
         must edit this count."""
-        paths = load_config(REPO_ROOT)["paths"].split()
-        assert lint_paths(paths, REPO_ROOT).suppressed == 3
+        assert lint_paths(list(DEFAULT_PATHS), REPO_ROOT).suppressed == 3
 
     def test_cli_subprocess_smoke(self):
         proc = subprocess.run(
@@ -596,45 +561,15 @@ class TestCli:
         )
         assert code == 1
         report = json.loads(capsys.readouterr().out)
-        rules = {f["rule"] for f in report["new"]}
+        rules = {f["rule"] for f in report["findings"]}
         assert rules == {"DET001", "DET002"}
-        assert report["counts"]["new"] == 2
+        assert len(report["findings"]) == 2
 
     def test_out_file_written(self, dirty_tree: Path, tmp_path: Path):
         out = tmp_path / "report.json"
         lint_main(["src", "--root", str(dirty_tree), "--out", str(out)])
         report = json.loads(out.read_text())
-        assert report["counts"]["new"] == 2
-
-    def test_write_baseline_then_clean(self, dirty_tree: Path):
-        assert lint_main(["src", "--root", str(dirty_tree),
-                          "--write-baseline"]) == 0
-        assert lint_main(["src", "--root", str(dirty_tree)]) == 0
-        # ... and the gate still catches anything new.
-        (dirty_tree / "src" / "repro" / "simx" / "worse.py").write_text(
-            "d = {id(k): v for k, v in pairs}\n"
-        )
-        assert lint_main(["src", "--root", str(dirty_tree)]) == 1
-
-    def test_written_baseline_round_trips(self, dirty_tree: Path):
-        lint_main(["src", "--root", str(dirty_tree), "--write-baseline"])
-        path = dirty_tree / "lint_baseline.json"
-        assert Baseline.loads(path.read_text()).dumps() == path.read_text()
-
-    def test_no_baseline_flag_resurfaces_everything(self, dirty_tree: Path):
-        lint_main(["src", "--root", str(dirty_tree), "--write-baseline"])
-        assert lint_main(["src", "--root", str(dirty_tree),
-                          "--no-baseline"]) == 1
-
-    def test_disable_skips_rule(self, dirty_tree: Path):
-        assert lint_main(
-            ["src", "--root", str(dirty_tree), "--disable", "DET001,DET002"]
-        ) == 0
-
-    def test_unknown_disable_is_usage_error(self, dirty_tree: Path):
-        assert lint_main(
-            ["src", "--root", str(dirty_tree), "--disable", "NOPE99"]
-        ) == 2
+        assert len(report["findings"]) == 2
 
     def test_missing_path_is_usage_error(self, tmp_path: Path):
         assert lint_main(["nowhere", "--root", str(tmp_path)]) == 2
@@ -645,7 +580,7 @@ class TestCli:
         code = lint_main([".", "--root", str(tmp_path), "--format", "json"])
         assert code == 1
         report = json.loads(capsys.readouterr().out)
-        rules = {f["rule"] for f in report["new"]}
+        rules = {f["rule"] for f in report["findings"]}
         assert rules == {PARSE_ERROR_RULE, "DET001"}
 
     def test_lint_paths_accepts_single_file(self, dirty_tree: Path):

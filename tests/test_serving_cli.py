@@ -112,3 +112,47 @@ def test_emit_follow_selftest(tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "pool_size" in err and "--pool" not in err
+
+
+@pytest.mark.parametrize(
+    "scenario, whatif, names",
+    [
+        ("batch-x1-hi", "nprobe=1", ["nprobe", "partitioned"]),
+        ("autoscale-overload", "add_replicas=2", ["add_replicas", "autoscal"]),
+        ("partitioned-nprobe1", "add_replicas=2", ["add_replicas", "replicated"]),
+    ],
+    ids=["nprobe-replicated", "add_replicas-autoscaled",
+         "add_replicas-partitioned"],
+)
+def test_follow_rejects_unservable_whatif_before_replay(
+    scenario, whatif, names, tmp_path, monkeypatch, capsys
+):
+    arrivals = tmp_path / "arrivals.jsonl"
+    recipe = ["--scenario", scenario, "--set", "n_requests=50"]
+    assert main([*recipe, "--emit-arrivals", str(arrivals)]) == 0
+
+    def no_replay(*args, **kwargs):
+        raise AssertionError("the base replay started")
+
+    monkeypatch.setattr("repro.serving.__main__.ServingTwin", no_replay)
+    with pytest.raises(SystemExit) as exc:
+        main([*recipe, "--follow", str(arrivals), "--whatif", whatif])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    for name in [whatif, *names]:
+        assert name in err
+
+
+def test_follow_report_json_is_the_twin_base_report(tmp_path):
+    arrivals = tmp_path / "arrivals.jsonl"
+    report_json = tmp_path / "report.json"
+    twin_report = tmp_path / "twin.json"
+    recipe = ["--scenario", "partitioned-nprobe1", "--set", "n_requests=100"]
+    assert main([*recipe, "--emit-arrivals", str(arrivals)]) == 0
+    assert main([
+        *recipe, "--follow", str(arrivals), "--window-ms", "20",
+        "--report-json", str(report_json), "--twin-report", str(twin_report),
+    ]) == 0
+    base = json.loads(twin_report.read_text())["base"]
+    assert json.loads(report_json.read_text()) == base
+    assert base["offered"] == 100
