@@ -100,7 +100,7 @@ from repro.serving.coalesce import Coalescer
 from repro.serving.device import ShardDevice
 from repro.serving.metrics import MetricsCollector, ServingReport
 from repro.serving.rebalance import Migration, RebalancePolicy, Rebalancer
-from repro.serving.request import CACHE_HIT, COMPLETED, SHED, Request
+from repro.serving.request import CACHE_HIT, COMPLETED, PENDING, SHED, Request
 from repro.serving.sharding import (
     PARTITIONED,
     REPLICATED,
@@ -124,6 +124,7 @@ from repro.sim.snapshot import (
     SNAPSHOT_VERSION,
     Snapshot,
     capture_loop,
+    chain_digest,
     clone_state,
     restore_loop,
     state_digest,
@@ -294,6 +295,10 @@ class ServingFrontend:
         self._arrival_pending = False
         """Whether an Arrival event is in the heap whose handler will
         chain the rest of ``_arrival_queue`` (see stream_extend)."""
+        self._retired_prefix: tuple[int, str] = (0, "")
+        """``(n, chain)``: the first ``n`` queued arrivals are retired,
+        and ``chain`` is their :func:`~repro.sim.snapshot.chain_digest`.
+        Extended by :meth:`snapshot` only (see there)."""
 
     def _make_device(self, index: int) -> ShardDevice:
         """Build shard device ``index`` and name its trace process.
@@ -392,6 +397,7 @@ class ServingFrontend:
         self._arrival_queue = []
         self._arrival_next = 0
         self._arrival_pending = False
+        self._retired_prefix = (0, "")
         self._last_arrival_s = 0.0
 
     def stream_extend(self, requests: list[Request]) -> None:
@@ -409,6 +415,13 @@ class ServingFrontend:
         Arrivals stream forward only: the new batch must not start
         before the last already-queued arrival, nor before the loop's
         current clock.
+
+        A fed request starts its lifecycle afresh: one that carries an
+        outcome from an earlier run (the same objects fed again, or a
+        twin fork's copies of requests the base run served) is reset to
+        ``PENDING`` with no stamps or results.  An outcome then always
+        means "retired in this session", which :meth:`snapshot` relies
+        on to share retired requests.
         """
         ordered = sorted(requests, key=lambda r: r.arrival_s)
         if not ordered:
@@ -428,6 +441,12 @@ class ServingFrontend:
                 f"arrival at {ordered[0].arrival_s!r} is in the past: "
                 f"the clock is already at {loop.now!r}"
             )
+        for request in ordered:
+            if request.outcome != PENDING:
+                request.outcome = PENDING
+                request.batched_s = request.start_s = None
+                request.completion_s = None
+                request.result_ids = request.result_dists = None
         self._arrival_queue.extend(ordered)
         self._last_arrival_s = self._arrival_queue[-1].arrival_s
         if not self._arrival_pending:
@@ -475,9 +494,11 @@ class ServingFrontend:
 
     @property
     def stream_requests(self) -> list[Request]:
-        """The session's arrival stream in time order — including every
-        already-delivered request (a restored session holds its own
-        deep copies; digest those, not the originals)."""
+        """The session's arrival stream in time order, including every
+        already-delivered request.  A restored session holds the very
+        objects its snapshot's session had retired when it was captured
+        (they are final, so the two share them) and its own copies of
+        the rest; digest this list, not the originally fed one."""
         return list(self._arrival_queue)
 
     # ---- snapshot / restore ----------------------------------------------
@@ -505,6 +526,24 @@ class ServingFrontend:
             shared.append(self.router.centroids)
         return shared
 
+    def _extend_retired_prefix(self) -> int:
+        """Fold arrivals retired since the last capture into
+        ``_retired_prefix``; returns its new length ``n``.
+
+        Retirement is monotone and a retired request is final, so the
+        longest all-retired prefix only grows and each request is
+        hashed once per session, at the first capture that finds it
+        retired.  Sessions that never snapshot never pay for it.
+        """
+        n, chain = self._retired_prefix
+        queue = self._arrival_queue
+        end = n
+        while end < self._arrival_next and queue[end].outcome != PENDING:
+            end += 1
+        if end > n:
+            self._retired_prefix = (end, chain_digest(chain, queue[n:end]))
+        return end
+
     def snapshot(self, kind: str = "window") -> Snapshot:
         """Freeze the open streaming session's full simulation state.
 
@@ -520,8 +559,17 @@ class ServingFrontend:
         behind the collector and every device) stay shared in the
         copy.  The result is immutable and restorable any number of
         times.
+
+        Retired requests are history: nothing the simulation reads
+        changes them after ``_retire``.  The longest all-retired prefix
+        of the arrival queue (``_retired_prefix``) is therefore shared
+        by reference, not copied, and enters the digest as its length
+        and chained hash, so a capture costs O(live state), not
+        O(requests so far).  Only the queue past it is copied and hashed
+        per capture.
         """
         router = self.router
+        retired = self._arrival_queue[: self._extend_retired_prefix()]
         state = clone_state(
             {
                 "mode": router.mode,
@@ -540,19 +588,25 @@ class ServingFrontend:
                     if key not in self._WIRING
                 },
             },
-            shared=self._snapshot_shared(),
+            shared=[*self._snapshot_shared(), *retired],
         )
         # The batch span counter only advances when a tracer is
         # attached.  It is captured (a resumed traced session keeps its
         # span IDs unique) but excluded from the content address, so
         # attaching observability never changes a snapshot digest — or
-        # a twin cache key derived from one.
+        # a twin cache key derived from one.  The retired prefix enters
+        # through _retired_prefix, its (length, chain) pair, so the view
+        # keeps only the queue past it.
+        session = state["session"]
         digest_view = dict(state)
         digest_view["session"] = {
             key: value
-            for key, value in state["session"].items()
+            for key, value in session.items()
             if key != "_batch_seq"
         }
+        digest_view["session"]["_arrival_queue"] = (
+            session["_arrival_queue"][len(retired):]
+        )
         return Snapshot(
             version=SNAPSHOT_VERSION,
             kind=kind,
@@ -574,7 +628,10 @@ class ServingFrontend:
         their deltas (config changes only affect *future* decisions)
         before replaying the suffix.  The snapshot itself is never
         mutated: restoring deep-copies again, so repeated restores
-        from one checkpoint are independent.
+        from one checkpoint are independent.  The one exception is the
+        snapshot's retired requests, which every restore shares with
+        the captured session rather than copying (see :meth:`snapshot`);
+        the restored session also inherits their ``_retired_prefix``.
         """
         if snapshot.version != SNAPSHOT_VERSION:
             raise ValueError(
@@ -601,7 +658,11 @@ class ServingFrontend:
         # Fresh loop + subscriptions + tracer wiring, then overwrite
         # the loop's state with the captured clock/heap/counters.
         self.stream_begin(query_pool)
-        state = clone_state(frozen, shared=self._snapshot_shared())
+        retired_n, _ = frozen["session"]["_retired_prefix"]
+        retired = frozen["session"]["_arrival_queue"][:retired_n]
+        state = clone_state(
+            frozen, shared=[*self._snapshot_shared(), *retired]
+        )
         restore_loop(self._loop, state["loop"])
         vars(self).update(state["session"])
         router_state = state["router"]

@@ -87,8 +87,10 @@ class Request:
     def __deepcopy__(self, memo: dict) -> "Request":
         # Every field but the two result arrays holds an immutable
         # scalar or string, so a shallow copy with copied arrays is a
-        # deep copy.  Generic deepcopy walks every field and dominates a
-        # twin restore, which clones every request of the run.
+        # deep copy.  Generic deepcopy would walk every field of every
+        # request a snapshot or restore copies (the live ones: queued,
+        # in flight or not yet arrived; retired ones are shared by
+        # reference) and of every request a twin fork replays.
         clone = copy.copy(self)
         clone.result_ids = copy.deepcopy(self.result_ids, memo)
         clone.result_dists = copy.deepcopy(self.result_dists, memo)

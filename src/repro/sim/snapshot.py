@@ -22,6 +22,10 @@ that make that safe:
   silently), hashes dicts in *iteration* order (deterministic in a
   deterministic simulation, and it preserves LRU recency that sorted
   order would erase), and knows numpy arrays and seeded RNG state.
+* :func:`chain_digest` — the same canonical encoding folded one item
+  at a time into a chained sha256, so a history that only grows (the
+  serving frontend's retired requests) is hashed once per item, not
+  once per capture.
 * :func:`capture_loop` / :func:`restore_loop` — the
   :class:`~repro.sim.events.EventLoop`'s own state: clock, dispatch
   counts, the pending-event heap and the ``seq`` tie-break counter.
@@ -30,7 +34,10 @@ that make that safe:
 
 A :class:`Snapshot` is immutable and restorable any number of times:
 restoring deep-copies *again*, so two forks of the same checkpoint
-never share mutable state.
+never share mutable state — with one exception the owner declares.
+Objects the simulation never changes again (the frontend's retired
+requests) are passed as ``shared`` on capture and on restore, so the
+live run, its snapshots and every fork hold the same objects.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ from repro.sim.events import EventLoop
 #: Bump when the captured state tree's shape changes incompatibly;
 #: :meth:`restore <repro.serving.frontend.ServingFrontend.restore>`
 #: refuses snapshots from another version.
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 
 @dataclasses.dataclass(frozen=True)
@@ -59,7 +66,8 @@ class Snapshot:
 
     ``state`` is a plain nested tree (dicts/lists/scalars/arrays plus
     the captured domain objects) produced by one :func:`clone_state`
-    pass — it shares nothing mutable with the live simulation.
+    pass — it shares nothing with the live simulation that the
+    simulation still mutates.
     ``digest`` is :func:`state_digest` over that tree: two snapshots
     with equal digests resume identically.
     """
@@ -141,6 +149,21 @@ def state_digest(state: Any) -> str:
     hasher = hashlib.sha256()
     _feed(hasher, state)
     return hasher.hexdigest()
+
+
+def chain_digest(prev: str, items: Iterable[Any]) -> str:
+    """Fold ``items`` one at a time into the chained sha256 ``prev``.
+
+    Each link hashes the previous link and one item's canonical
+    :func:`state_digest` encoding, so folding a sequence in one call
+    equals folding it in any split, each call passing on the last
+    result.  ``""`` is the empty chain.
+    """
+    for item in items:
+        hasher = hashlib.sha256(b"C" + prev.encode() + b"\x00")
+        _feed(hasher, item)
+        prev = hasher.hexdigest()
+    return prev
 
 
 def _feed(h, value: Any) -> None:

@@ -16,6 +16,11 @@ explicitly: a checkpoint taken while a cluster migration's
 ``FlashMaintenance`` refresh pending.  Both must resume to the same
 report as an uninterrupted run.
 
+Snapshots share retired requests with the live run instead of copying
+them, so the suite also pins what makes that sound: no request changes
+after it is retired, a capture shares exactly its all-retired prefix,
+and its digest does not depend on which earlier windows were captured.
+
 On top of restore parity, :class:`~repro.serving.twin.ServingTwin` is
 checked for the properties the CI twin step asserts: a no-delta
 what-if reproduces the from-scratch report byte for byte, repeated
@@ -44,7 +49,7 @@ from repro.serving import (
     ServingFrontend,
 )
 from repro.serving.metrics import ServingReport
-from repro.serving.request import Request
+from repro.serving.request import PENDING, Request
 from repro.serving.scenario import SCENARIOS
 from repro.serving.twin import ServingTwin, TwinCache, config_digest
 from repro.sim.events import DataMovement, FlashMaintenance
@@ -353,6 +358,132 @@ class TestSnapshotCoversSession:
         assert reference.scale_events
         assert resumed.admission.preemptions > 0
         assert reference.deadline_total > 0
+
+
+# ---- retired requests are history, shared by reference -------------------
+
+def _stamps(request):
+    """Everything about ``request`` a snapshot's retired prefix pins."""
+    return (
+        (request.request_id, request.outcome, request.batched_s,
+         request.start_s, request.completion_s),
+        None if request.result_ids is None else request.result_ids.tobytes(),
+        None if request.result_dists is None else request.result_dists.tobytes(),
+    )
+
+
+@pytest.mark.parametrize("name", [*SCENARIOS, *EVERYTHING_ON])
+def test_retired_requests_are_final(name, monkeypatch):
+    """Nothing changes a request after ``_retire``: the invariant that
+    lets snapshots share retired requests instead of copying them."""
+    scenario = {**SCENARIOS, **EVERYTHING_ON}[name]
+    at_retire = {}
+    retire = ServingFrontend._retire
+
+    def tap(self, request, at, **trace_args):
+        assert request.request_id not in at_retire, "retired twice"
+        at_retire[request.request_id] = (request, _stamps(request))
+        retire(self, request, at, **trace_args)
+
+    monkeypatch.setattr(ServingFrontend, "_retire", tap)
+    _, requests = scenario.run()
+    assert len(at_retire) == len(requests)
+    for request, stamps in at_retire.values():
+        assert _stamps(request) == stamps, (
+            f"request {request.request_id} changed after it was retired"
+        )
+
+
+class TestRetiredRequestsShared:
+    def test_retired_prefix_is_live_objects_the_rest_copies(self, twin_run):
+        live = twin_run.twin.frontend._arrival_queue
+        prefixes = []
+        for checkpoint in twin_run.twin.checkpoints:
+            session = checkpoint.snapshot.state["session"]
+            n, _ = session["_retired_prefix"]
+            queue = session["_arrival_queue"]
+            assert all(a is b for a, b in zip(queue[:n], live))
+            assert all(a is not b for a, b in zip(queue[n:], live[n:]))
+            assert all(r.outcome != PENDING for r in queue[:n])
+            prefixes.append(n)
+        assert prefixes == sorted(prefixes) and prefixes[-1] > 0
+        # A restore shares the same objects again.
+        checkpoint = twin_run.twin.checkpoints[-1]
+        fork = TWIN_CELL.frontend()
+        fork.restore(checkpoint.snapshot, twin_run.twin._pool)
+        n, _ = fork._retired_prefix
+        assert all(a is b for a, b in zip(fork._arrival_queue[:n], live))
+        assert fork._arrival_queue[n] is not live[n]
+
+    def test_digest_is_capture_schedule_blind(self, pool):
+        # Folding the retired prefix at every window boundary or only
+        # at the last one must give the same content address.
+        def last_digest(capture_every: bool):
+            frontend = TWIN_CELL.frontend()
+            requests = TWIN_CELL.requests()
+            frontend.stream_begin(pool)
+            frontend.stream_extend(requests)
+            boundaries = np.linspace(0.0, requests[-1].arrival_s, 12)[1:]
+            for boundary in boundaries[:-1]:
+                frontend.stream_step(boundary)
+                if capture_every:
+                    frontend.snapshot()
+            frontend.stream_step(boundaries[-1])
+            return frontend.snapshot()
+
+        every, last = last_digest(True), last_digest(False)
+        assert every.state["session"]["_retired_prefix"][0] > 0
+        assert every.digest == last.digest
+
+    def test_client_writes_after_capture_leave_restore_exact(self, pool):
+        # A client may write into its answered requests' result arrays
+        # (test_serving_frontend pins that contract).  Snapshots share
+        # those requests, so such writes must not reach the simulation:
+        # the restored run finishes byte-identical to the live one.  The
+        # cell caches and coalesces, the two places a result array
+        # could leak into later answers.
+        scenario = EVERYTHING_ON["everything-partitioned"]
+        reference, _ = scenario.run()
+        live, _ = _paused(scenario, pool)
+        snapshot = live.snapshot()
+        n, _ = snapshot.state["session"]["_retired_prefix"]
+        answered = [
+            r for r in live.stream_requests[:n] if r.result_ids is not None
+        ]
+        assert answered
+        for request in answered:
+            request.result_ids[:] = -7
+            request.result_dists[:] = -1.0
+        fork = scenario.frontend()
+        fork.restore(snapshot, pool)
+        report = fork.stream_finish()
+        live_report = live.stream_finish()
+        assert _report_bytes(report) == _report_bytes(reference)
+        assert _report_bytes(live_report) == _report_bytes(reference)
+        assert _digest(report, fork.stream_requests) == _digest(
+            live_report, live.stream_requests
+        )
+
+    def test_replayed_request_objects_start_afresh(self, pool):
+        # Feeding request objects a previous run already served (as a
+        # twin fork replays its copies of served requests) resets them,
+        # so a capture shares only what this session retired and its
+        # digest equals that of a session fed fresh requests.
+        scenario = TWIN_CELL
+        _, served = scenario.run()
+        at = len(served) // 2
+
+        def paused_snapshot(requests):
+            frontend = scenario.frontend()
+            frontend.stream_begin(pool)
+            frontend.stream_extend(requests)
+            frontend.stream_step(requests[at].arrival_s)
+            return frontend.snapshot()
+
+        replayed = paused_snapshot(served)
+        fresh = paused_snapshot(scenario.requests())
+        assert replayed.digest == fresh.digest
+        assert all(r.outcome == PENDING for r in served[at + 1:])
 
 
 # ---- the digital twin ----------------------------------------------------
